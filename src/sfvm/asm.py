@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 
 from .isa import (
+    ALU_BASE,
     ALU_FORMS,
     FilterProgram,
     HELPER_NAMES,
@@ -30,7 +31,9 @@ from .isa import (
     Helper,
     I16_MAX,
     I16_MIN,
+    IMM_FORM,
     Instruction,
+    JUMP_BASE,
     JUMP_FORMS,
     LD_IMM64_MAP_REF,
     MAP_KIND_NAMES,
@@ -53,14 +56,6 @@ _REG_RE = re.compile(r"^r(\d+)$")
 
 _ALU = ALU_FORMS
 _JUMPS = JUMP_FORMS
-_ALU_BY_OP = {}
-for _name, (_i, _r) in _ALU.items():
-    _ALU_BY_OP[_i] = (_name, True)
-    _ALU_BY_OP[_r] = (_name, False)
-_JUMP_BY_OP = {}
-for _name, (_i, _r) in _JUMPS.items():
-    _JUMP_BY_OP[_i] = (_name, True)
-    _JUMP_BY_OP[_r] = (_name, False)
 
 
 def _parse_int(tok: str, lineno: int) -> int:
@@ -298,7 +293,7 @@ def disassemble(program: FilterProgram) -> str:
     """
     targets = set()
     for i, ins in enumerate(program.instructions):
-        if ins.opcode == Opcode.JA or ins.opcode in _JUMP_BY_OP:
+        if ins.opcode == Opcode.JA or ins.opcode in JUMP_BASE:
             targets.add(i + 1 + ins.offset)
     labels = {t: f"L{t}" for t in sorted(targets)}
 
@@ -321,14 +316,12 @@ def disassemble(program: FilterProgram) -> str:
 
 def _render(ins: Instruction, index: int, labels, program) -> str:
     op = ins.opcode
-    if op in _ALU_BY_OP:
-        name, is_imm = _ALU_BY_OP[op]
-        rhs = str(ins.imm) if is_imm else f"r{ins.src}"
-        return f"{name} r{ins.dst}, {rhs}"
-    if op in _JUMP_BY_OP:
-        name, is_imm = _JUMP_BY_OP[op]
-        rhs = str(ins.imm) if is_imm else f"r{ins.src}"
-        return f"{name} r{ins.dst}, {rhs}, {labels[index + 1 + ins.offset]}"
+    rhs = str(ins.imm) if op in IMM_FORM else f"r{ins.src}"
+    if op in ALU_BASE:
+        return f"{ALU_BASE[op]} r{ins.dst}, {rhs}"
+    if op in JUMP_BASE:
+        target = labels[index + 1 + ins.offset]
+        return f"{JUMP_BASE[op]} r{ins.dst}, {rhs}, {target}"
     if op == Opcode.JA:
         return f"ja {labels[index + 1 + ins.offset]}"
     if op == Opcode.LD_IMM64:

@@ -38,7 +38,6 @@ from . import maps as m
 from .actions import KILL_THREAD, ResolvedAction, resolve
 from .isa import (
     FilterProgram,
-    MapDecl,
     MapKind,
     SyscallContext,
     decode_program,
@@ -56,6 +55,9 @@ CHECKPOINT_MAGIC = b"SFCK"
 CHECKPOINT_VERSION = 1
 
 PTRACE_SCOPES = ("classic", "restricted")
+
+_CHECKPOINT_HEADER = struct.Struct("<4sHHQI")
+_CHECKPOINT_INSTALL = struct.Struct("<BIIBBH")
 
 
 class EngineError(Exception):
@@ -284,10 +286,8 @@ class Engine:
                 f"program rejected: {report.reason}"
                 + (f" (instruction {report.offending_instruction})"
                    if report.offending_instruction is not None else ""))
-        prog_maps = [m.PolicyMap(decl) for decl in copy.map_refs]
-        for pmap in prog_maps:
-            pmap.pin()
-        self.program_maps[id(copy)] = prog_maps
+        self.program_maps[id(copy)] = [m.PolicyMap(decl)
+                                       for decl in copy.map_refs]
         return copy
 
     def load(self, tid: int, program) -> int:
@@ -531,7 +531,8 @@ class Engine:
     # -- checkpoint / restore ------------------------------------------------
 
     def _snapshot_program(self, program: FilterProgram) -> FilterProgram:
-        """The program with its maps' current contents baked in."""
+        """The program with its maps' current contents baked in.  Array
+        slots start zeroed, so all-zero ones are left out."""
         prog_maps = self.program_maps[id(program)]
         decls = []
         for decl, pmap in zip(program.map_refs, prog_maps):
@@ -540,7 +541,8 @@ class Engine:
                           for idx, p in sorted(pmap._programs.items())}
                 decls.append(replace(decl, initial_programs=nested))
             else:
-                entries = {k: v for k, v in pmap.items() if any(v)}
+                entries = {k: v for k, v in pmap.items()
+                           if any(v) or decl.kind != MapKind.ARRAY}
                 decls.append(replace(decl, initial_entries=entries))
         return replace(program, map_refs=tuple(decls))
 
@@ -550,13 +552,13 @@ class Engine:
             raise EngineError("checkpoint requires the task to be between "
                               "syscalls")
         out = bytearray()
-        out += struct.pack("<4sHHQI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                           0, self.clock_ns, len(t.chain))
+        out += _CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                       0, self.clock_ns, len(t.chain))
         for inst in t.chain:
             blob = encode_program(self._snapshot_program(inst.program))
             caps = ",".join(sorted(inst.loader.caps)).encode()
-            out += struct.pack(
-                "<BIIBBH", 1 if inst.classic else 0, inst.loader.uid,
+            out += _CHECKPOINT_INSTALL.pack(
+                1 if inst.classic else 0, inst.loader.uid,
                 inst.loader.userns, 1 if inst.loader.nnp else 0,
                 1 if inst.loader.dumpable else 0, len(caps))
             out += caps
@@ -568,62 +570,23 @@ class Engine:
 
     def restore(self, tid: int, blob: bytes) -> list[int]:
         """Re-attach a checkpointed chain to `tid` without re-verification.
-        Returns the new installation indexes."""
+        Returns the new installation indexes.  The blob is parsed and its
+        maps built before the engine changes, so a malformed one raises
+        EngineError and changes nothing."""
         t = self.task(tid)
         if CAP_SYS_ADMIN not in t.creds.caps or t.creds.userns != 0:
             raise PermissionDenied("restore is restricted to init-namespace "
                                    "administrators")
-        header = struct.Struct("<4sHHQI")
-        if len(blob) < header.size:
-            raise EngineError("checkpoint is truncated")
-        magic, version, _, clock, n_installs = header.unpack_from(blob, 0)
-        if magic != CHECKPOINT_MAGIC:
-            raise EngineError("not a checkpoint (bad magic)")
-        if version != CHECKPOINT_VERSION:
-            raise EngineError(f"unsupported checkpoint version {version}")
-        pos = header.size
-        added = []
+        adopted = {}
+        try:
+            clock, installs = _parse_checkpoint(bytes(blob), adopted)
+        # ProgramFormatError and UnicodeDecodeError are ValueErrors
+        except (struct.error, ValueError) as exc:
+            raise EngineError(f"malformed checkpoint: {exc}") from None
         self.clock_ns = clock
-        for _ in range(n_installs):
-            classic, uid, userns, nnp, dumpable, caps_len = \
-                struct.unpack_from("<BIIBBH", blob, pos)
-            pos += struct.calcsize("<BIIBBH")
-            caps_raw = blob[pos:pos + caps_len].decode()
-            pos += caps_len
-            caps = frozenset(c for c in caps_raw.split(",") if c)
-            (n_maps,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            fd_flags = blob[pos:pos + n_maps]
-            pos += n_maps
-            (blob_len,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            program = decode_program(bytes(blob[pos:pos + blob_len]))
-            pos += blob_len
-            loader = Credentials(uid=uid, caps=caps, userns=userns,
-                                 nnp=bool(nnp), dumpable=bool(dumpable))
-            copy = self._adopt(program)
-            prog_maps = self.program_maps[id(copy)]
-            for pmap, flag in zip(prog_maps, fd_flags):
-                pmap.fd_open = bool(flag)
-            t.chain.append(Installation(copy, prog_maps, loader,
-                                        classic=bool(classic)))
-            added.append(len(t.chain) - 1)
-        if pos != len(blob):
-            raise EngineError("checkpoint has trailing bytes")
-        return added
-
-    def _adopt(self, program: FilterProgram) -> FilterProgram:
-        """Take a checkpointed program on trust: no verification pass."""
-        for decl in program.map_refs:
-            if decl.kind == MapKind.PROG_ARRAY:
-                for nested in decl.initial_programs.values():
-                    self._adopt(nested)
-        program.verified = True
-        prog_maps = [m.PolicyMap(decl) for decl in program.map_refs]
-        for pmap in prog_maps:
-            pmap.pin()
-        self.program_maps[id(program)] = prog_maps
-        return program
+        self.program_maps.update(adopted)
+        t.chain += installs
+        return list(range(len(t.chain) - len(installs), len(t.chain)))
 
     # -- fingerprinting ---------------------------------------------------
 
@@ -657,3 +620,53 @@ class Engine:
                                                   key=lambda kv: kv[0]))
         return (self.clock_ns, self.in_flight.state_key(),
                 tuple(task_keys), space_keys)
+
+
+def _parse_checkpoint(blob: bytes, adopted: dict):
+    """(clock, installations) of a checkpoint; the live maps of every
+    program in it go into `adopted` by program id."""
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(blob):
+            raise EngineError("checkpoint is truncated")
+        pos += n
+        return blob[pos - n:pos]
+
+    magic, version, _, clock, n_installs = \
+        _CHECKPOINT_HEADER.unpack(take(_CHECKPOINT_HEADER.size))
+    if magic != CHECKPOINT_MAGIC:
+        raise EngineError("not a checkpoint (bad magic)")
+    if version != CHECKPOINT_VERSION:
+        raise EngineError(f"unsupported checkpoint version {version}")
+    installs = []
+    for _ in range(n_installs):
+        classic, uid, userns, nnp, dumpable, caps_len = \
+            _CHECKPOINT_INSTALL.unpack(take(_CHECKPOINT_INSTALL.size))
+        caps = frozenset(c for c in take(caps_len).decode().split(",") if c)
+        (n_maps,) = struct.unpack("<I", take(4))
+        fd_flags = take(n_maps)
+        (blob_len,) = struct.unpack("<I", take(4))
+        program = decode_program(take(blob_len))
+        _adopt(program, adopted)
+        for pmap, flag in zip(adopted[id(program)], fd_flags):
+            pmap.fd_open = bool(flag)
+        loader = Credentials(uid=uid, caps=caps, userns=userns,
+                             nnp=bool(nnp), dumpable=bool(dumpable))
+        installs.append(Installation(program, adopted[id(program)], loader,
+                                     classic=bool(classic)))
+    if pos != len(blob):
+        raise EngineError("checkpoint has trailing bytes")
+    return clock, installs
+
+
+def _adopt(program: FilterProgram, adopted: dict):
+    """Take a checkpointed program on trust: no verification pass.  Its
+    live maps (and its handoff targets') go into `adopted` by id."""
+    for decl in program.map_refs:
+        if decl.kind == MapKind.PROG_ARRAY:
+            for nested in decl.initial_programs.values():
+                _adopt(nested, adopted)
+    program.verified = True
+    adopted[id(program)] = [m.PolicyMap(decl) for decl in program.map_refs]

@@ -21,6 +21,7 @@ the wire format stays unambiguous.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -39,6 +40,11 @@ CTX_FIELDS = {0: 4, 4: 4, 8: 8, 16: 8, 24: 8, 32: 8, 40: 8, 48: 8, 56: 8}
 AUDIT_ARCH_X86_64 = 0xC000003E
 
 U64_MASK = (1 << 64) - 1
+
+# max_entries * (key + value) bound per map: arrays are preallocated
+MAX_MAP_BYTES = 1 << 20
+# program-array depth bound: deeper than 32 handoffs can never run
+MAX_NESTING = 32
 
 SECTION_PLAIN = "seccomp"
 SECTION_SLEEPABLE = "seccomp-sleepable"
@@ -91,18 +97,9 @@ class Opcode(IntEnum):
     EXIT = 0x42
 
 
-ALU_OPCODES = frozenset(op for op in Opcode if op <= Opcode.RSH_REG)
-JUMP_COND_OPCODES = frozenset(
-    op for op in Opcode if Opcode.JEQ_IMM <= op <= Opcode.JSET_REG
-)
-# src operand form: opcodes whose value is even in the ALU/jump blocks read
-# a source register, odd ones an immediate (see the enum layout above)
-IMM_FORM = frozenset(
-    op
-    for op in Opcode
-    if op in ALU_OPCODES or op in JUMP_COND_OPCODES
-    if op.name.endswith("_IMM")
-)
+# ALU and conditional-jump opcodes whose second operand is the immediate
+# rather than the src register
+IMM_FORM = frozenset(op for op in Opcode if op.name.endswith("_IMM"))
 
 # ld_imm64 src=1 marks the immediate as an index into the program's map
 # declarations rather than a literal (the eBPF pseudo-map convention)
@@ -131,67 +128,52 @@ JUMP_FORMS = {
     "jset": (Opcode.JSET_IMM, Opcode.JSET_REG),
 }
 
-ALU_BASE = {}
-for _name, (_imm_op, _reg_op) in ALU_FORMS.items():
-    ALU_BASE[_imm_op] = _name
-    ALU_BASE[_reg_op] = _name
-JUMP_BASE = {}
-for _name, (_imm_op, _reg_op) in JUMP_FORMS.items():
-    JUMP_BASE[_imm_op] = _name
-    JUMP_BASE[_reg_op] = _name
+ALU_BASE = {op: name for name, ops in ALU_FORMS.items() for op in ops}
+JUMP_BASE = {op: name for name, ops in JUMP_FORMS.items() for op in ops}
+
+
+# mnemonic -> semantics, shared by the verifier's abstract step and the
+# interpreter's handler build.  ALU results are 64-bit words and shifts
+# use the low 6 bits; conditions compare words as unsigned.
+ALU_OPS = {
+    "mov": lambda a, b: b & U64_MASK,
+    "add": lambda a, b: (a + b) & U64_MASK,
+    "sub": lambda a, b: (a - b) & U64_MASK,
+    "mul": lambda a, b: (a * b) & U64_MASK,
+    "and": lambda a, b: a & b & U64_MASK,
+    "or": lambda a, b: (a | b) & U64_MASK,
+    "xor": lambda a, b: (a ^ b) & U64_MASK,
+    "lsh": lambda a, b: (a << (b & 63)) & U64_MASK,
+    "rsh": lambda a, b: (a & U64_MASK) >> (b & 63),
+}
+COND_OPS = {
+    "jeq": operator.eq,
+    "jne": operator.ne,
+    "jgt": operator.gt,
+    "jge": operator.ge,
+    "jlt": operator.lt,
+    "jle": operator.le,
+    "jset": lambda a, b: (a & b) != 0,
+}
 
 
 def eval_alu(base: str, a: int, b: int) -> int:
-    """64-bit unsigned ALU semantics; shifts use the low 6 bits."""
-    if base == "mov":
-        r = b
-    elif base == "add":
-        r = a + b
-    elif base == "sub":
-        r = a - b
-    elif base == "mul":
-        r = a * b
-    elif base == "and":
-        r = a & b
-    elif base == "or":
-        r = a | b
-    elif base == "xor":
-        r = a ^ b
-    elif base == "lsh":
-        r = a << (b & 63)
-    elif base == "rsh":
-        r = (a & U64_MASK) >> (b & 63)
-    else:
-        raise AssertionError(base)
-    return r & U64_MASK
+    return ALU_OPS[base](a, b)
 
 
 def eval_cond(base: str, a: int, b: int) -> bool:
-    """Unsigned comparison semantics for conditional jumps."""
-    a &= U64_MASK
-    b &= U64_MASK
-    if base == "jeq":
-        return a == b
-    if base == "jne":
-        return a != b
-    if base == "jgt":
-        return a > b
-    if base == "jge":
-        return a >= b
-    if base == "jlt":
-        return a < b
-    if base == "jle":
-        return a <= b
-    if base == "jset":
-        return (a & b) != 0
-    raise AssertionError(base)
+    """Operands are masked to their word patterns first."""
+    return COND_OPS[base](a & U64_MASK, b & U64_MASK)
 
 I16_MIN, I16_MAX = -(1 << 15), (1 << 15) - 1
 I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 class Helper(IntEnum):
-    """Helper ids; values are stable and appear in the wire format."""
+    """Helper ids; values are stable and appear in the wire format.
+    In the paper's terms: state management (map, task storage),
+    serialization (wait), user access (safe_read_user*), kernel access
+    (ktime) and program features (tail_call)."""
 
     MAP_LOOKUP_ELEM = 1
     MAP_UPDATE_ELEM = 2
@@ -205,33 +187,8 @@ class Helper(IntEnum):
     WAIT_SYSCALL = 10
 
 
-class HelperCategory(IntEnum):
-    STATE_MANAGEMENT = 1
-    SERIALIZATION = 2
-    USER_ACCESS = 3
-    KERNEL_ACCESS = 4
-    PROGRAM_FEATURES = 5
-
-
-HELPER_CATEGORIES = {
-    Helper.MAP_LOOKUP_ELEM: HelperCategory.STATE_MANAGEMENT,
-    Helper.MAP_UPDATE_ELEM: HelperCategory.STATE_MANAGEMENT,
-    Helper.MAP_DELETE_ELEM: HelperCategory.STATE_MANAGEMENT,
-    Helper.SAFE_TASK_STORAGE_GET: HelperCategory.STATE_MANAGEMENT,
-    Helper.SAFE_TASK_STORAGE_DELETE: HelperCategory.STATE_MANAGEMENT,
-    Helper.WAIT_SYSCALL: HelperCategory.SERIALIZATION,
-    Helper.SAFE_READ_USER: HelperCategory.USER_ACCESS,
-    Helper.SAFE_READ_USER_STR: HelperCategory.USER_ACCESS,
-    Helper.KTIME_GET_NS: HelperCategory.KERNEL_ACCESS,
-    Helper.TAIL_CALL: HelperCategory.PROGRAM_FEATURES,
-}
-
 HELPER_NAMES = {h: h.name.lower() for h in Helper}
 HELPERS_BY_NAME = {name: h for h, name in HELPER_NAMES.items()}
-
-USER_ACCESS_HELPERS = frozenset(
-    {Helper.SAFE_READ_USER, Helper.SAFE_READ_USER_STR}
-)
 
 
 class MapKind(IntEnum):
@@ -333,9 +290,19 @@ class MapDecl:
             raise ValueError(f"map {self.name}: sizes must be positive")
         if self.kind == MapKind.ARRAY and self.key_size != 8:
             raise ValueError(f"map {self.name}: array maps use 8-byte index keys")
+        if self.kind == MapKind.TASK_STORAGE and self.key_size != 8:
+            raise ValueError(
+                f"map {self.name}: task storage uses 8-byte leader-id keys")
+        if self.max_entries * (self.key_size + self.value_size) > MAX_MAP_BYTES:
+            raise ValueError(f"map {self.name}: larger than {MAX_MAP_BYTES} bytes")
         for k, v in self.initial_entries.items():
             if len(k) != self.key_size or len(v) != self.value_size:
                 raise ValueError(f"map {self.name}: initial entry size mismatch")
+            if self.kind == MapKind.ARRAY \
+                    and int.from_bytes(k, "little") >= self.max_entries:
+                raise ValueError(f"map {self.name}: initial index out of range")
+        if len(self.initial_entries) > self.max_entries:
+            raise ValueError(f"map {self.name}: more initial entries than fit")
         if self.initial_programs and self.kind != MapKind.PROG_ARRAY:
             raise ValueError(f"map {self.name}: only prog_array maps hold programs")
 
@@ -345,7 +312,8 @@ class FilterProgram:
     """A filter: instructions plus the maps it references.
 
     `verified` is set by the verifier and `load_userns` by the engine at
-    load time; both start unset.
+    load time; both start unset.  `compiled` caches the interpreter's
+    per-pc handler table, built from `instructions` on first run.
     """
 
     instructions: tuple
@@ -353,24 +321,19 @@ class FilterProgram:
     map_refs: tuple = ()
     verified: bool = False
     load_userns: int | None = None
+    compiled: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     # Treated as immutable once built: the verifier flips `verified` at most
     # once and loads record `load_userns` on a per-load copy, so sharing one
-    # object across snapshotted machine states is safe and keeps state
-    # copies cheap.
+    # object (and its handler table) across snapshotted machine states is
+    # safe and keeps state copies cheap.
     def __deepcopy__(self, memo):
         return self
 
     @property
     def section_name(self) -> str:
         return SECTION_SLEEPABLE if self.sleepable else SECTION_PLAIN
-
-    @property
-    def uses_user_access(self) -> bool:
-        return any(
-            ins.opcode == Opcode.CALL and ins.imm in USER_ACCESS_HELPERS
-            for ins in self.instructions
-        )
 
     def map_index(self, name: str) -> int:
         for i, decl in enumerate(self.map_refs):
@@ -439,6 +402,18 @@ class _Reader:
 
 
 def decode_program(raw: bytes) -> FilterProgram:
+    """Parse a program file; every malformation is a ProgramFormatError."""
+    try:
+        return _decode(raw, 0)
+    except ProgramFormatError:
+        raise
+    except ValueError as exc:   # declarations, operands, undecodable names
+        raise ProgramFormatError(str(exc)) from None
+
+
+def _decode(raw: bytes, depth: int) -> FilterProgram:
+    if depth > MAX_NESTING:
+        raise ProgramFormatError("program arrays nested too deeply")
     rd = _Reader(raw)
     magic, version, flags, n_insns, n_maps = rd.unpack(_HEADER)
     if magic != PROGRAM_MAGIC:
@@ -456,18 +431,16 @@ def decode_program(raw: bytes) -> FilterProgram:
             kind = MapKind(kind)
         except ValueError:
             raise ProgramFormatError(f"map {name}: unknown kind {kind}") from None
+        decl = MapDecl(name, kind, key_size, value_size, max_entries)
+        decl.validate()     # sizes first: each entry below consumes bytes
         (n_entries,) = struct.unpack("<I", rd.take(4))
-        entries = {}
         for _ in range(n_entries):
             k = rd.take(key_size)
-            entries[k] = rd.take(value_size)
+            decl.initial_entries[k] = rd.take(value_size)
         (n_progs,) = struct.unpack("<I", rd.take(4))
-        programs = {}
         for _ in range(n_progs):
             idx, blob_len = struct.unpack("<QI", rd.take(12))
-            programs[idx] = decode_program(rd.take(blob_len))
-        decl = MapDecl(name, kind, key_size, value_size, max_entries,
-                       initial_entries=entries, initial_programs=programs)
+            decl.initial_programs[idx] = _decode(rd.take(blob_len), depth + 1)
         decl.validate()
         decls.append(decl)
     insns = []

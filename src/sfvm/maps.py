@@ -15,18 +15,16 @@ itself, which is what makes value pointers in filter code write-through:
 a store via a looked-up pointer is immediately visible to every thread
 sharing the map.
 
-Lifetime is reference counted.  Loading a program pins each map it
-declares; the creator's descriptor is a separate pin that the owning
-process can drop (`fd_open = False`).  Once the descriptor is closed the
-map lives on for as long as installed filters reference it, but it is
-no longer reachable from outside, so not even the loading process can
+A map lives as long as the installations that reference it.  The
+creator's descriptor is a separate handle that the owning process can
+drop (`fd_open = False`).  Once the descriptor is closed the map is no
+longer reachable from outside, so not even the loading process can
 retune a policy after locking itself down.
 """
 
 from __future__ import annotations
 
 import errno
-from copy import deepcopy
 
 from .isa import FilterProgram, MapDecl, MapKind
 
@@ -43,13 +41,11 @@ class PolicyMap:
 
     def __init__(self, decl: MapDecl):
         decl.validate()
-        self.decl = decl
         self.name = decl.name
         self.kind = decl.kind
         self.key_size = decl.key_size
         self.value_size = decl.value_size
         self.max_entries = decl.max_entries
-        self.refcount = 0
         self.fd_open = True
         self._array: list[bytearray] | None = None
         self._table: dict[bytes, bytearray] = {}
@@ -58,23 +54,9 @@ class PolicyMap:
             self._array = [bytearray(self.value_size)
                            for _ in range(self.max_entries)]
         for key, value in sorted(decl.initial_entries.items()):
-            rc = self.update(key, value, check_size=True)
-            if rc != 0:
-                raise ValueError(f"map {self.name}: initial entry rejected ({rc})")
+            self.update(key, value)     # validate() proved each one fits
         for idx, prog in sorted(decl.initial_programs.items()):
             self.set_program(idx, prog)
-
-    @property
-    def alive(self) -> bool:
-        return self.refcount > 0 or self.fd_open
-
-    def pin(self):
-        self.refcount += 1
-
-    def unpin(self):
-        if self.refcount <= 0:
-            raise RuntimeError(f"map {self.name}: unbalanced unpin")
-        self.refcount -= 1
 
     # -- data plane ----------------------------------------------------
 
@@ -94,13 +76,11 @@ class PolicyMap:
             return self._array[idx]
         return self._table.get(bytes(key))
 
-    def update(self, key: bytes, value: bytes, flags: int = 0,
-               check_size: bool = True) -> int:
+    def update(self, key: bytes, value: bytes, flags: int = 0) -> int:
         """0 on success, negated errno on failure. `flags` is reserved."""
         if self.kind == MapKind.PROG_ARRAY:
             raise TypeError("program arrays hold programs, not values")
-        if check_size and (len(key) != self.key_size
-                           or len(value) != self.value_size):
+        if len(key) != self.key_size or len(value) != self.value_size:
             return -EINVAL
         if self.kind == MapKind.ARRAY:
             idx = self._array_index(key)
@@ -182,13 +162,11 @@ class PolicyMap:
     def __deepcopy__(self, memo):
         clone = object.__new__(PolicyMap)
         memo[id(self)] = clone
-        clone.decl = self.decl
         clone.name = self.name
         clone.kind = self.kind
         clone.key_size = self.key_size
         clone.value_size = self.value_size
         clone.max_entries = self.max_entries
-        clone.refcount = self.refcount
         clone.fd_open = self.fd_open
         clone._array = (None if self._array is None
                         else [bytearray(v) for v in self._array])
@@ -198,4 +176,4 @@ class PolicyMap:
 
     def __repr__(self):
         return (f"PolicyMap({self.name!r}, {self.kind.name.lower()}, "
-                f"refs={self.refcount}, fd={'open' if self.fd_open else 'closed'})")
+                f"fd={'open' if self.fd_open else 'closed'})")

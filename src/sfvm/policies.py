@@ -102,6 +102,14 @@ def _tails(allow_raw: int, deny_raw: int) -> str:
             f"    exit\n")
 
 
+def _lookup(map_name: str, slot: int) -> str:
+    """Look up the key staged at r10-`slot`; the result lands in r0."""
+    return (f"    mov r2, r10\n"
+            f"    add r2, -{slot}\n"
+            f"    ld_imm64 r1, map:{map_name}\n"
+            f"    call map_lookup_elem\n")
+
+
 # -- simple set policies -------------------------------------------------
 
 def gen_allow_all() -> FilterProgram:
@@ -138,10 +146,7 @@ def gen_allowlist(allowed, layout: str = "linear",
                 f"map allowed hash 8 8 {max(len(allowed), 1)}\n"
                 f"    ld_ctx r2, 0\n"
                 f"    st_map r10, r2, -8\n"
-                f"    mov r2, r10\n"
-                f"    add r2, -8\n"
-                f"    ld_imm64 r1, map:allowed\n"
-                f"    call map_lookup_elem\n"
+                + _lookup("allowed", 8) +
                 f"    jne r0, 0, allow\n"
                 f"    jmp deny\n"
                 + _tails(RET_ALLOW, deny_raw))
@@ -170,10 +175,7 @@ def gen_denylist(denied, layout: str = "linear", deny="errno:1",
                 f"map denied hash 8 8 {hash_capacity}\n"
                 f"    ld_ctx r2, 0\n"
                 f"    st_map r10, r2, -8\n"
-                f"    mov r2, r10\n"
-                f"    add r2, -8\n"
-                f"    ld_imm64 r1, map:denied\n"
-                f"    call map_lookup_elem\n"
+                + _lookup("denied", 8) +
                 f"    jne r0, 0, deny\n"
                 f"    jmp allow\n"
                 + _tails(RET_ALLOW, deny_raw))
@@ -205,10 +207,7 @@ def gen_count_limit(nr: int, max_count: int, arg_index: int | None = None,
             + guard +
             f"    mov r2, 0\n"
             f"    st_map r10, r2, -8\n"
-            f"    mov r2, r10\n"
-            f"    add r2, -8\n"
-            f"    ld_imm64 r1, map:counter\n"
-            f"    call map_lookup_elem\n"
+            + _lookup("counter", 8) +
             f"    jeq r0, 0, deny\n"
             f"    ld_map r3, r0, 0\n"
             f"    jge r3, {max_count}, deny\n"
@@ -238,10 +237,7 @@ def gen_rate_limit(nr: int, rate_per_sec: int, capacity: int,
             f"    jne r2, {nr}, allow\n"
             f"    mov r2, 0\n"
             f"    st_map r10, r2, -8\n"
-            f"    mov r2, r10\n"
-            f"    add r2, -8\n"
-            f"    ld_imm64 r1, map:bucket\n"
-            f"    call map_lookup_elem\n"
+            + _lookup("bucket", 8) +
             f"    jeq r0, 0, deny\n"
             f"    mov r6, r0\n"
             f"    call ktime_get_ns\n"
@@ -298,8 +294,9 @@ class PhaseProfile:
 
     @property
     def reduction_pct(self) -> float:
-        """How much of the static attack surface the serving phase
-        never needed, won back by dropping it after the switch."""
+        """Early-execution attack-surface reduction: the share of the
+        whole-lifetime union that a phase-aware policy still blocks
+        before the switch, because only the serving phase needs it."""
         union = self.union_size
         return (union - len(self.s_init)) / union * 100.0
 
@@ -338,10 +335,7 @@ def gen_temporal(profile: PhaseProfile, deny="errno:1") -> FilterProgram:
             f"    ld_ctx r6, 0\n"
             f"    mov r2, 0\n"
             f"    st_map r10, r2, -8\n"
-            f"    mov r2, r10\n"
-            f"    add r2, -8\n"
-            f"    ld_imm64 r1, map:phase\n"
-            f"    call map_lookup_elem\n"
+            + _lookup("phase", 8) +
             f"    jeq r0, 0, deny\n"
             f"    mov r7, r0\n"
             f"    ld_map r3, r7, 0\n"
@@ -352,18 +346,12 @@ def gen_temporal(profile: PhaseProfile, deny="errno:1") -> FilterProgram:
             f"    jmp allow\n"
             f"initcheck:\n"
             f"    st_map r10, r6, -16\n"
-            f"    mov r2, r10\n"
-            f"    add r2, -16\n"
-            f"    ld_imm64 r1, map:init_set\n"
-            f"    call map_lookup_elem\n"
+            + _lookup("init_set", 16) +
             f"    jne r0, 0, allow\n"
             f"    jmp deny\n"
             f"serving:\n"
             f"    st_map r10, r6, -16\n"
-            f"    mov r2, r10\n"
-            f"    add r2, -16\n"
-            f"    ld_imm64 r1, map:serv_set\n"
-            f"    call map_lookup_elem\n"
+            + _lookup("serv_set", 16) +
             f"    jne r0, 0, allow\n"
             f"    jmp deny\n"
             + _tails(RET_ALLOW, parse_action(deny)))
@@ -448,10 +436,7 @@ def gen_flow_integrity(syscalls, transitions, origins=None,
             "    st_map r10, r7, -32",
             "    ld_ctx r3, 8",
             "    st_map r10, r3, -24",
-            "    mov r2, r10",
-            "    add r2, -32",
-            "    ld_imm64 r1, map:origins",
-            "    call map_lookup_elem",
+            *_lookup("origins", 32).splitlines(),
             "    jeq r0, 0, deny",
         ]
     lines += [
@@ -467,10 +452,7 @@ def gen_flow_integrity(syscalls, transitions, origins=None,
         "    sub r4, 1",
         "    add r3, r4",
         "    st_map r10, r3, -8",
-        "    mov r2, r10",
-        "    add r2, -8",
-        "    ld_imm64 r1, map:trans",
-        "    call map_lookup_elem",
+        *_lookup("trans", 8).splitlines(),
         "    jeq r0, 0, deny",
         "    ld_map r3, r0, 0",
         "    jeq r3, 0, deny",
@@ -502,10 +484,7 @@ def gen_serialization(pairs: dict) -> FilterProgram:
             f"map partners hash 8 16 {max(len(entries), 1)}\n"
             f"    ld_ctx r6, 0\n"
             f"    st_map r10, r6, -8\n"
-            f"    mov r2, r10\n"
-            f"    add r2, -8\n"
-            f"    ld_imm64 r1, map:partners\n"
-            f"    call map_lookup_elem\n"
+            + _lookup("partners", 8) +
             f"    jeq r0, 0, allow\n"
             f"    mov r7, r0\n"
             f"    ld_map r3, r7, 0\n"
@@ -541,10 +520,7 @@ def _check_program(nr: int, arg_rules: dict, cached: bool, deny_raw: int,
             lines.append(f"    ld_ctx r3, {16 + 8 * i}")
             lines.append(f"    st_map r10, r3, {-40 + 8 * i}")
         lines += [
-            "    mov r2, r10",
-            "    add r2, -48",
-            "    ld_imm64 r1, map:cache",
-            "    call map_lookup_elem",
+            *_lookup("cache", 48).splitlines(),
             "    jne r0, 0, allow",
         ]
     for k, (arg_idx, values) in enumerate(sorted(arg_rules.items())):

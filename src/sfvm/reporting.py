@@ -1,9 +1,9 @@
 """Attack-surface accounting for phase-split policies.
 
-Turns a set of phase profiles into a report comparing the serving-phase
-allowlist against the classic whole-lifetime union, expressed as the
-percentage of union syscalls a phase-aware policy retires once
-initialization ends.
+Compares each profile's initialization-phase allowlist with the classic
+whole-lifetime union.  `reduction` is the early-execution reduction:
+the percentage of union syscalls a phase-aware policy keeps blocked
+until initialization ends, because only the serving phase uses them.
 """
 
 from __future__ import annotations

@@ -261,12 +261,14 @@ class Simulator:
             else:
                 raise EngineError(f"unknown block {payload!r}")
             return
-        record = payload
         self.in_progress.discard(tid)
         self._consume(tid)
-        entry = {"kind": "decision", "clock": self.engine.clock_ns}
-        entry.update(record)
-        self.entries.append(entry)
+        self._log_decision(payload)
+
+    def _log_decision(self, record: dict, **marker):
+        self.entries.append({"kind": "decision",
+                             "clock": self.engine.clock_ns,
+                             **marker, **record})
         for victim in record.get("killed", ()):
             self._drain(victim)
 
@@ -278,12 +280,7 @@ class Simulator:
 
     def _ev_phase_marker(self, tid: int, ev):
         record = self.engine.run_syscall(tid, _build_ctx(ev))
-        entry = {"kind": "decision", "clock": self.engine.clock_ns,
-                 "marker": True}
-        entry.update(record)
-        self.entries.append(entry)
-        for victim in record.get("killed", ()):
-            self._drain(victim)
+        self._log_decision(record, marker=True)
         if self.engine.tasks[tid].alive:
             if record["action"] in ("allow", "log"):
                 exit_rec = self.engine.syscall_exit(tid)

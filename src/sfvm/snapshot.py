@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .usermem import UserMemory, pages_spanning
+from .usermem import UserMemory
 
 SNAPSHOT_LIMIT = 4096
 REGION_BASE = 0x7F0000000000
@@ -144,11 +144,6 @@ class DescriptorTable:
             table[nr] = args
         return cls(table)
 
-    @classmethod
-    def load(cls, path) -> "DescriptorTable":
-        with open(path, "rb") as fh:
-            return cls.from_json(fh.read())
-
     def get(self, nr: int) -> dict[int, ArgDesc]:
         return self._table.get(nr, {})
 
@@ -213,8 +208,12 @@ class ArgSnapshot:
         is now mapped and was absorbed into the snapshot."""
         if marker not in self.fault_markers:
             return False
-        addr, size = marker
         self.fault_markers.remove(marker)
+        return self.capture(mem, *marker)
+
+    def capture(self, mem: UserMemory, addr: int, size: int) -> bool:
+        """Take [addr, addr+size) into the snapshot; unmapped runs become
+        fault markers.  True if any part was mapped."""
         progress = False
         for run_addr, run_size, mapped in mem.runs(addr, size):
             if not mapped:
@@ -251,7 +250,7 @@ class Snapshotter:
             ptr = ctx.args[idx]
             if ptr == 0:
                 continue
-            self._capture(mem, snap, ptr, desc.size)
+            snap.capture(mem, ptr, desc.size)
             if desc.kind == "user_record":
                 record = snap.read(mem, ptr, desc.size)
                 if record[0] != "ok":
@@ -261,25 +260,8 @@ class Snapshotter:
                     inner = int.from_bytes(blob[fd.offset:fd.offset + 8],
                                            "little")
                     if inner:
-                        self._capture(mem, snap, inner, fd.size)
+                        snap.capture(mem, inner, fd.size)
         return snap
-
-    def _capture(self, mem: UserMemory, snap: ArgSnapshot, addr: int,
-                 size: int):
-        for run_addr, run_size, mapped in mem.runs(addr, size):
-            if not mapped:
-                snap.fault_markers.append((run_addr, run_size))
-            elif self.mode == COPY:
-                data = mem.read(run_addr, run_size)
-                dst = snap.region_base + snap.region_len
-                mem.map_region(dst, run_size, writable=False,
-                               user_accessible=True, may_write=False)
-                mem.poke(dst, data)
-                snap.ranges.append(_Range(run_addr, run_size, dst))
-                snap.region_len += run_size
-            else:
-                snap.protected_pages.update(mem.protect(run_addr, run_size))
-                snap.ranges.append(_Range(run_addr, run_size, None))
 
     def release(self, mem: UserMemory, snap: ArgSnapshot):
         if snap.released:

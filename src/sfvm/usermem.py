@@ -21,7 +21,6 @@ from __future__ import annotations
 from enum import Enum
 
 PAGE_SIZE = 4096
-PAGE_SHIFT = 12
 
 
 class WriteStatus(Enum):
@@ -66,9 +65,6 @@ class UserMemory:
         for base in pages_spanning(addr, size):
             if base not in self._pages:
                 self._pages[base] = _Page(writable, user_accessible, may_write)
-
-    def is_mapped(self, addr: int, size: int = 1) -> bool:
-        return all(b in self._pages for b in pages_spanning(addr, size))
 
     def runs(self, addr: int, size: int):
         """Contiguous (addr, size, mapped) spans covering [addr, addr+size)."""

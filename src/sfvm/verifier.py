@@ -37,18 +37,20 @@ from dataclasses import dataclass, field
 
 from .isa import (
     ALU_BASE,
+    ALU_OPS,
+    COND_OPS,
     CTX_FIELDS,
     FilterProgram,
     HELPER_NAMES,
     Helper,
+    IMM_FORM,
     JUMP_BASE,
     LD_IMM64_MAP_REF,
     MapKind,
     NUM_REGS,
     Opcode,
     STACK_SIZE,
-    eval_alu,
-    eval_cond,
+    U64_MASK,
 )
 
 # abstract register tags
@@ -86,7 +88,6 @@ class VerifierConfig:
     step_budget: int = 1_000_000
     helper_whitelist: frozenset = frozenset(Helper)
     sleepable_only_helpers: frozenset = frozenset()
-    stack_size: int = STACK_SIZE
 
 
 @dataclass
@@ -113,8 +114,6 @@ class _Violation(Exception):
         self.pc = pc
         self.reason = reason
 
-
-_NUM_SLOTS = STACK_SIZE // 8
 
 # helper id -> (arg spec, result)
 #   arg spec entries: ("scalar",), ("map", allowed kinds),
@@ -192,10 +191,10 @@ class _Walker:
         """Slot range for a [total_off, total_off+size) stack access."""
         if total_off % 8 != 0:
             raise _Violation(pc, f"{what}: stack access not 8-byte aligned")
-        if total_off < -self.config.stack_size or total_off + size > 0:
+        if total_off < -STACK_SIZE or total_off + size > 0:
             raise _Violation(pc, f"{what}: stack access out of bounds")
-        first = (self.config.stack_size + total_off) // 8
-        last = (self.config.stack_size + total_off + size - 1) // 8
+        first = (STACK_SIZE + total_off) // 8
+        last = (STACK_SIZE + total_off + size - 1) // 8
         return range(first, last + 1)
 
     # -- the abstract step --------------------------------------------
@@ -224,7 +223,7 @@ class _Walker:
                 return [(pc + 1, self.write_reg(state, ins.dst, map_ref(ins.imm)))]
             if ins.src != 0:
                 raise _Violation(pc, "bad ld_imm64 source flag")
-            value = ins.imm & ((1 << 64) - 1)
+            value = ins.imm & U64_MASK
             return [(pc + 1, self.write_reg(state, ins.dst, known(value)))]
         if op == Opcode.LD_CTX:
             width = CTX_FIELDS.get(ins.offset)
@@ -256,8 +255,7 @@ class _Walker:
 
     def _alu(self, pc, ins, state):
         base = ALU_BASE[ins.opcode]
-        is_imm = ins.opcode.name.endswith("_IMM")
-        rhs = known(ins.imm & ((1 << 64) - 1)) if is_imm \
+        rhs = known(ins.imm & U64_MASK) if ins.opcode in IMM_FORM \
             else self.read_reg(pc, state, ins.src)
 
         if base == "mov":
@@ -279,14 +277,13 @@ class _Walker:
             raise _Violation(pc, f"{base} on non-scalar operands")
         if lhs[0] == "K" and rhs[0] == "K":
             return [(pc + 1, self.write_reg(state, ins.dst,
-                                            known(eval_alu(base, lhs[1], rhs[1]))))]
+                                            known(ALU_OPS[base](lhs[1], rhs[1]))))]
         return [(pc + 1, self.write_reg(state, ins.dst, UNKNOWN))]
 
     def _cond_jump(self, pc, ins, state):
         base = JUMP_BASE[ins.opcode]
-        is_imm = ins.opcode.name.endswith("_IMM")
         lhs = self.read_reg(pc, state, ins.dst)
-        rhs = known(ins.imm & ((1 << 64) - 1)) if is_imm \
+        rhs = known(ins.imm & U64_MASK) if ins.opcode in IMM_FORM \
             else self.read_reg(pc, state, ins.src)
         taken_pc = self._target(pc, ins.offset)
 
@@ -301,7 +298,8 @@ class _Walker:
         if lhs[0] not in _SCALARS or rhs[0] not in _SCALARS:
             raise _Violation(pc, "conditional jump on non-scalar operands")
         if lhs[0] == "K" and rhs[0] == "K":
-            if eval_cond(base, lhs[1], rhs[1]):
+            # known values are canonical words, as in the interpreter
+            if COND_OPS[base](lhs[1], rhs[1]):
                 return [(taken_pc, state)]
             return [(pc + 1, state)]
         return [(pc + 1, state), (taken_pc, state)]
@@ -425,15 +423,9 @@ class _Walker:
                     writes = False
                 state = self._stack_arg(pc, state, reg_idx, size, name, writes)
 
-        regs, stack_init = state
-        regs = list(regs)
-        for r in range(1, 6):
-            regs[r] = UNINIT
-        if result == "null_or_value":
-            regs[0] = null_or_value(ref_decl_idx)
-        else:
-            regs[0] = UNKNOWN
-        return [(pc + 1, (tuple(regs), stack_init))]
+        r0 = null_or_value(ref_decl_idx) if result == "null_or_value" \
+            else UNKNOWN
+        return [(pc + 1, _after_call(state, r0))]
 
     def _tail_call(self, pc, ins, state):
         val = self.read_reg(pc, state, 1)
@@ -447,12 +439,13 @@ class _Walker:
             raise _Violation(pc, "tail_call: r2 must be a scalar index")
         # the handoff may fail at run time (missing entry), in which case
         # execution continues after the instruction like a normal call
-        regs, stack_init = state
-        regs = list(regs)
-        for r in range(1, 6):
-            regs[r] = UNINIT
-        regs[0] = UNKNOWN
-        return [(pc + 1, (tuple(regs), stack_init))]
+        return [(pc + 1, _after_call(state, UNKNOWN))]
+
+
+def _after_call(state, r0):
+    """r0 holds the result; r1..r5 are clobbered."""
+    regs, stack_init = state
+    return ((r0,) + (UNINIT,) * 5 + regs[6:], stack_init)
 
 
 def verify(program: FilterProgram, config: VerifierConfig | None = None) -> VerifierReport:

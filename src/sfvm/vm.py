@@ -15,6 +15,12 @@ flag degrades to the configured bad-filter action instead of silently
 corrupting state.  On a genuinely verified program none of these
 checks can fire.
 
+A program is decoded once, on its first run, into a table of per-pc
+handler closures with operand form, immediate, jump targets and
+semantics (`isa.ALU_OPS`/`COND_OPS`) bound in, much as the kernel
+interpreter dispatches through a jump table.  The table is cached on
+the program and holds no thread state, so threads stay plain data.
+
 A handoff (`tail_call`) replaces the running program, registers, and
 stack but keeps the accumulated step and helper counts, and at most 32
 handoffs may occur in one evaluation.  That bound is real: the handoff
@@ -28,9 +34,14 @@ from dataclasses import dataclass
 from . import maps as m
 from .isa import (
     ALU_BASE,
+    ALU_OPS,
+    COND_OPS,
     CTX_FIELDS,
+    FRAME_REG,
     FilterProgram,
+    HELPER_NAMES,
     Helper,
+    IMM_FORM,
     JUMP_BASE,
     LD_IMM64_MAP_REF,
     MapKind,
@@ -39,8 +50,6 @@ from .isa import (
     STACK_SIZE,
     SyscallContext,
     U64_MASK,
-    eval_alu,
-    eval_cond,
 )
 
 MAX_TAIL_CALLS = 32
@@ -143,15 +152,8 @@ class VmThread:
     def __init__(self, program: FilterProgram, prog_maps, ctx: SyscallContext):
         if not program.verified:
             raise VmFault("refusing to run an unverified program")
-        self.program = program
-        self.maps = list(prog_maps)
         self.ctx = ctx
-        self.pc = 0
-        self.regs = [_UNSET] * NUM_REGS
-        self.stack = bytearray(STACK_SIZE)
-        self.stack_init = 0
-        self.regs[1] = _CTX
-        self.regs[10] = MemPtr(self.stack, STACK_SIZE, ("stack",))
+        self._enter(program, prog_maps)
         self.steps = 0
         self.helper_calls = 0
         self.tail_depth = 0
@@ -162,6 +164,17 @@ class VmThread:
         self.registered_waits: set = set()
 
     # -- plumbing -------------------------------------------------------
+
+    def _enter(self, program: FilterProgram, prog_maps):
+        """Start `program` afresh: pc 0, new registers and stack."""
+        self.program = program
+        self.maps = list(prog_maps)
+        self.pc = 0
+        self.regs = [_UNSET] * NUM_REGS
+        self.stack = bytearray(STACK_SIZE)
+        self.stack_init = 0
+        self.regs[1] = _CTX
+        self.regs[10] = MemPtr(self.stack, STACK_SIZE, ("stack",))
 
     def _get(self, idx: int):
         v = self.regs[idx]
@@ -220,6 +233,7 @@ class VmThread:
                 self.stack_init |= 1 << slot
 
     def _finish(self, raw: int):
+        self.steps += 1     # the exit itself
         self.done = True
         self.outcome = VmOutcome(raw & 0xFFFFFFFF, self.steps,
                                  self.helper_calls)
@@ -233,186 +247,85 @@ class VmThread:
 
     def run(self, env: RuntimeEnv, fuel: int | None = None) -> str:
         """Advance until "done", "blocked", or fuel runs out ("running")."""
+        limit = env.step_limit
         while not self.done:
             if self.block is not None:
                 return "blocked"
-            if fuel is not None:
-                if fuel == 0:
-                    return "running"
-                fuel -= 1
+            code = self.program.compiled or _compile(self.program)
             try:
-                self._dispatch(env)
+                while True:
+                    if fuel is not None:
+                        if fuel == 0:
+                            return "running"
+                        fuel -= 1
+                    if self.steps >= limit:
+                        raise VmFault("step limit exceeded")
+                    pc = self.pc
+                    if not 0 <= pc < len(code):
+                        raise VmFault("control fell off the program")
+                    pc = code[pc](self, env)
+                    if pc is None:
+                        break
+                    self.pc = pc
+                    self.steps += 1
             except VmFault as exc:
                 self._fault(str(exc))
         return "done"
 
-    def _dispatch(self, env: RuntimeEnv):
-        if self.steps >= env.step_limit:
-            raise VmFault("step limit exceeded")
-        if not 0 <= self.pc < len(self.program.instructions):
-            raise VmFault("control fell off the program")
-        ins = self.program.instructions[self.pc]
-        op = ins.opcode
+    # -- helpers -----------------------------------------------------------
+    #
+    # `_helper_<name>` implements the helper of that name (see
+    # `isa.HELPER_NAMES`): it returns r0, or _PARKED after setting `block`.
 
-        if op in ALU_BASE:
-            self._exec_alu(ins)
-        elif op in JUMP_BASE:
-            self._exec_jump(ins)
-        elif op == Opcode.JA:
-            self.pc += 1 + ins.offset
-        elif op == Opcode.LD_IMM64:
-            if ins.src == LD_IMM64_MAP_REF:
-                if not 0 <= ins.imm < len(self.maps):
-                    raise VmFault("reference to undeclared map")
-                self._set(ins.dst, MapRef(self.maps[ins.imm]))
-            elif ins.src == 0:
-                self._set(ins.dst, ins.imm & U64_MASK)
-            else:
-                raise VmFault("bad ld_imm64 source flag")
-            self.pc += 1
-        elif op == Opcode.LD_CTX:
-            if CTX_FIELDS.get(ins.offset) is None:
-                raise VmFault("context read is not field aligned")
-            self._set(ins.dst, self.ctx.field(ins.offset))
-            self.pc += 1
-        elif op == Opcode.LD_MAP:
-            ptr = self._ptr(ins.src)
-            value = int.from_bytes(
-                self._read_mem(ptr, 8, ptr.off + ins.offset), "little")
-            self._set(ins.dst, value)
-            self.pc += 1
-        elif op == Opcode.ST_MAP:
-            ptr = self._ptr(ins.dst)
-            value = self._scalar(ins.src)
-            self._write_mem(ptr, (value & U64_MASK).to_bytes(8, "little"),
-                            ptr.off + ins.offset)
-            self.pc += 1
-        elif op == Opcode.CALL:
-            finished = self._exec_call(ins, env)
-            if not finished:
-                return   # blocked: no step, no pc move
-            self.pc += 1
-        elif op == Opcode.TAIL_CALL:
-            self._exec_tail_call(env)
-        elif op == Opcode.EXIT:
-            raw = self._scalar(0)
-            self.steps += 1
-            self._finish(raw)
-            return
-        else:
-            raise VmFault(f"unhandled opcode {op!r}")
+    def _helper_map_lookup_elem(self, env: RuntimeEnv):
+        pmap = self._map(1, (MapKind.ARRAY, MapKind.HASH))
+        key = self._read_mem(self._ptr(2), pmap.key_size)
+        value = pmap.lookup(key)
+        return 0 if value is None else _mapval_ptr(pmap, value, key)
 
-        self.steps += 1
+    def _helper_map_update_elem(self, env: RuntimeEnv):
+        pmap = self._map(1, (MapKind.ARRAY, MapKind.HASH))
+        key = self._read_mem(self._ptr(2), pmap.key_size)
+        value = self._read_mem(self._ptr(3), pmap.value_size)
+        return pmap.update(key, value, self._scalar(4)) & U64_MASK
 
-    def _exec_alu(self, ins):
-        base = ALU_BASE[ins.opcode]
-        rhs = (ins.imm & U64_MASK) if ins.opcode.name.endswith("_IMM") \
-            else self._get(ins.src)
-        if base == "mov":
-            self._set(ins.dst, rhs)
-        else:
-            lhs = self._get(ins.dst)
-            if isinstance(lhs, MemPtr) and base in ("add", "sub"):
-                if not isinstance(rhs, int):
-                    raise VmFault("pointer arithmetic needs a scalar offset")
-                delta = rhs if rhs < (1 << 63) else rhs - (1 << 64)
-                self._set(ins.dst, lhs.moved(delta if base == "add" else -delta))
-            elif isinstance(lhs, int) and isinstance(rhs, int):
-                self._set(ins.dst, eval_alu(base, lhs, rhs))
-            else:
-                raise VmFault(f"{base} on non-scalar operands")
-        self.pc += 1
+    def _helper_map_delete_elem(self, env: RuntimeEnv):
+        pmap = self._map(1, (MapKind.ARRAY, MapKind.HASH))
+        key = self._read_mem(self._ptr(2), pmap.key_size)
+        return pmap.delete(key) & U64_MASK
 
-    def _exec_jump(self, ins):
-        base = JUMP_BASE[ins.opcode]
-        lhs = self._get(ins.dst)
-        rhs = (ins.imm & U64_MASK) if ins.opcode.name.endswith("_IMM") \
-            else self._get(ins.src)
-        if isinstance(lhs, (MemPtr, MapRef)) or lhs == _CTX:
-            # only the null check on a maybe-null lookup result is legal
-            if base not in ("jeq", "jne") or rhs != 0 \
-                    or not isinstance(lhs, MemPtr):
-                raise VmFault("comparison on non-scalar operands")
-            taken = (base == "jne")
-        elif isinstance(lhs, int) and isinstance(rhs, int):
-            taken = eval_cond(base, lhs, rhs)
-        else:
-            raise VmFault("comparison on non-scalar operands")
-        self.pc += 1 + (ins.offset if taken else 0)
+    def _helper_ktime_get_ns(self, env: RuntimeEnv):
+        return env.clock_ns & U64_MASK
 
-    def _mapval_ptr(self, policy_map: m.PolicyMap, value: bytearray,
-                    key: bytes) -> MemPtr:
-        return MemPtr(value, 0, ("mapval", policy_map.name, key))
+    def _helper_safe_task_storage_get(self, env: RuntimeEnv):
+        pmap = self._map(1, (MapKind.TASK_STORAGE,))
+        create = bool(self._scalar(2) & 1)
+        value = pmap.storage_get(env.leader_tid, create)
+        key = pmap.storage_key(env.leader_tid)
+        return 0 if value is None else _mapval_ptr(pmap, value, key)
 
-    def _clobber_caller_saved(self):
-        for r in range(1, 6):
-            self.regs[r] = _UNSET
+    def _helper_safe_task_storage_delete(self, env: RuntimeEnv):
+        pmap = self._map(1, (MapKind.TASK_STORAGE,))
+        return pmap.storage_delete(env.leader_tid) & U64_MASK
 
-    def _exec_call(self, ins, env: RuntimeEnv) -> bool:
-        """True when the helper completed; False when it parked the thread."""
-        try:
-            helper = Helper(ins.imm)
-        except ValueError:
-            raise VmFault(f"unknown helper id {ins.imm}") from None
+    def _helper_wait_syscall(self, env: RuntimeEnv):
+        curr, target = self._scalar(1), self._scalar(2)
+        # Check before registering: the helper runs atomically, so
+        # whichever of two mutually-serialized tasks gets here first
+        # claims the window and the other waits, never both.  A
+        # thread's own registration doesn't count against itself.
+        busy = env.in_flight_count(target)
+        if target in self.registered_waits:
+            busy -= 1
+        if busy > 0:
+            self.block = WaitBlock(target)
+            return _PARKED
+        if curr not in self.registered_waits:
+            env.register_in_flight(curr)
+            self.registered_waits.add(curr)
+        return 0
 
-        if helper == Helper.MAP_LOOKUP_ELEM:
-            pmap = self._map(1, (MapKind.ARRAY, MapKind.HASH))
-            key = self._read_mem(self._ptr(2), pmap.key_size)
-            value = pmap.lookup(key)
-            result = 0 if value is None else self._mapval_ptr(pmap, value, key)
-        elif helper == Helper.MAP_UPDATE_ELEM:
-            pmap = self._map(1, (MapKind.ARRAY, MapKind.HASH))
-            key = self._read_mem(self._ptr(2), pmap.key_size)
-            value = self._read_mem(self._ptr(3), pmap.value_size)
-            result = pmap.update(key, value, self._scalar(4)) & U64_MASK
-        elif helper == Helper.MAP_DELETE_ELEM:
-            pmap = self._map(1, (MapKind.ARRAY, MapKind.HASH))
-            key = self._read_mem(self._ptr(2), pmap.key_size)
-            result = pmap.delete(key) & U64_MASK
-        elif helper == Helper.KTIME_GET_NS:
-            result = env.clock_ns & U64_MASK
-        elif helper == Helper.SAFE_READ_USER:
-            done, result = self._read_user_buffer(env)
-            if not done:
-                return False
-        elif helper == Helper.SAFE_READ_USER_STR:
-            done, result = self._read_user_string(env)
-            if not done:
-                return False
-        elif helper == Helper.SAFE_TASK_STORAGE_GET:
-            pmap = self._map(1, (MapKind.TASK_STORAGE,))
-            create = bool(self._scalar(2) & 1)
-            value = pmap.storage_get(env.leader_tid, create)
-            key = pmap.storage_key(env.leader_tid)
-            result = 0 if value is None else self._mapval_ptr(pmap, value, key)
-        elif helper == Helper.SAFE_TASK_STORAGE_DELETE:
-            pmap = self._map(1, (MapKind.TASK_STORAGE,))
-            result = pmap.storage_delete(env.leader_tid) & U64_MASK
-        elif helper == Helper.WAIT_SYSCALL:
-            curr, target = self._scalar(1), self._scalar(2)
-            # Check before registering: the helper runs atomically, so
-            # whichever of two mutually-serialized tasks gets here first
-            # claims the window and the other waits, never both.  A
-            # thread's own registration doesn't count against itself.
-            busy = env.in_flight_count(target)
-            if target in self.registered_waits:
-                busy -= 1
-            if busy > 0:
-                self.block = WaitBlock(target)
-                return False
-            if curr not in self.registered_waits:
-                env.register_in_flight(curr)
-                self.registered_waits.add(curr)
-            result = 0
-        else:
-            raise VmFault(f"helper {helper.name.lower()} not callable here")
-
-        self.helper_calls += 1
-        self._clobber_caller_saved()
-        self.regs[0] = result
-        return True
-
-    def _read_user_buffer(self, env: RuntimeEnv):
+    def _helper_safe_read_user(self, env: RuntimeEnv):
         dst = self._ptr(1)
         size = self._scalar(2)
         addr = self._scalar(3)
@@ -420,19 +333,19 @@ class VmThread:
             raise VmFault("user read size must be a positive multiple of 8")
         self._check_window(dst, dst.off, size, for_write=True)
         if not env.user_access_allowed:
-            return True, (-m.EPERM) & U64_MASK
+            return (-m.EPERM) & U64_MASK
         status, payload = env.read_user(addr, size)
         if status == "ok":
             self._write_mem(dst, payload)
-            return True, 0
+            return 0
         if status == "marker" and self.program.sleepable \
                 and payload not in self.fault_serviced:
             self.block = FaultServiceBlock(payload)
-            return False, None
+            return _PARKED
         self._write_mem(dst, bytes(size))
-        return True, (-m.EFAULT) & U64_MASK
+        return (-m.EFAULT) & U64_MASK
 
-    def _read_user_string(self, env: RuntimeEnv):
+    def _helper_safe_read_user_str(self, env: RuntimeEnv):
         dst = self._ptr(1)
         cap = self._scalar(2)
         addr = self._scalar(3)
@@ -440,48 +353,38 @@ class VmThread:
             raise VmFault("string capacity must be a positive multiple of 8")
         self._check_window(dst, dst.off, cap, for_write=True)
         if not env.user_access_allowed:
-            return True, (-m.EPERM) & U64_MASK
+            return (-m.EPERM) & U64_MASK
         collected = bytearray()
         for i in range(cap):
             status, payload = env.read_user(addr + i, 1)
             if status == "marker" and self.program.sleepable \
                     and payload not in self.fault_serviced:
                 self.block = FaultServiceBlock(payload)
-                return False, None
+                return _PARKED
             if status != "ok":
                 self._write_mem(dst, bytes(cap))
-                return True, (-m.EFAULT) & U64_MASK
+                return (-m.EFAULT) & U64_MASK
             if payload == b"\x00":
                 out = bytes(collected) + b"\x00"
                 self._write_mem(dst, out + bytes(cap - len(out)))
-                return True, i + 1
+                return i + 1
             collected += payload
         out = bytes(collected[:cap - 1]) + b"\x00"
         self._write_mem(dst, out)
-        return True, (-m.E2BIG) & U64_MASK
+        return (-m.E2BIG) & U64_MASK
 
-    def _exec_tail_call(self, env: RuntimeEnv):
+    def _tail_call(self, env: RuntimeEnv):
+        """The `tail_call` opcode: -ENOENT when the entry is missing,
+        _HANDED_OFF once the target program has taken over."""
         pmap = self._map(1, (MapKind.PROG_ARRAY,))
-        idx = self._scalar(2)
-        target = pmap.get_program(idx)
+        target = pmap.get_program(self._scalar(2))
         if target is None:
-            self.helper_calls += 1
-            self._clobber_caller_saved()
-            self.regs[0] = (-m.ENOENT) & U64_MASK
-            self.pc += 1
-            return
+            return (-m.ENOENT) & U64_MASK
         if self.tail_depth + 1 > MAX_TAIL_CALLS:
             raise VmFault("handoff chain exceeds 32")
         self.tail_depth += 1
-        self.helper_calls += 1
-        self.program = target
-        self.maps = list(env.maps_for_program(target))
-        self.pc = 0
-        self.regs = [_UNSET] * NUM_REGS
-        self.stack = bytearray(STACK_SIZE)
-        self.stack_init = 0
-        self.regs[1] = _CTX
-        self.regs[10] = MemPtr(self.stack, STACK_SIZE, ("stack",))
+        self._enter(target, env.maps_for_program(target))
+        return _HANDED_OFF
 
     # -- state fingerprinting ----------------------------------------------
 
@@ -503,3 +406,199 @@ class VmThread:
                 self.tail_depth, self.block, self.done,
                 tuple(sorted(self.registered_waits)),
                 tuple(sorted(self.fault_serviced)))
+
+
+# -- lowering ---------------------------------------------------------------
+#
+# A handler returns the next pc, or None when the run loop must look at
+# the thread again (exit, park, handoff).  Its fast path takes plain
+# scalars (always canonical 64-bit words, so compares need no mask); any
+# other operand goes to the checked semantics, which fault exactly as
+# decoding each step would.
+
+_PARKED = object()
+_HANDED_OFF = object()
+_CLOBBERED = [_UNSET] * 5     # r1..r5 after a call
+
+
+def _mapval_ptr(pmap: m.PolicyMap, value: bytearray, key: bytes) -> MemPtr:
+    return MemPtr(value, 0, ("mapval", pmap.name, key))
+
+
+def _compile(program: FilterProgram) -> tuple:
+    program.compiled = tuple(
+        _lower(pc, ins) for pc, ins in enumerate(program.instructions))
+    return program.compiled
+
+
+def _faulting(reason: str):
+    def fault(t, env):
+        raise VmFault(reason)
+    return fault
+
+
+def _lower(pc: int, ins):
+    op, dst, src, off, imm = ins.opcode, ins.dst, ins.src, ins.offset, ins.imm
+    nxt = pc + 1
+    if op in ALU_BASE:
+        return _lower_alu(ALU_BASE[op], op in IMM_FORM, dst, src, imm, nxt)
+    if op in JUMP_BASE:
+        return _lower_jump(COND_OPS[JUMP_BASE[op]], JUMP_BASE[op],
+                           op in IMM_FORM, dst, src, imm, nxt, nxt + off)
+    if op == Opcode.JA:
+        target = nxt + off
+        return lambda t, env: target
+    if op == Opcode.LD_IMM64:
+        if src == LD_IMM64_MAP_REF:
+            def ld_map_ref(t, env):
+                if not 0 <= imm < len(t.maps):
+                    raise VmFault("reference to undeclared map")
+                t._set(dst, MapRef(t.maps[imm]))
+                return nxt
+            return ld_map_ref
+        if src != 0:
+            return _faulting("bad ld_imm64 source flag")
+        return _lower_mov_imm(dst, imm & U64_MASK, nxt)
+    if op == Opcode.LD_CTX:
+        if CTX_FIELDS.get(off) is None:
+            return _faulting("context read is not field aligned")
+
+        def ld_ctx(t, env):
+            t._set(dst, t.ctx.field(off))
+            return nxt
+        return ld_ctx
+    if op == Opcode.LD_MAP:
+        def ld_map(t, env):
+            ptr = t._ptr(src)
+            data = t._read_mem(ptr, 8, ptr.off + off)
+            t._set(dst, int.from_bytes(data, "little"))
+            return nxt
+        return ld_map
+    if op == Opcode.ST_MAP:
+        def st_map(t, env):
+            ptr = t._ptr(dst)
+            value = t._scalar(src)
+            t._write_mem(ptr, (value & U64_MASK).to_bytes(8, "little"),
+                         ptr.off + off)
+            return nxt
+        return st_map
+    if op == Opcode.CALL:
+        try:
+            helper = Helper(imm)
+        except ValueError:
+            return _faulting(f"unknown helper id {imm}")
+        name = HELPER_NAMES[helper]
+        body = getattr(VmThread, f"_helper_{name}", None)
+        if body is None:
+            return _faulting(f"helper {name} not callable here")
+        return _lower_call(body, nxt)
+    if op == Opcode.TAIL_CALL:
+        return _lower_call(VmThread._tail_call, nxt)
+    if op == Opcode.EXIT:
+        return lambda t, env: t._finish(t._scalar(0))
+    return _faulting(f"unhandled opcode {op!r}")
+
+
+def _lower_call(body, nxt):
+    def call(t, env):
+        result = body(t, env)
+        if result is _PARKED:
+            return None     # no step, no pc move: resuming re-calls
+        t.helper_calls += 1
+        if result is _HANDED_OFF:
+            t.steps += 1
+            return None
+        t.regs[1:6] = _CLOBBERED
+        t.regs[0] = result
+        return nxt
+    return call
+
+
+def _lower_mov_imm(dst, value, nxt):
+    if dst == FRAME_REG:
+        return _faulting("frame register is read-only")
+
+    def mov_imm(t, env):
+        t.regs[dst] = value
+        return nxt
+    return mov_imm
+
+
+def _lower_alu(base, imm_form, dst, src, imm, nxt):
+    fn = ALU_OPS[base]
+    b = imm & U64_MASK
+    if imm_form and base == "mov":
+        return _lower_mov_imm(dst, b, nxt)
+
+    def checked(t, env):
+        rhs = b if imm_form else t._get(src)
+        if base == "mov":
+            t._set(dst, rhs)
+            return nxt
+        lhs = t._get(dst)
+        if isinstance(lhs, MemPtr) and base in ("add", "sub"):
+            if not isinstance(rhs, int):
+                raise VmFault("pointer arithmetic needs a scalar offset")
+            delta = rhs if rhs < (1 << 63) else rhs - (1 << 64)
+            t._set(dst, lhs.moved(delta if base == "add" else -delta))
+        elif isinstance(lhs, int) and isinstance(rhs, int):
+            t._set(dst, fn(lhs, rhs))
+        else:
+            raise VmFault(f"{base} on non-scalar operands")
+        return nxt
+
+    # r10 always holds the frame pointer, so only a mov into it could
+    # take a fast path; it must fault instead
+    if base == "mov" and dst == FRAME_REG:
+        return checked
+    if imm_form:
+        def alu_imm(t, env):
+            regs = t.regs
+            a = regs[dst]
+            if type(a) is not int:
+                return checked(t, env)
+            regs[dst] = fn(a, b)
+            return nxt
+        return alu_imm
+
+    def alu_reg(t, env):
+        regs = t.regs
+        a, v = regs[dst], regs[src]
+        if type(a) is not int or type(v) is not int:
+            return checked(t, env)
+        regs[dst] = fn(a, v)
+        return nxt
+    return alu_reg
+
+
+def _lower_jump(fn, base, imm_form, dst, src, imm, nxt, taken):
+    b = imm & U64_MASK
+
+    def checked(t, env):
+        lhs = t._get(dst)
+        rhs = b if imm_form else t._get(src)
+        if isinstance(lhs, (MemPtr, MapRef)) or lhs == _CTX:
+            # only the null check on a maybe-null lookup result is legal
+            if base not in ("jeq", "jne") or rhs != 0 \
+                    or not isinstance(lhs, MemPtr):
+                raise VmFault("comparison on non-scalar operands")
+            return taken if base == "jne" else nxt
+        if isinstance(lhs, int) and isinstance(rhs, int):
+            return taken if fn(lhs, rhs) else nxt
+        raise VmFault("comparison on non-scalar operands")
+
+    if imm_form:
+        def jump_imm(t, env):
+            a = t.regs[dst]
+            if type(a) is not int:
+                return checked(t, env)
+            return taken if fn(a, b) else nxt
+        return jump_imm
+
+    def jump_reg(t, env):
+        regs = t.regs
+        a, v = regs[dst], regs[src]
+        if type(a) is not int or type(v) is not int:
+            return checked(t, env)
+        return taken if fn(a, v) else nxt
+    return jump_reg

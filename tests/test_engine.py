@@ -3,9 +3,12 @@ checkpoint round trips."""
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
 
-from sfvm.actions import ResolvedAction
+from sfvm.actions import ActionKind, ResolvedAction
 from sfvm.asm import assemble
 from sfvm.engine import (
     CAP_SYS_ADMIN,
@@ -17,6 +20,11 @@ from sfvm.engine import (
     PermissionDenied,
 )
 from sfvm.maps import EINVAL
+from sfvm.policies import (
+    gen_allowlist,
+    gen_flow_integrity,
+    gen_validation_cache,
+)
 from sfvm.usermem import WriteStatus
 
 from .helpers import attach, bundled_descriptors, ctx, probe
@@ -569,6 +577,79 @@ def test_restore_rejects_mangled_blobs(mangle, fragment):
     target = eng.spawn(caps=[CAP_SYS_ADMIN])
     with pytest.raises(EngineError, match=fragment):
         eng.restore(target, mangle(blob))
+
+
+FLOW = dict(syscalls=[7, 8], transitions=[(None, 7), (7, 8), (8, 7)])
+
+
+def _zero_valued_allowlist():
+    """Allows nr 7 on a lookup hit; the entry's value is zero."""
+    prog = gen_allowlist([7], layout="hash", deny="errno:1")
+    decl = replace(prog.map_refs[0],
+                   initial_entries={(7).to_bytes(8, "little"): bytes(8)})
+    return replace(prog, map_refs=(decl,))
+
+
+def test_restore_keeps_zero_valued_entries():
+    eng = Engine()
+    tid = attach(eng, _zero_valued_allowlist())
+    eng.install(tid, eng.load(tid, gen_flow_integrity(**FLOW,
+                                                       deny="errno:2")))
+    assert probe(eng, tid, ctx(7))["action"] == "allow"
+    blob = eng.checkpoint(tid)
+    items = [[pmap.items() for pmap in inst.maps]
+             for inst in eng.task(tid).chain]
+    probes = [ctx(nr) for nr in (8, 7, 9)]
+    before = [probe(eng, tid, c)["action"] for c in probes]
+
+    other = Engine()
+    target = other.spawn(tid=tid, caps=[CAP_SYS_ADMIN])
+    assert other.restore(target, blob) == [0, 1]
+    assert [[pmap.items() for pmap in inst.maps]
+            for inst in other.task(target).chain] == items
+    after = [probe(other, target, c)["action"] for c in probes]
+    assert after == before
+    assert after[1] == "allow"      # the zero-valued entry still hits
+
+
+def _fuzz_checkpoint() -> bytes:
+    eng = Engine()
+    tid = attach(eng, assemble(BUDGET3))
+    eng.install(tid, eng.load(tid, _zero_valued_allowlist()))
+    eng.install(tid, eng.load(tid, gen_validation_cache(
+        {7: {0: [1, 2]}}, cache_capacity=4)))
+    probe(eng, tid, ctx(7, 1))
+    eng.clock_ns = 4242
+    return eng.checkpoint(tid)
+
+
+def test_restore_fuzz_is_typed_and_all_or_nothing():
+    """Every truncation and every single-byte flip of a checkpoint either
+    restores, or raises EngineError and changes nothing.  Whatever
+    restores decides syscalls: a garbage filter faults and votes the
+    bad-filter action, it never raises."""
+    blob = _fuzz_checkpoint()
+    rng = random.Random(0x5EED)
+    mangled = [blob[:n] for n in range(len(blob))]
+    for pos in range(len(blob)):
+        flipped = bytearray(blob)
+        flipped[pos] ^= rng.randrange(1, 256)
+        mangled.append(bytes(flipped))
+    restored = 0
+    for bad in mangled:
+        eng = Engine()
+        tid = attach(eng, ALLOW_ALL, tid=eng.spawn(caps=[CAP_SYS_ADMIN]))
+        eng.clock_ns = 99
+        chain = list(eng.task(tid).chain)
+        try:
+            eng.restore(tid, bad)
+        except EngineError:
+            assert eng.task(tid).chain == chain and eng.clock_ns == 99
+            continue
+        restored += 1
+        record = eng.run_syscall(tid, ctx(7, 1, 2))
+        assert record["action"] in {kind.value for kind in ActionKind}
+    assert 0 < restored < len(mangled)
 
 
 def test_state_key_is_content_sensitive():

@@ -14,6 +14,8 @@ from sfvm.isa import (
     FilterProgram,
     Instruction,
     MapDecl,
+    MAX_MAP_BYTES,
+    MAX_NESTING,
     MapKind,
     Opcode,
     PROGRAM_MAGIC,
@@ -145,6 +147,25 @@ def test_map_decl_validation():
     with pytest.raises(ValueError):
         MapDecl("m", MapKind.HASH, 8, 8, 4,
                 initial_programs={0: None}).validate()
+    with pytest.raises(ValueError, match="leader-id"):
+        MapDecl("m", MapKind.TASK_STORAGE, 1, 8, 4).validate()
+    with pytest.raises(ValueError, match="out of range"):
+        MapDecl("m", MapKind.ARRAY, 8, 8, 2,
+                initial_entries={(2).to_bytes(8, "little"): bytes(8)}
+                ).validate()
+    with pytest.raises(ValueError, match="than fit"):
+        MapDecl("m", MapKind.HASH, 8, 8, 1,
+                initial_entries={bytes([i]) * 8: bytes(8) for i in (1, 2)}
+                ).validate()
+
+
+def test_map_storage_is_bounded():
+    # array maps are preallocated: an untrusted size must not allocate
+    MapDecl("m", MapKind.ARRAY, 8, 8, MAX_MAP_BYTES // 16).validate()
+    with pytest.raises(ValueError, match="larger than"):
+        MapDecl("m", MapKind.ARRAY, 8, 8, MAX_MAP_BYTES // 16 + 1).validate()
+    with pytest.raises(ValueError, match="larger than"):
+        MapDecl("m", MapKind.HASH, 8, 1 << 32, 1).validate()
 
 
 def test_map_index_lookup():
@@ -212,6 +233,34 @@ def test_decode_rejects_garbage():
     bad_version[4] = 0xFF
     with pytest.raises(ProgramFormatError):
         decode_program(bytes(bad_version))
+
+
+def test_decode_raises_only_format_errors():
+    raw = bytearray(encode_program(FilterProgram(
+        instructions=(Instruction(Opcode.EXIT),))))
+    raw[-14] = 11     # dst register r11 does not exist
+    with pytest.raises(ProgramFormatError, match="register"):
+        decode_program(bytes(raw))
+    raw = bytearray(encode_program(_sample_program()))
+    name = raw.index(b"counts")
+    raw[name] = 0xFF  # not UTF-8
+    with pytest.raises(ProgramFormatError):
+        decode_program(bytes(raw))
+
+
+def test_decode_bounds_program_array_nesting():
+    def nest(depth):
+        prog = FilterProgram(instructions=(Instruction(Opcode.EXIT),))
+        for _ in range(depth):
+            decl = MapDecl("next", MapKind.PROG_ARRAY, 8, 8, 1,
+                           initial_programs={0: prog})
+            prog = FilterProgram(instructions=(Instruction(Opcode.EXIT),),
+                                 map_refs=(decl,))
+        return encode_program(prog)
+
+    decode_program(nest(MAX_NESTING))
+    with pytest.raises(ProgramFormatError, match="nested"):
+        decode_program(nest(MAX_NESTING + 1))
 
 
 def test_decode_rejects_unknown_opcode():

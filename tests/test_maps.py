@@ -106,18 +106,6 @@ def test_prog_array_rejects_value_operations():
         pmap.delete(k8(0))
 
 
-def test_pin_refcounting():
-    pmap = PolicyMap(MapDecl("h", MapKind.HASH, 8, 8, 2))
-    assert pmap.alive            # creator descriptor
-    pmap.pin()
-    pmap.fd_open = False
-    assert pmap.alive            # installed reference keeps it live
-    pmap.unpin()
-    assert not pmap.alive
-    with pytest.raises(RuntimeError):
-        pmap.unpin()
-
-
 def test_state_key_tracks_content():
     pmap = PolicyMap(MapDecl("h", MapKind.HASH, 8, 8, 4))
     before = pmap.state_key()

@@ -476,3 +476,109 @@ def test_wait_discounts_its_own_registration():
     out = run(prog, ctx(25), env=env)
     assert not out.faulted
     assert counts[25] == 1    # registered once, second wait sailed through
+
+
+# -- runtime checks on forged programs -----------------------------------------
+
+# one program per check the interpreter makes, with the fault reason it
+# must report; each is run with a forged "verified" flag.  Assembly the
+# assembler cannot express is given as instructions.
+FORGED = {
+    "uninit-register": ("mov r0, r3\nexit",
+                        "read of uninitialized register r3"),
+    "uninit-jump-operand": ("mov r2, 0\njeq r2, r4, 0\nmov r0, 0\nexit",
+                            "read of uninitialized register r4"),
+    "r10-mov": ("mov r10, 1\nmov r0, 0\nexit",
+                "frame register is read-only"),
+    "r10-add": ("add r10, 8\nmov r0, 0\nexit",
+                "frame register is read-only"),
+    "r10-ld-imm64": ("ld_imm64 r10, 1\nmov r0, 0\nexit",
+                     "frame register is read-only"),
+    "r10-ld-ctx": ("ld_ctx r10, 0\nmov r0, 0\nexit",
+                   "frame register is read-only"),
+    "pointer-compare": ("jeq r10, 5, 0\nmov r0, 0\nexit",
+                        "comparison on non-scalar operands"),
+    "ctx-null-check": ("jne r1, 0, 0\nmov r0, 0\nexit",
+                       "comparison on non-scalar operands"),
+    "scalar-vs-pointer": ("mov r2, 0\njgt r2, r10, 0\nmov r0, 0\nexit",
+                          "comparison on non-scalar operands"),
+    "ctx-arithmetic": ("add r1, 1\nmov r0, 0\nexit",
+                       "add on non-scalar operands"),
+    "pointer-multiply": ("mov r2, r10\nmul r2, 2\nmov r0, 0\nexit",
+                         "mul on non-scalar operands"),
+    "pointer-plus-pointer": ("mov r2, r10\nadd r2, r10\nmov r0, 0\nexit",
+                             "pointer arithmetic needs a scalar offset"),
+    "ctx-offset-unaligned": ("ld_ctx r0, 12\nexit", "field aligned"),
+    "ctx-offset-past-end": ("ld_ctx r0, 64\nexit", "field aligned"),
+    "stack-out-of-bounds": ("mov r2, 0\nst_map r10, r2, -520\nexit",
+                            "memory access out of bounds"),
+    "stack-above-frame": ("mov r2, 0\nst_map r10, r2, 0\nexit",
+                          "memory access out of bounds"),
+    "stack-uninitialized": ("ld_map r0, r10, -8\nexit",
+                            "read of uninitialized stack slot"),
+    "stack-misaligned": ("mov r2, 0\nst_map r10, r2, -4\nexit",
+                         "not 8-byte aligned"),
+    "load-through-scalar": ("mov r2, 0\nld_map r0, r2, 0\nexit",
+                            "r2: expected a memory pointer"),
+    "pointer-spill": ("st_map r10, r10, -8\nmov r0, 0\nexit",
+                      "r10: expected a scalar"),
+    "undeclared-map": ((Instruction(Opcode.LD_IMM64, dst=1, src=1),
+                        Instruction(Opcode.EXIT)),
+                       "reference to undeclared map"),
+    "bad-ld-imm64-flag": ((Instruction(Opcode.LD_IMM64, dst=0, src=2),
+                           Instruction(Opcode.EXIT)),
+                          "bad ld_imm64 source flag"),
+    "unknown-helper": ("call 99\nexit", "unknown helper id 99"),
+    "tail-call-as-helper": ((Instruction(Opcode.CALL, imm=4),
+                             Instruction(Opcode.EXIT)),
+                            "helper tail_call not callable here"),
+    "helper-without-map": ("mov r1, 0\ncall map_lookup_elem\nexit",
+                           "r1: expected a map reference"),
+    "tail-call-on-hash": ("map m hash 8 8 4\nld_imm64 r1, map:m\n"
+                          "mov r2, 0\ntail_call\nexit",
+                          "map m: kind not accepted here"),
+    "exit-with-pointer": ("mov r0, r10\nexit", "r0: expected a scalar"),
+    "exit-uninitialized": ("exit", "read of uninitialized register r0"),
+    "falls-off-end": ("mov r0, 0", "control fell off the program"),
+    "jumps-off-end": ("ja 5\nexit", "control fell off the program"),
+    "jumps-before-start": ("ja -2\nexit", "control fell off the program"),
+    "unhandled-opcode": ((Instruction(0x7E), Instruction(Opcode.EXIT)),
+                         "unhandled opcode"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGED))
+def test_forged_programs_fail_closed(name):
+    body, reason = FORGED[name]
+    if isinstance(body, str):
+        prog = assemble("section seccomp\n" + body + "\n")
+        assert not verify(prog).accepted
+    else:
+        prog = FilterProgram(instructions=body)
+    prog.verified = True        # lie about it
+    out = run(prog)
+    assert out.faulted
+    assert reason in out.fault_reason
+
+
+def test_unreached_bad_instructions_cost_nothing():
+    # faults belong to executing an instruction, not to building the table
+    prog = assemble("section seccomp\n    mov r0, 7\n    exit\n"
+                    "    call 99\n    ld_ctx r0, 3\n")
+    prog.verified = True
+    out = run(prog)
+    assert not out.faulted and out.raw_action == 7
+
+
+def test_handler_table_is_built_once_and_shared():
+    import copy
+    prog = build("section seccomp\n    mov r0, 1\n    exit\n")
+    assert prog.compiled is None
+    thread = VmThread(prog, [], ctx(0))
+    clone = copy.deepcopy(thread)
+    thread.run(RuntimeEnv())
+    table = prog.compiled
+    assert len(table) == 2
+    clone.run(RuntimeEnv())
+    assert clone.program is prog and prog.compiled is table
+    assert clone.outcome == thread.outcome
