@@ -15,9 +15,14 @@ namespace, or the no-new-privileges flag; with `privileged_only` set,
 only init-namespace administrators may attach anything.
 
 On syscall entry the engine snapshots described pointer arguments,
-then runs every installed filter in installation order, each in a fresh
-interpreter thread, and combines the votes into the most restrictive
-verdict.  A filter that faults votes the configured bad-filter action
+then runs every installed filter in installation order and combines the
+votes into the most restrictive verdict.  Each filter runs in a fresh
+interpreter thread unless its verdict for this syscall number is
+memoized, like the kernel's seccomp action cache: a run that read
+nothing but `nr` and called no helper stores its outcome on the program
+(`FilterProgram.verdicts`), and later syscalls with that number reuse
+it, logging the same steps, helper calls and raw action the run
+produced.  A filter that faults votes the configured bad-filter action
 instead.  Denials clean up immediately (in-flight marks, snapshot) and
 the matching exit event from the application is consumed as a no-op,
 since the syscall it would have paired with never ran.
@@ -401,17 +406,23 @@ class Engine:
         pending = t.pending
         if pending is None or pending.executing:
             raise EngineError(f"task {tid} has no undecided syscall")
+        nr = pending.ctx.nr
         while pending.index < len(pending.chain):
             inst = pending.chain[pending.index]
-            if pending.thread is None:
-                pending.thread = VmThread(inst.program, inst.maps,
-                                          pending.ctx)
+            verdicts = inst.program.verdicts
             thread = pending.thread
-            thread.block = None
-            status = thread.run(self._env_for(t, inst))
-            if status == "blocked":
-                return ("blocked", thread.block)
-            out = thread.outcome
+            out = verdicts.get(nr) if thread is None else None
+            if out is None:
+                if thread is None:
+                    thread = pending.thread = VmThread(
+                        inst.program, inst.maps, pending.ctx)
+                thread.block = None
+                status = thread.run(self._env_for(t, inst))
+                if status == "blocked":
+                    return ("blocked", thread.block)
+                out = thread.outcome
+                if thread.pure:
+                    verdicts[nr] = out
             action = (self.config.bad_filter_action if out.faulted
                       else ResolvedAction.from_raw(out.raw_action))
             pending.actions.append(action)

@@ -305,6 +305,8 @@ class MapDecl:
             raise ValueError(f"map {self.name}: more initial entries than fit")
         if self.initial_programs and self.kind != MapKind.PROG_ARRAY:
             raise ValueError(f"map {self.name}: only prog_array maps hold programs")
+        if any(not 0 <= idx < self.max_entries for idx in self.initial_programs):
+            raise ValueError(f"map {self.name}: initial program index out of range")
 
 
 @dataclass
@@ -314,6 +316,9 @@ class FilterProgram:
     `verified` is set by the verifier and `load_userns` by the engine at
     load time; both start unset.  `compiled` caches the interpreter's
     per-pc handler table, built from `instructions` on first run.
+    `verdicts` memoizes the engine's outcome per syscall number for runs
+    that read nothing but `nr` (see `vm.VmThread.pure`); every copy made
+    with `replace` starts with an empty one.
     """
 
     instructions: tuple
@@ -323,11 +328,14 @@ class FilterProgram:
     load_userns: int | None = None
     compiled: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
+    verdicts: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     # Treated as immutable once built: the verifier flips `verified` at most
     # once and loads record `load_userns` on a per-load copy, so sharing one
-    # object (and its handler table) across snapshotted machine states is
-    # safe and keeps state copies cheap.
+    # object (its handler table, and its verdict memo, whose every entry is
+    # a pure function of the syscall number) across snapshotted machine
+    # states is safe and keeps state copies cheap.
     def __deepcopy__(self, memo):
         return self
 

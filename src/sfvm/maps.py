@@ -56,7 +56,7 @@ class PolicyMap:
         for key, value in sorted(decl.initial_entries.items()):
             self.update(key, value)     # validate() proved each one fits
         for idx, prog in sorted(decl.initial_programs.items()):
-            self.set_program(idx, prog)
+            self.set_program(idx, prog)     # and that each index fits
 
     # -- data plane ----------------------------------------------------
 

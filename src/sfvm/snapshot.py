@@ -229,7 +229,8 @@ class ArgSnapshot:
                 self.ranges.append(_Range(run_addr, run_size, dst))
                 self.region_len += run_size
             else:
-                self.protected_pages.update(mem.protect(run_addr, run_size))
+                self.protected_pages.update(
+                    mem.protect(run_addr, run_size, self.protected_pages))
                 self.ranges.append(_Range(run_addr, run_size, None))
         return progress
 

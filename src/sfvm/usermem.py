@@ -56,7 +56,7 @@ def pages_spanning(addr: int, size: int):
 class UserMemory:
     def __init__(self):
         self._pages: dict[int, _Page] = {}
-        self._protected: set[int] = set()
+        self._protected: dict[int, int] = {}    # page base -> holds
 
     # -- mapping -------------------------------------------------------
 
@@ -146,14 +146,23 @@ class UserMemory:
 
     # -- write protection ------------------------------------------------
 
-    def protect(self, addr: int, size: int) -> tuple[int, ...]:
-        """Register write protection; returns the affected page bases."""
-        bases = tuple(b for b in pages_spanning(addr, size) if b in self._pages)
-        self._protected.update(bases)
+    def protect(self, addr: int, size: int, held=()) -> tuple[int, ...]:
+        """Add one write-protect hold to each mapped page of the range
+        that is not in `held` (the pages the caller already holds);
+        returns the page bases that gained a hold."""
+        bases = tuple(b for b in pages_spanning(addr, size)
+                      if b in self._pages and b not in held)
+        for base in bases:
+            self._protected[base] = self._protected.get(base, 0) + 1
         return bases
 
     def unprotect(self, bases) -> None:
-        self._protected.difference_update(bases)
+        """Drop one hold from each page; a page stays protected until
+        every holder has let go."""
+        for base in bases:
+            holds = self._protected.pop(base, 0) - 1
+            if holds > 0:
+                self._protected[base] = holds
 
     def is_protected(self, addr: int, size: int = 1) -> bool:
         return any(b in self._protected for b in pages_spanning(addr, size))
@@ -164,7 +173,7 @@ class UserMemory:
         return (
             tuple(sorted((b, bytes(p.data), p.writable, p.user_accessible,
                           p.may_write) for b, p in self._pages.items())),
-            tuple(sorted(self._protected)),
+            tuple(sorted(self._protected.items())),
         )
 
     def __deepcopy__(self, memo):
@@ -175,5 +184,5 @@ class UserMemory:
             p = _Page(page.writable, page.user_accessible, page.may_write)
             p.data = bytearray(page.data)
             clone._pages[base] = p
-        clone._protected = set(self._protected)
+        clone._protected = dict(self._protected)
         return clone

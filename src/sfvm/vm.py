@@ -21,6 +21,15 @@ semantics (`isa.ALU_OPS`/`COND_OPS`) bound in, much as the kernel
 interpreter dispatches through a jump table.  The table is cached on
 the program and holds no thread state, so threads stay plain data.
 
+A run that reads no context field but `nr` and calls no helper (nor
+`tail_call`) leaves the thread `pure`: its outcome, fault included, is a
+function of the program and the syscall number alone, because the stack
+starts zeroed and maps are reachable only through helpers.  The engine
+memoizes such outcomes per program (`FilterProgram.verdicts`) and serves
+later syscalls with the same number without running the program, much
+as the kernel's seccomp action cache skips a filter whose verdict
+depends on the number only.
+
 A handoff (`tail_call`) replaces the running program, registers, and
 stack but keeps the accumulated step and helper counts, and at most 32
 handoffs may occur in one evaluation.  That bound is real: the handoff
@@ -157,6 +166,7 @@ class VmThread:
         self.steps = 0
         self.helper_calls = 0
         self.tail_depth = 0
+        self.pure = True    # read only ctx.nr, called nothing (so far)
         self.block = None
         self.done = False
         self.outcome: VmOutcome | None = None
@@ -462,8 +472,14 @@ def _lower(pc: int, ins):
     if op == Opcode.LD_CTX:
         if CTX_FIELDS.get(off) is None:
             return _faulting("context read is not field aligned")
+        if off == 0:
+            def ld_nr(t, env):
+                t._set(dst, t.ctx.field(0))
+                return nxt
+            return ld_nr
 
         def ld_ctx(t, env):
+            t.pure = False
             t._set(dst, t.ctx.field(off))
             return nxt
         return ld_ctx
@@ -501,6 +517,7 @@ def _lower(pc: int, ins):
 
 def _lower_call(body, nxt):
     def call(t, env):
+        t.pure = False
         result = body(t, env)
         if result is _PARKED:
             return None     # no step, no pc move: resuming re-calls

@@ -14,7 +14,7 @@ import time
 from sfvm.actions import ActionKind, ResolvedAction, resolve
 from sfvm.asm import assemble
 from sfvm.engine import Engine, EngineConfig
-from sfvm.isa import CTX_FIELDS, SyscallContext, encode_program
+from sfvm.isa import SyscallContext, encode_program
 from sfvm.policies import (
     SWEEP_DOMAIN,
     gen_denylist,
@@ -34,7 +34,9 @@ from sfvm.trace import parse_trace
 from sfvm.verifier import verify
 from sfvm.vm import RuntimeEnv, VmThread
 
-from .helpers import attach, bundled_descriptors, ctx, probe, trace_text
+from .helpers import (
+    attach, bundled_descriptors, ctx, fuzz_source, probe, trace_text,
+)
 
 
 def _verdict(num: int, claim: str, ok: bool, detail: str = ""):
@@ -340,45 +342,7 @@ def test_criterion_4_resolution_properties():
 
 # -- 5: fuzzed programs never fault, corrupted ones never load ---------------
 
-_CTX_OFFSETS = sorted(CTX_FIELDS)
 _BAD_OFFSETS = [1, 2, 3, 5, 6, 7, 9, 12, 20, 57, 63, 64, 72, 100, 200]
-
-
-def _fuzz_source(rng: random.Random) -> str:
-    lines = ["section seccomp"]
-    for reg in range(6):
-        lines.append(f"    mov r{reg}, {rng.randint(-1000, 1000)}")
-    label = 0
-    body = rng.randint(8, 22)
-    while body > 0:
-        pick = rng.random()
-        a = rng.randint(0, 5)
-        if pick < 0.35:
-            op = rng.choice(["add", "sub", "mul", "and", "or", "xor"])
-            lines.append(f"    {op} r{a}, {rng.randint(-2**20, 2**20)}")
-        elif pick < 0.55:
-            op = rng.choice(["add", "sub", "mul", "and", "or", "xor"])
-            lines.append(f"    {op} r{a}, r{rng.randint(0, 5)}")
-        elif pick < 0.65:
-            op = rng.choice(["lsh", "rsh"])
-            lines.append(f"    {op} r{a}, {rng.randint(0, 63)}")
-        elif pick < 0.85:
-            lines.append(f"    ld_ctx r{a}, {rng.choice(_CTX_OFFSETS)}")
-        elif body >= 3:
-            # a forward branch over a couple of plain ops; both sides
-            # of the branch keep running toward the same exit
-            op = rng.choice(["jeq", "jne", "jgt", "jlt", "jset"])
-            skip = rng.randint(1, 2)
-            lines.append(f"    {op} r{a}, {rng.randint(0, 64)}, f{label}")
-            for _ in range(skip):
-                lines.append(f"    add r{rng.randint(0, 5)},"
-                             f" {rng.randint(0, 99)}")
-                body -= 1
-            lines.append(f"f{label}:")
-            label += 1
-        body -= 1
-    lines.append("    exit")
-    return "\n".join(lines) + "\n"
 
 
 def _fuzz_ctx(rng: random.Random) -> SyscallContext:
@@ -392,7 +356,7 @@ def _fuzz_ctx(rng: random.Random) -> SyscallContext:
 
 def test_criterion_5_fuzzed_programs_and_contexts():
     rng = random.Random(31337)
-    sources = [_fuzz_source(rng) for _ in range(1000)]
+    sources = [fuzz_source(rng) for _ in range(1000)]
     programs = []
     for src in sources:
         program = assemble(src)

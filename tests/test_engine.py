@@ -4,6 +4,8 @@ checkpoint round trips."""
 from __future__ import annotations
 
 import random
+import struct
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
@@ -19,15 +21,27 @@ from sfvm.engine import (
     InFlightTable,
     PermissionDenied,
 )
+from sfvm.isa import (
+    FilterProgram,
+    Instruction,
+    Opcode,
+    encode_program,
+)
 from sfvm.maps import EINVAL
 from sfvm.policies import (
     gen_allowlist,
+    gen_count_limit,
     gen_flow_integrity,
+    gen_rate_limit,
     gen_validation_cache,
 )
 from sfvm.usermem import WriteStatus
+from sfvm.verifier import verify
+from sfvm.vm import RuntimeEnv, VmThread
 
-from .helpers import attach, bundled_descriptors, ctx, probe
+from .helpers import (
+    attach, bundled_descriptors, ctx, every_generator, fuzz_source, probe,
+)
 
 ALLOW_ALL = assemble(
     "section seccomp\n"
@@ -659,3 +673,181 @@ def test_state_key_is_content_sensitive():
     assert eng.state_key() == key          # observing changes nothing
     probe(eng, tid, ctx(0))
     assert eng.state_key() != key          # the spent budget shows
+
+
+# -- verdict memo ---------------------------------------------------------------
+
+def _fresh_votes(eng: Engine, tid: int, c) -> list:
+    """The votes a fresh interpreter thread gives for `c`, run on copies
+    of the live maps so the engine's own run still sees them unspent."""
+    t = eng.task(tid)
+    maps = deepcopy(eng.program_maps)
+    env = RuntimeEnv(clock_ns=eng.clock_ns, usermem=t.address_space,
+                     user_access_allowed=True, leader_tid=t.tgid,
+                     in_flight_count=eng.in_flight.count,
+                     maps_for_program=lambda p: maps[id(p)])
+    votes = []
+    for inst in t.chain:
+        thread = VmThread(inst.program, maps[id(inst.program)], c)
+        assert thread.run(env) == "done"
+        out = thread.outcome
+        votes.append((out.raw_action, out.steps_executed, out.helper_calls,
+                      out.faulted))
+    return votes
+
+
+def test_memoized_votes_equal_fresh_runs():
+    rng = random.Random(4711)
+    programs = every_generator()
+    programs += [assemble(fuzz_source(rng)) for _ in range(40)]
+    nrs = [0, 1, 2, 3, 9, 25, 39, 77, 250, 257]
+    hits = 0
+    for program in programs:
+        eng = Engine()
+        tid = attach(eng, program)
+        mem = eng.task(tid).address_space
+        mem.map_region(0x1000, 4096)
+        mem.write(0x1000, bytes(rng.randrange(256) for _ in range(64)))
+        calls = [(nr, i) for nr in nrs for i in range(3)]
+        rng.shuffle(calls)
+        for nr, i in calls:
+            args = [rng.choice([0, 3, 8, 16, 0x1000, rng.randrange(2**64)])
+                    for _ in range(6)]
+            args[0] = i        # no two calls of one nr share their args
+            c = ctx(nr, *args, addr=rng.choice([0, 0x401000]))
+            program = eng.task(tid).chain[0].program
+            hits += nr in program.verdicts
+            expected = _fresh_votes(eng, tid, c)
+            record = probe(eng, tid, c)
+            assert [(v["raw"], v["steps"], v["helper_calls"], v["faulted"])
+                    for v in record["votes"]] == expected, (program, c)
+            if "killed" in record:
+                # a sibling carries on with the same chain and maps
+                tid = eng.spawn_thread(tid)
+    assert hits > 0
+
+
+def test_count_limit_is_memoized_only_off_its_number():
+    eng = Engine()
+    tid = attach(eng, gen_count_limit(250, 2))
+    program = eng.task(tid).chain[0].program
+    actions = [probe(eng, tid, ctx(250))["action"] for _ in range(4)]
+    assert actions == ["allow", "allow", "errno", "errno"]
+    for _ in range(2):
+        assert probe(eng, tid, ctx(0))["action"] == "allow"
+    assert 0 in program.verdicts and 250 not in program.verdicts
+
+
+def test_rate_limit_reads_the_clock_every_time():
+    eng = Engine()
+    tid = attach(eng, gen_rate_limit(0, 1, 2))
+    program = eng.task(tid).chain[0].program
+    actions = [probe(eng, tid, ctx(0))["action"] for _ in range(3)]
+    assert actions == ["allow", "allow", "errno"]
+    eng.clock_ns += 10**9          # one token back
+    assert probe(eng, tid, ctx(0))["action"] == "allow"
+    assert 0 not in program.verdicts
+
+
+def test_argument_and_memory_readers_are_never_memoized():
+    by_arg = assemble(
+        "section seccomp\n"
+        "    ld_ctx r1, 16\n"
+        "    jeq r1, 7, deny\n"
+        "    ld_imm64 r0, 0x7fff0000\n"
+        "    exit\n"
+        "deny:\n"
+        "    mov r0, 0x5000d\n"
+        "    exit\n")
+    # the address is a constant, so only the helper call reads the world
+    by_path = assemble(
+        "section seccomp\n"
+        "    mov r1, r10\n"
+        "    add r1, -16\n"
+        "    mov r2, 16\n"
+        "    ld_imm64 r3, 0x1000\n"
+        "    call safe_read_user_str\n"
+        "    ld_map r4, r10, -16\n"
+        "    jeq r4, 0x6374652f, deny\n"     # "/etc"
+        "    ld_imm64 r0, 0x7fff0000\n"
+        "    exit\n"
+        "deny:\n"
+        "    mov r0, 0x5000d\n"
+        "    exit\n")
+    eng = Engine()
+    tid = attach(eng, by_arg)
+    assert probe(eng, tid, ctx(1, 7))["action"] == "errno"
+    assert probe(eng, tid, ctx(1, 0))["action"] == "allow"
+    assert eng.task(tid).chain[0].program.verdicts == {}
+
+    eng = Engine()
+    tid = attach(eng, by_path)
+    mem = eng.task(tid).address_space
+    mem.map_region(0x1000, 4096)
+    mem.write(0x1000, b"/etc\x00")
+    assert probe(eng, tid, ctx(2, 0x1000))["action"] == "errno"
+    mem.write(0x1000, b"/tmp\x00")
+    assert probe(eng, tid, ctx(2, 0x1000))["action"] == "allow"
+    assert eng.task(tid).chain[0].program.verdicts == {}
+
+    eng = Engine()
+    tid = attach(eng, gen_validation_cache({1: {0: [3]}}))
+    program = eng.task(tid).chain[0].program
+    assert probe(eng, tid, ctx(1, 3))["action"] == "allow"
+    assert probe(eng, tid, ctx(1, 4))["action"] == "errno"
+    assert probe(eng, tid, ctx(1, 3))["action"] == "allow"
+    assert 1 not in program.verdicts
+
+
+def test_restored_forged_program_replays_its_fault():
+    # nr 1 reads an uninitialized register on a path that reads only
+    # nr; nr 2 faults only when its first argument is zero
+    forged = FilterProgram(instructions=(
+        Instruction(Opcode.LD_CTX, dst=1, offset=0),
+        Instruction(Opcode.JEQ_IMM, dst=1, offset=4, imm=1),
+        Instruction(Opcode.JNE_IMM, dst=1, offset=2, imm=2),
+        Instruction(Opcode.LD_CTX, dst=2, offset=16),
+        Instruction(Opcode.JEQ_IMM, dst=2, offset=1, imm=0),
+        Instruction(Opcode.LD_IMM64, dst=3, imm=0x7FFF0000),
+        Instruction(Opcode.MOV_REG, dst=0, src=3),
+        Instruction(Opcode.EXIT),
+    ))
+    assert not verify(forged).accepted
+    eng = Engine(EngineConfig(
+        bad_filter_action=ResolvedAction.from_raw(0x50000 | 99)))
+    good = eng.checkpoint(attach(eng, ALLOW_ALL))
+    tail = encode_program(ALLOW_ALL)
+    assert good.endswith(struct.pack("<I", len(tail)) + tail)
+    raw = encode_program(forged)
+    blob = good[:-4 - len(tail)] + struct.pack("<I", len(raw)) + raw
+    tid = eng.spawn(caps=[CAP_SYS_ADMIN])
+    eng.restore(tid, blob)
+    program = eng.task(tid).chain[0].program
+    for _ in range(3):
+        record = probe(eng, tid, ctx(1))
+        assert record["votes"][0]["faulted"]
+        assert (record["action"], record["errno"]) == ("errno", 99)
+    assert program.verdicts[1].faulted
+    assert probe(eng, tid, ctx(2, 0))["errno"] == 99
+    assert probe(eng, tid, ctx(2, 5))["action"] == "allow"
+    assert probe(eng, tid, ctx(0))["action"] == "allow"
+    assert program.verdicts.keys() == {0, 1}
+
+
+def test_restore_starts_with_an_empty_memo():
+    eng = Engine()
+    tid = attach(eng, gen_allowlist([0, 250], layout="linear"))
+    eng.install(tid, eng.load(tid, gen_count_limit(250, 2)))
+    for nr in (0, 250, 250, 1):
+        probe(eng, tid, ctx(nr))    # spends the whole budget
+    assert all(inst.program.verdicts for inst in eng.task(tid).chain)
+    blob = eng.checkpoint(tid)
+    other = Engine()
+    target = other.spawn(caps=[CAP_SYS_ADMIN])
+    other.restore(target, blob)
+    assert all(inst.program.verdicts == {}
+               for inst in other.task(target).chain)
+    records = [probe(other, target, ctx(nr)) for nr in (0, 250, 1, 0)]
+    assert [r["action"] for r in records] == ["allow", "errno", "errno",
+                                              "allow"]
+    assert records == [probe(eng, tid, ctx(nr)) for nr in (0, 250, 1, 0)]

@@ -263,6 +263,26 @@ def test_decode_bounds_program_array_nesting():
         decode_program(nest(MAX_NESTING + 1))
 
 
+def _handoff_past_the_end():
+    """A 1-entry program array that declares its only target at index 5."""
+    inner = FilterProgram(instructions=(
+        Instruction(Opcode.MOV_IMM, dst=0, imm=0x7FFF0000),
+        Instruction(Opcode.EXIT),
+    ))
+    decl = MapDecl("next", MapKind.PROG_ARRAY, 8, 8, 1,
+                   initial_programs={5: inner})
+    return FilterProgram(instructions=(Instruction(Opcode.EXIT),),
+                         map_refs=(decl,))
+
+
+def test_program_array_initial_index_must_fit():
+    prog = _handoff_past_the_end()
+    with pytest.raises(ValueError, match="index out of range"):
+        prog.map_refs[0].validate()
+    with pytest.raises(ProgramFormatError, match="index out of range"):
+        decode_program(encode_program(prog))
+
+
 def test_decode_rejects_unknown_opcode():
     raw = bytearray(encode_program(FilterProgram(
         instructions=(Instruction(Opcode.EXIT),))))

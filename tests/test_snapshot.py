@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from sfvm.engine import Engine, EngineConfig
 from sfvm.isa import SyscallContext
+from sfvm.policies import gen_allow_all
 from sfvm.snapshot import (
     COPY,
     REGION_BASE,
@@ -19,7 +21,7 @@ from sfvm.snapshot import (
 )
 from sfvm.usermem import PAGE_SIZE, UserMemory, WriteStatus
 
-from .helpers import ctx
+from .helpers import attach, bundled_descriptors, ctx
 
 
 def table(spec: dict) -> DescriptorTable:
@@ -221,6 +223,24 @@ def test_wp_mode_protects_whole_pages():
     snapper.release(mem, snap)
 
 
+def test_wp_release_waits_for_every_thread_on_the_page():
+    # two threads of one process snapshot the same path page; the page
+    # must stay protected until the last of them leaves its syscall
+    eng = Engine(EngineConfig(snapshot_mode=WRITE_PROTECT),
+                 descriptors=bundled_descriptors())
+    first = attach(eng, gen_allow_all())
+    second = eng.spawn_thread(first)
+    mem = eng.task(first).address_space
+    mem.map_region(0x1000, PAGE_SIZE)
+    mem.write(0x1000, b"/etc/passwd\x00")
+    for tid in (first, second):
+        assert eng.run_syscall(tid, ctx(2, 0x1000))["action"] == "allow"
+    eng.syscall_exit(first)
+    assert mem.write(0x1000, b"/tmp") == WriteStatus.STALL
+    eng.syscall_exit(second)
+    assert mem.write(0x1000, b"/tmp") == WriteStatus.OK
+
+
 def test_copy_mode_release_keeps_live_memory_writable():
     mem = mem_with(0x1000, b"A" * 64)
     snapper = Snapshotter(WRITE_TABLE, COPY)
@@ -271,6 +291,20 @@ def test_record_behind_unmapped_memory_skips_fields():
     snap = Snapshotter(RECORD_TABLE, COPY).snapshot(
         mem, 1, ctx(209, 0, 0, 0x1000))
     assert snap.fault_markers == [(0x1000, 16)]
+
+
+def test_wp_snapshot_holds_a_shared_page_once():
+    # the record and the buffer it points to share a page: one
+    # snapshot, one hold, so one release frees it
+    mem = UserMemory()
+    mem.map_region(0x1000, PAGE_SIZE)
+    mem.write(0x1000, (0x1100).to_bytes(8, "little"))
+    snapper = Snapshotter(RECORD_TABLE, WRITE_PROTECT)
+    snap = snapper.snapshot(mem, 1, ctx(209, 0, 0, 0x1000))
+    assert len(snap.ranges) == 2
+    assert mem.write(0x1100, b"B") == WriteStatus.STALL
+    snapper.release(mem, snap)
+    assert mem.write(0x1100, b"B") == WriteStatus.OK
 
 
 def test_context_type_round_trip():

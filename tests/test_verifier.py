@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from sfvm.asm import assemble
+from sfvm.engine import Engine, EngineError
 from sfvm.isa import (
     FilterProgram,
     Helper,
@@ -14,6 +17,8 @@ from sfvm.isa import (
     Opcode,
 )
 from sfvm.verifier import VerifierConfig, verify
+
+from .helpers import every_generator
 
 ALLOW = 0x7FFF0000
 
@@ -366,6 +371,29 @@ def test_tail_call_shape():
         "    exit\n")
 
 
+def test_program_array_target_past_max_entries_is_rejected():
+    # a 1-entry array declaring its target at index 5 would drop it at
+    # load, and the tail call would silently miss
+    inner = assemble("section seccomp\n    ld_imm64 r0, 0x7fff0000\n"
+                     "    exit\n")
+    decl = MapDecl("progs", MapKind.PROG_ARRAY, 8, 8, 1,
+                   initial_programs={5: inner})
+    prog = assemble(
+        "section seccomp\n"
+        "map progs prog_array 8 8 1\n"
+        "    ld_imm64 r1, map:progs\n"
+        "    mov r2, 5\n"
+        "    tail_call\n"
+        "    mov r0, 0x50001\n"
+        "    exit\n")
+    prog = replace(prog, map_refs=(decl,))
+    reject(prog, "bad map declaration: map progs: initial program index")
+    eng = Engine()
+    tid = eng.spawn(nnp=True)
+    with pytest.raises(EngineError, match="bad map declaration"):
+        eng.load(tid, prog)
+
+
 def test_offending_instruction_is_reported():
     report = reject("section seccomp\n    mov r0, r3\n    exit\n",
                     "uninitialized")
@@ -373,28 +401,6 @@ def test_offending_instruction_is_reported():
 
 
 def test_every_generator_output_is_accepted():
-    from sfvm.policies import (
-        gen_allow_all, gen_allowlist, gen_count_limit, gen_denylist,
-        gen_flow_integrity, gen_rate_limit, gen_serialization, gen_temporal,
-        gen_validation_cache, load_profiles,
-    )
-    profile = load_profiles()["httpd"]
-    progs = [
-        gen_allow_all(),
-        gen_allowlist([0, 1, 2], layout="linear"),
-        gen_allowlist(list(range(64)), layout="tree"),
-        gen_allowlist([0, 1, 2], layout="hash"),
-        gen_denylist([9], layout="linear"),
-        gen_denylist([9], layout="hash"),
-        gen_count_limit(250, 3),
-        gen_rate_limit(0, 100, 10),
-        gen_serialization({25: [77], 77: [25]}),
-        gen_temporal(profile),
-        gen_flow_integrity([41, 59], [[None, 41], [41, 59]],
-                           origins={41: [0x401000]}),
-        gen_validation_cache({0: {1: [8, 16]}}, cached=True),
-        gen_validation_cache({0: {1: [8, 16]}}, cached=False),
-    ]
-    for prog in progs:
+    for prog in every_generator():
         report = verify(prog)
         assert report.accepted, report.reason
