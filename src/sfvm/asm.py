@@ -54,9 +54,6 @@ class AsmError(ValueError):
 _LABEL_RE = re.compile(r"^[A-Za-z_.][\w.]*$")
 _REG_RE = re.compile(r"^r(\d+)$")
 
-_ALU = ALU_FORMS
-_JUMPS = JUMP_FORMS
-
 
 def _parse_int(tok: str, lineno: int) -> int:
     try:
@@ -203,24 +200,25 @@ def _parse_insn(mnem, ops, lineno, decl_names) -> _Pending:
         if len(ops) != n:
             raise AsmError(f"{mnem} takes {n} operand(s)", lineno)
 
-    if mnem in _ALU:
+    if mnem in ALU_FORMS:
         need(2)
         dst = _parse_reg(ops[0], lineno)
         if _REG_RE.match(ops[1]):
-            return _Pending(_ALU[mnem][1], dst, _parse_reg(ops[1], lineno),
-                            lineno=lineno)
+            return _Pending(ALU_FORMS[mnem][1], dst,
+                            _parse_reg(ops[1], lineno), lineno=lineno)
         imm = _wrap_i64(_parse_int(ops[1], lineno), lineno)
-        return _Pending(_ALU[mnem][0], dst, imm=imm, lineno=lineno)
+        return _Pending(ALU_FORMS[mnem][0], dst, imm=imm, lineno=lineno)
 
-    if mnem in _JUMPS:
+    if mnem in JUMP_FORMS:
         need(3)
         dst = _parse_reg(ops[0], lineno)
         target, offset = _jump_operand(ops[2])
         if _REG_RE.match(ops[1]):
-            return _Pending(_JUMPS[mnem][1], dst, _parse_reg(ops[1], lineno),
+            return _Pending(JUMP_FORMS[mnem][1], dst,
+                            _parse_reg(ops[1], lineno),
                             target=target, offset=offset, lineno=lineno)
         imm = _wrap_i64(_parse_int(ops[1], lineno), lineno)
-        return _Pending(_JUMPS[mnem][0], dst, imm=imm,
+        return _Pending(JUMP_FORMS[mnem][0], dst, imm=imm,
                         target=target, offset=offset, lineno=lineno)
 
     if mnem in ("ja", "jmp"):

@@ -27,6 +27,11 @@ instead.  Denials clean up immediately (in-flight marks, snapshot) and
 the matching exit event from the application is consumed as a no-op,
 since the syscall it would have paired with never ran.
 
+Each piece of state has one owner.  An installation owns its live maps
+(handoff targets' maps included, see `maps`).  A pending syscall owns
+its snapshot, its thread and the numbers it holds in the in-flight
+table (`registered`), which every filter of it sees through `RuntimeEnv`.
+
 Checkpoint blobs capture a task's chain, the live contents of every
 map in it, and the engine clock; restore re-attaches without
 re-verification, which is exactly why it is gated on init-namespace
@@ -51,7 +56,8 @@ from .isa import (
 from .snapshot import COPY, ArgSnapshot, DescriptorTable, MODES, Snapshotter
 from .usermem import UserMemory
 from .verifier import VerifierConfig, verify
-from .vm import RuntimeEnv, VmThread, WaitBlock, FaultServiceBlock
+from .vm import (FaultServiceBlock, InFlightTable, RuntimeEnv, VmThread,
+                 WaitBlock)
 
 CAP_SYS_ADMIN = "CAP_SYS_ADMIN"
 CAP_SYS_PTRACE = "CAP_SYS_PTRACE"
@@ -143,29 +149,6 @@ class EngineConfig:
             raise ValueError(f"unknown snapshot mode {self.snapshot_mode!r}")
 
 
-class InFlightTable:
-    """How many tasks are currently inside each syscall number."""
-
-    def __init__(self):
-        self._counts: dict[int, int] = {}
-
-    def increment(self, nr: int):
-        self._counts[nr] = self._counts.get(nr, 0) + 1
-
-    def decrement(self, nr: int):
-        current = self._counts.get(nr, 0)
-        if current <= 1:
-            self._counts.pop(nr, None)
-        else:
-            self._counts[nr] = current - 1
-
-    def count(self, nr: int) -> int:
-        return self._counts.get(nr, 0)
-
-    def state_key(self):
-        return tuple(sorted(self._counts.items()))
-
-
 class Engine:
     def __init__(self, config: EngineConfig | None = None,
                  descriptors: DescriptorTable | None = None):
@@ -177,7 +160,6 @@ class Engine:
         self.tasks: dict[int, Task] = {}
         self.handles: dict[int, LoadedHandle] = {}
         self.in_flight = InFlightTable()
-        self.program_maps: dict[int, list] = {}
         self._next_tid = 1
         self._next_handle = 1
         self._next_userns = 1
@@ -271,11 +253,8 @@ class Engine:
             "attaching a filter needs admin capability or no-new-privileges")
 
     def _instantiate(self, program: FilterProgram, userns: int | None):
-        """Private, verified copy of a program with live maps.
-
-        Nested handoff targets get the same treatment, each load owning
-        its map instances outright.
-        """
+        """Private, verified copy of a program.  Nested handoff targets
+        get the same treatment (their maps come with the program array)."""
         new_decls = []
         for decl in program.map_refs:
             if decl.kind == MapKind.PROG_ARRAY and decl.initial_programs:
@@ -291,8 +270,6 @@ class Engine:
                 f"program rejected: {report.reason}"
                 + (f" (instruction {report.offending_instruction})"
                    if report.offending_instruction is not None else ""))
-        self.program_maps[id(copy)] = [m.PolicyMap(decl)
-                                       for decl in copy.map_refs]
         return copy
 
     def load(self, tid: int, program) -> int:
@@ -304,7 +281,7 @@ class Engine:
         handle = self._next_handle
         self._next_handle += 1
         self.handles[handle] = LoadedHandle(handle, copy,
-                                            self.program_maps[id(copy)])
+                                            m.instantiate(copy))
         return handle
 
     def install(self, tid: int, handle: int) -> int:
@@ -327,8 +304,8 @@ class Engine:
         if isinstance(program, (bytes, bytearray)):
             program = decode_program(bytes(program))
         copy = self._instantiate(program, None)
-        t.chain.append(Installation(copy, self.program_maps[id(copy)],
-                                    t.creds, classic=True))
+        t.chain.append(Installation(copy, m.instantiate(copy), t.creds,
+                                    classic=True))
         return len(t.chain) - 1
 
     def close_map_fds(self, tid: int, install_index: int = -1):
@@ -377,22 +354,14 @@ class Engine:
         t.pending = PendingSyscall(ctx, snap, list(t.chain))
 
     def _env_for(self, t: Task, inst: Installation) -> RuntimeEnv:
-        pending = t.pending
-
-        def register(nr: int):
-            if nr not in pending.registered:
-                self.in_flight.increment(nr)
-                pending.registered.add(nr)
-
         return RuntimeEnv(
             clock_ns=self.clock_ns,
             usermem=t.address_space,
-            snapshot=pending.snapshot,
+            snapshot=t.pending.snapshot,
             user_access_allowed=self._user_access_allowed(t, inst),
             leader_tid=t.tgid,
-            register_in_flight=register,
-            in_flight_count=self.in_flight.count,
-            maps_for_program=lambda p: self.program_maps[id(p)],
+            in_flight=self.in_flight,
+            registered=t.pending.registered,
         )
 
     def resume_syscall(self, tid: int):
@@ -514,7 +483,8 @@ class Engine:
                 self.service_fault(tid)
                 continue
             if isinstance(payload, WaitBlock):
-                if self.in_flight.count(payload.target_nr) == 0:
+                if not self.in_flight.others_inside(
+                        payload.target_nr, self.task(tid).pending.registered):
                     continue
                 raise EngineError(
                     f"task {tid} would wait on syscall "
@@ -541,15 +511,15 @@ class Engine:
 
     # -- checkpoint / restore ------------------------------------------------
 
-    def _snapshot_program(self, program: FilterProgram) -> FilterProgram:
+    def _snapshot_program(self, program: FilterProgram,
+                          prog_maps: list) -> FilterProgram:
         """The program with its maps' current contents baked in.  Array
         slots start zeroed, so all-zero ones are left out."""
-        prog_maps = self.program_maps[id(program)]
         decls = []
         for decl, pmap in zip(program.map_refs, prog_maps):
             if decl.kind == MapKind.PROG_ARRAY:
-                nested = {idx: self._snapshot_program(p)
-                          for idx, p in sorted(pmap._programs.items())}
+                nested = {i: self._snapshot_program(p, pmaps)
+                          for i, (p, pmaps) in sorted(pmap._programs.items())}
                 decls.append(replace(decl, initial_programs=nested))
             else:
                 entries = {k: v for k, v in pmap.items()
@@ -566,7 +536,8 @@ class Engine:
         out += _CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                        0, self.clock_ns, len(t.chain))
         for inst in t.chain:
-            blob = encode_program(self._snapshot_program(inst.program))
+            blob = encode_program(self._snapshot_program(inst.program,
+                                                         inst.maps))
             caps = ",".join(sorted(inst.loader.caps)).encode()
             out += _CHECKPOINT_INSTALL.pack(
                 1 if inst.classic else 0, inst.loader.uid,
@@ -588,14 +559,12 @@ class Engine:
         if CAP_SYS_ADMIN not in t.creds.caps or t.creds.userns != 0:
             raise PermissionDenied("restore is restricted to init-namespace "
                                    "administrators")
-        adopted = {}
         try:
-            clock, installs = _parse_checkpoint(bytes(blob), adopted)
+            clock, installs = _parse_checkpoint(bytes(blob))
         # ProgramFormatError and UnicodeDecodeError are ValueErrors
         except (struct.error, ValueError) as exc:
             raise EngineError(f"malformed checkpoint: {exc}") from None
         self.clock_ns = clock
-        self.program_maps.update(adopted)
         t.chain += installs
         return list(range(len(t.chain) - len(installs), len(t.chain)))
 
@@ -633,9 +602,8 @@ class Engine:
                 tuple(task_keys), space_keys)
 
 
-def _parse_checkpoint(blob: bytes, adopted: dict):
-    """(clock, installations) of a checkpoint; the live maps of every
-    program in it go into `adopted` by program id."""
+def _parse_checkpoint(blob: bytes):
+    """(clock, installations) of a checkpoint, with fresh live maps."""
     pos = 0
 
     def take(n: int) -> bytes:
@@ -660,24 +628,23 @@ def _parse_checkpoint(blob: bytes, adopted: dict):
         fd_flags = take(n_maps)
         (blob_len,) = struct.unpack("<I", take(4))
         program = decode_program(take(blob_len))
-        _adopt(program, adopted)
-        for pmap, flag in zip(adopted[id(program)], fd_flags):
+        _adopt(program)
+        maps = m.instantiate(program)
+        for pmap, flag in zip(maps, fd_flags):
             pmap.fd_open = bool(flag)
         loader = Credentials(uid=uid, caps=caps, userns=userns,
                              nnp=bool(nnp), dumpable=bool(dumpable))
-        installs.append(Installation(program, adopted[id(program)], loader,
+        installs.append(Installation(program, maps, loader,
                                      classic=bool(classic)))
     if pos != len(blob):
         raise EngineError("checkpoint has trailing bytes")
     return clock, installs
 
 
-def _adopt(program: FilterProgram, adopted: dict):
-    """Take a checkpointed program on trust: no verification pass.  Its
-    live maps (and its handoff targets') go into `adopted` by id."""
+def _adopt(program: FilterProgram):
+    """Take a checkpointed program, and its handoff targets, on trust:
+    no verification pass."""
     for decl in program.map_refs:
-        if decl.kind == MapKind.PROG_ARRAY:
-            for nested in decl.initial_programs.values():
-                _adopt(nested, adopted)
+        for nested in decl.initial_programs.values():
+            _adopt(nested)
     program.verified = True
-    adopted[id(program)] = [m.PolicyMap(decl) for decl in program.map_refs]

@@ -157,13 +157,6 @@ COND_OPS = {
 }
 
 
-def eval_alu(base: str, a: int, b: int) -> int:
-    return ALU_OPS[base](a, b)
-
-
-def eval_cond(base: str, a: int, b: int) -> bool:
-    """Operands are masked to their word patterns first."""
-    return COND_OPS[base](a & U64_MASK, b & U64_MASK)
 
 I16_MIN, I16_MAX = -(1 << 15), (1 << 15) - 1
 I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1

@@ -8,23 +8,27 @@ Four kinds, mirroring the helper-visible semantics:
   hash          grow-on-insert up to max_entries
   task_storage  per-process values keyed by thread-group leader id,
                 reachable only through the task-storage helpers
-  prog_array    verified programs for tail handoff, populated at load
+  prog_array    verified programs for tail handoff, populated at load;
+                each entry pairs a program with its own live maps
 
 Values are held as live bytearrays.  A lookup hands out the storage
 itself, which is what makes value pointers in filter code write-through:
 a store via a looked-up pointer is immediately visible to every thread
 sharing the map.
 
-A map lives as long as the installations that reference it.  The
-creator's descriptor is a separate handle that the owning process can
-drop (`fd_open = False`).  Once the descriptor is closed the map is no
-longer reachable from outside, so not even the loading process can
-retune a policy after locking itself down.
+Each map has one owner: an installed program's maps belong to its
+installation, and a handoff target's to the program-array entry that
+holds it, so they are copied, fingerprinted and checkpointed as part of
+that array.  The creator's descriptor is a separate handle that the
+owning process can drop (`fd_open = False`).  Once the descriptor is
+closed the map is no longer reachable from outside, so not even the
+loading process can retune a policy after locking itself down.
 """
 
 from __future__ import annotations
 
 import errno
+from copy import deepcopy
 
 from .isa import FilterProgram, MapDecl, MapKind
 
@@ -49,14 +53,15 @@ class PolicyMap:
         self.fd_open = True
         self._array: list[bytearray] | None = None
         self._table: dict[bytes, bytearray] = {}
-        self._programs: dict[int, FilterProgram] = {}
+        self._programs: dict[int, tuple[FilterProgram, list]] = {}
         if self.kind == MapKind.ARRAY:
             self._array = [bytearray(self.value_size)
                            for _ in range(self.max_entries)]
         for key, value in sorted(decl.initial_entries.items()):
             self.update(key, value)     # validate() proved each one fits
         for idx, prog in sorted(decl.initial_programs.items()):
-            self.set_program(idx, prog)     # and that each index fits
+            # validate() proved each index fits, too
+            self.set_program(idx, prog, instantiate(prog))
 
     # -- data plane ----------------------------------------------------
 
@@ -123,17 +128,19 @@ class PolicyMap:
 
     # -- program plane ---------------------------------------------------
 
-    def set_program(self, idx: int, prog: FilterProgram) -> int:
+    def set_program(self, idx: int, prog: FilterProgram, maps: list) -> int:
+        """Enter `prog` at `idx`; a handoff to it runs on `maps`."""
         if self.kind != MapKind.PROG_ARRAY:
             raise TypeError(f"map {self.name} is not a program array")
         if idx < 0 or idx >= self.max_entries:
             return -E2BIG
         if not prog.verified:
             raise ValueError("only verified programs may enter a program array")
-        self._programs[idx] = prog
+        self._programs[idx] = (prog, maps)
         return 0
 
-    def get_program(self, idx: int) -> FilterProgram | None:
+    def get_program(self, idx: int) -> tuple[FilterProgram, list] | None:
+        """The (program, maps) pair at `idx`, or None."""
         if self.kind != MapKind.PROG_ARRAY:
             raise TypeError(f"map {self.name} is not a program array")
         return self._programs.get(idx)
@@ -149,13 +156,18 @@ class PolicyMap:
             raise TypeError("program arrays hold programs, not values")
         return sorted((k, bytes(v)) for k, v in self._table.items())
 
-    def state_key(self):
-        """Hashable content fingerprint for interleaving deduplication."""
+    def state_key(self, _open=frozenset()):
+        """Hashable content fingerprint for interleaving deduplication.
+        A program array includes its targets' maps, cycles by name only."""
         if self.kind == MapKind.ARRAY:
             return (self.name, tuple(bytes(v) for v in self._array))
         if self.kind == MapKind.PROG_ARRAY:
-            return (self.name, tuple(sorted(
-                (i, id(p)) for i, p in self._programs.items())))
+            if id(self) in _open:
+                return (self.name,)
+            inner = _open | {id(self)}
+            return (self.name, tuple(
+                (i, id(p), tuple(pm.state_key(inner) for pm in pmaps))
+                for i, (p, pmaps) in sorted(self._programs.items())))
         return (self.name, tuple(sorted(
             (k, bytes(v)) for k, v in self._table.items())))
 
@@ -171,9 +183,16 @@ class PolicyMap:
         clone._array = (None if self._array is None
                         else [bytearray(v) for v in self._array])
         clone._table = {k: bytearray(v) for k, v in self._table.items()}
-        clone._programs = dict(self._programs)  # programs are immutable
+        # programs are immutable; their maps are state like any value
+        clone._programs = {i: (p, deepcopy(pmaps, memo))
+                           for i, (p, pmaps) in self._programs.items()}
         return clone
 
     def __repr__(self):
         return (f"PolicyMap({self.name!r}, {self.kind.name.lower()}, "
                 f"fd={'open' if self.fd_open else 'closed'})")
+
+
+def instantiate(program: FilterProgram) -> list[PolicyMap]:
+    """Fresh live maps for `program`, in declaration order."""
+    return [PolicyMap(decl) for decl in program.map_refs]

@@ -90,15 +90,10 @@ class Simulator:
             return True
         kind = cond[0]
         if kind == "wait":
-            target = cond[1]
-            busy = self.engine.in_flight.count(target)
-            # mirror the helper: a thread's own registration of the
-            # target number does not keep it asleep
-            pending = self.engine.tasks[tid].pending
-            if pending is not None and pending.thread is not None \
-                    and target in pending.thread.registered_waits:
-                busy -= 1
-            return busy == 0
+            # the helper's own test: the task's registrations don't count
+            registered = self.engine.tasks[tid].pending.registered
+            return not self.engine.in_flight.others_inside(cond[1],
+                                                           registered)
         if kind == "stall":
             mem = self.engine.task(tid).address_space
             return not mem.is_protected(cond[1], cond[2])

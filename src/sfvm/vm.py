@@ -30,10 +30,16 @@ later syscalls with the same number without running the program, much
 as the kernel's seccomp action cache skips a filter whose verdict
 depends on the number only.
 
+A thread owns only its registers, stack, pc and counters.  Its maps
+belong to its installation or to the program-array entry it was handed
+to; its `wait_syscall` registrations belong to the engine's pending
+syscall (`RuntimeEnv.registered`), shared by every filter of it.
+
 A handoff (`tail_call`) replaces the running program, registers, and
-stack but keeps the accumulated step and helper counts, and at most 32
-handoffs may occur in one evaluation.  That bound is real: the handoff
-target comes from a map, so no static walk can see the whole chain.
+stack with the (program, maps) entry it looked up, but keeps the
+accumulated step and helper counts, and at most 32 handoffs may occur in
+one evaluation.  That bound is real: the handoff target comes from a
+map, so no static walk can see the whole chain.
 """
 
 from __future__ import annotations
@@ -115,38 +121,58 @@ class VmOutcome:
     fault_reason: str = ""
 
 
+class InFlightTable:
+    """How many tasks are currently inside each syscall number.  The
+    numbers one task holds are a `registered` set kept by its caller."""
+
+    def __init__(self):
+        self._counts: dict[int, int] = {}
+
+    def increment(self, nr: int):
+        self._counts[nr] = self._counts.get(nr, 0) + 1
+
+    def decrement(self, nr: int):
+        current = self._counts.get(nr, 0)
+        if current <= 1:
+            self._counts.pop(nr, None)
+        else:
+            self._counts[nr] = current - 1
+
+    def count(self, nr: int) -> int:
+        return self._counts.get(nr, 0)
+
+    def register(self, nr: int, registered: set):
+        """Count the task holding `registered` as inside `nr`, once."""
+        if nr not in registered:
+            registered.add(nr)
+            self.increment(nr)
+
+    def others_inside(self, nr: int, registered: set) -> bool:
+        """Is a task other than the one holding `registered` inside `nr`?"""
+        return self.count(nr) > (nr in registered)
+
+    def state_key(self):
+        return tuple(sorted(self._counts.items()))
+
+
 class RuntimeEnv:
     """Everything an evaluation needs from the world around it.
 
     Supplied per run call and never stored on the thread, so threads
-    stay plain data.
+    stay plain data.  `in_flight` and `registered` are lent by the caller.
     """
 
     def __init__(self, *, clock_ns=0, usermem=None, snapshot=None,
                  user_access_allowed=False, leader_tid=0,
-                 register_in_flight=None, in_flight_count=None,
-                 maps_for_program=None, step_limit=STEP_LIMIT):
+                 in_flight=None, registered=None, step_limit=STEP_LIMIT):
         self.clock_ns = clock_ns
         self.usermem = usermem
         self.snapshot = snapshot
         self.user_access_allowed = user_access_allowed
         self.leader_tid = leader_tid
-        self._register = register_in_flight
-        self._in_flight = in_flight_count
-        self._maps_for = maps_for_program
+        self.in_flight = InFlightTable() if in_flight is None else in_flight
+        self.registered = set() if registered is None else registered
         self.step_limit = step_limit
-
-    def register_in_flight(self, nr: int):
-        if self._register is not None:
-            self._register(nr)
-
-    def in_flight_count(self, nr: int) -> int:
-        return self._in_flight(nr) if self._in_flight is not None else 0
-
-    def maps_for_program(self, program: FilterProgram):
-        if self._maps_for is None:
-            raise VmFault("handoff target has no instantiated maps")
-        return self._maps_for(program)
 
     def read_user(self, addr: int, size: int):
         if self.snapshot is not None:
@@ -171,7 +197,6 @@ class VmThread:
         self.done = False
         self.outcome: VmOutcome | None = None
         self.fault_serviced: set = set()
-        self.registered_waits: set = set()
 
     # -- plumbing -------------------------------------------------------
 
@@ -255,8 +280,8 @@ class VmThread:
 
     # -- execution -------------------------------------------------------
 
-    def run(self, env: RuntimeEnv, fuel: int | None = None) -> str:
-        """Advance until "done", "blocked", or fuel runs out ("running")."""
+    def run(self, env: RuntimeEnv) -> str:
+        """Advance until "done" or "blocked"."""
         limit = env.step_limit
         while not self.done:
             if self.block is not None:
@@ -264,10 +289,6 @@ class VmThread:
             code = self.program.compiled or _compile(self.program)
             try:
                 while True:
-                    if fuel is not None:
-                        if fuel == 0:
-                            return "running"
-                        fuel -= 1
                     if self.steps >= limit:
                         raise VmFault("step limit exceeded")
                     pc = self.pc
@@ -322,17 +343,12 @@ class VmThread:
         curr, target = self._scalar(1), self._scalar(2)
         # Check before registering: the helper runs atomically, so
         # whichever of two mutually-serialized tasks gets here first
-        # claims the window and the other waits, never both.  A
-        # thread's own registration doesn't count against itself.
-        busy = env.in_flight_count(target)
-        if target in self.registered_waits:
-            busy -= 1
-        if busy > 0:
+        # claims the window and the other waits, never both.  What this
+        # syscall registered itself, in any filter, doesn't count.
+        if env.in_flight.others_inside(target, env.registered):
             self.block = WaitBlock(target)
             return _PARKED
-        if curr not in self.registered_waits:
-            env.register_in_flight(curr)
-            self.registered_waits.add(curr)
+        env.in_flight.register(curr, env.registered)
         return 0
 
     def _helper_safe_read_user(self, env: RuntimeEnv):
@@ -387,13 +403,13 @@ class VmThread:
         """The `tail_call` opcode: -ENOENT when the entry is missing,
         _HANDED_OFF once the target program has taken over."""
         pmap = self._map(1, (MapKind.PROG_ARRAY,))
-        target = pmap.get_program(self._scalar(2))
-        if target is None:
+        entry = pmap.get_program(self._scalar(2))
+        if entry is None:
             return (-m.ENOENT) & U64_MASK
         if self.tail_depth + 1 > MAX_TAIL_CALLS:
             raise VmFault("handoff chain exceeds 32")
         self.tail_depth += 1
-        self._enter(target, env.maps_for_program(target))
+        self._enter(*entry)
         return _HANDED_OFF
 
     # -- state fingerprinting ----------------------------------------------
@@ -414,7 +430,6 @@ class VmThread:
         return (id(self.program), self.pc, tuple(regs), bytes(self.stack),
                 self.stack_init, self.steps, self.helper_calls,
                 self.tail_depth, self.block, self.done,
-                tuple(sorted(self.registered_waits)),
                 tuple(sorted(self.fault_serviced)))
 
 

@@ -33,6 +33,7 @@ from sfvm.policies import (
     gen_count_limit,
     gen_flow_integrity,
     gen_rate_limit,
+    gen_serialization,
     gen_validation_cache,
 )
 from sfvm.usermem import WriteStatus
@@ -323,7 +324,7 @@ def test_faulting_filter_votes_the_configured_action():
 
     def rig(eng, tid):
         inst = eng.task(tid).chain[-1]
-        inst.maps[0].set_program(0, inst.program)
+        inst.maps[0].set_program(0, inst.program, inst.maps)
         return inst
 
     eng = Engine()
@@ -365,6 +366,29 @@ def test_wait_needs_a_scheduler_when_the_partner_is_in_flight():
     # clean retry succeeds
     eng.task(second).pending = None
     assert eng.run_syscall(second, ctx(9, 7))["action"] == "allow"
+
+
+def test_stacked_serializations_discount_the_syscalls_own_registration():
+    # the first filter registers syscall 0; the second waits for 0 and
+    # must count that registration as this syscall's own, just as the
+    # one-filter form {0: [1, 0]} does
+    eng = Engine()
+    single = attach(eng, gen_serialization({0: [1, 0]}))
+    assert probe(eng, single, ctx(0))["action"] == "allow"
+    first, second = (
+        attach(eng, gen_serialization({0: [0]}),
+               attach(eng, gen_serialization({0: [1]})))
+        for _ in range(2))
+    assert eng.run_syscall(first, ctx(0))["action"] == "allow"
+    assert eng.in_flight.state_key() == ((0, 1),)
+    # another task inside 0 still holds the second one at the door
+    with pytest.raises(EngineError, match="would wait on syscall 0"):
+        eng.run_syscall(second, ctx(0))
+    assert eng.kill_task(second) == [second]
+    eng.syscall_exit(first)
+    assert eng.in_flight.state_key() == ()
+    assert probe(eng, first, ctx(0))["action"] == "allow"
+    assert eng.in_flight.state_key() == ()
 
 
 def test_in_flight_table_counts():
@@ -557,6 +581,26 @@ def test_restore_round_trips_map_state():
     assert probe(other, target, ctx(0))["action"] == "errno"
 
 
+def _target_items(eng: Engine, tid: int) -> list:
+    """Contents of the maps of the first handoff target of the task's
+    first filter."""
+    _, maps = eng.task(tid).chain[0].maps[0].get_program(0)
+    return [pmap.items() for pmap in maps]
+
+
+def test_restore_round_trips_handoff_target_maps():
+    eng = Engine()
+    tid = attach(eng, gen_validation_cache({7: {0: [1, 2]}}))
+    empty = _target_items(eng, tid)
+    assert probe(eng, tid, ctx(7, 1))["action"] == "allow"
+    cached = _target_items(eng, tid)
+    assert cached != empty          # the checker cached its verdict
+    other = Engine()
+    target = other.spawn(caps=[CAP_SYS_ADMIN])
+    other.restore(target, eng.checkpoint(tid))
+    assert _target_items(other, target) == cached
+
+
 def test_restore_appends_to_the_existing_chain():
     eng = Engine()
     blob = eng.checkpoint(attach(eng, DENY_WRITE))
@@ -681,14 +725,13 @@ def _fresh_votes(eng: Engine, tid: int, c) -> list:
     """The votes a fresh interpreter thread gives for `c`, run on copies
     of the live maps so the engine's own run still sees them unspent."""
     t = eng.task(tid)
-    maps = deepcopy(eng.program_maps)
+    chain_maps = deepcopy([inst.maps for inst in t.chain])
     env = RuntimeEnv(clock_ns=eng.clock_ns, usermem=t.address_space,
                      user_access_allowed=True, leader_tid=t.tgid,
-                     in_flight_count=eng.in_flight.count,
-                     maps_for_program=lambda p: maps[id(p)])
+                     in_flight=deepcopy(eng.in_flight))
     votes = []
-    for inst in t.chain:
-        thread = VmThread(inst.program, maps[id(inst.program)], c)
+    for inst, maps in zip(t.chain, chain_maps):
+        thread = VmThread(inst.program, maps, c)
         assert thread.run(env) == "done"
         out = thread.outcome
         votes.append((out.raw_action, out.steps_executed, out.helper_calls,

