@@ -31,8 +31,8 @@ def one_call(engine, tid, nr):
 def main():
     engine = Engine()
     budget = build_program({
-        "kind": "count_limit", "nr": NR_KEYCTL, "max": 3,
-        "deny": {"action": "errno", "errno": 1},
+        "generator": "count_limit", "nr": NR_KEYCTL, "max": 3,
+        "deny": "errno:1",
     })
     tid = fresh_task(engine, budget)
     print(f"count limit: 3 calls of syscall {NR_KEYCTL} allowed per task")
@@ -44,8 +44,8 @@ def main():
     print()
     engine = Engine()
     bucket = build_program({
-        "kind": "rate_limit", "nr": NR_CONNECT, "rate": 2, "capacity": 2,
-        "deny": {"action": "errno", "errno": 11},
+        "generator": "rate_limit", "nr": NR_CONNECT, "rate": 2,
+        "capacity": 2, "deny": "errno:11",
     })
     tid = fresh_task(engine, bucket)
     print(f"rate limit: syscall {NR_CONNECT} at 2 per second, burst of 2")

@@ -6,15 +6,19 @@ already taken. An adversary thread then flips the buffer between the
 magic token and zeros. Whatever the adversary does, the decision
 matches the bytes present at entry, in both snapshot modes: copy mode
 reads the staged bytes, write-protect mode stalls the adversary store
-until the decision is off the page.
+until the decision is off the page. Both modes learn which argument of
+write() is a buffer, and how long, from the bundled descriptor table.
 """
+
+import json
+from importlib.resources import files
 
 from sfvm.asm import assemble
 from sfvm.engine import EngineConfig
 from sfvm.isa import encode_program
 from sfvm.sim import Simulator
+from sfvm.snapshot import DescriptorTable
 from sfvm.trace import parse_trace
-import json
 
 MAGIC = 0x4D41474943214F4B
 MAGIC_BYTES = MAGIC.to_bytes(8, "little")
@@ -99,8 +103,11 @@ def label(data):
 def run_one(mode, entry_bytes, adversary_bytes):
     events = race_trace(entry_bytes, adversary_bytes)
     text = "\n".join(json.dumps(ev) for ev in events)
+    descriptors = DescriptorTable.from_json(
+        (files("sfvm") / "data" / "descriptors.json").read_text())
     sim = Simulator(parse_trace(text),
-                    config=EngineConfig(snapshot_mode=mode))
+                    config=EngineConfig(snapshot_mode=mode),
+                    descriptors=descriptors)
 
     def mem():
         return sim.engine.task(1).address_space.read(BUF, 8)

@@ -21,7 +21,7 @@ from .sim import Simulator, explore_interleavings, log_digest
 from .snapshot import DescriptorTable, Snapshotter
 from .trace import Trace, TraceError, load_trace, parse_trace
 from .usermem import UserMemory
-from .verifier import VerifierConfig, VerifierReport, verify
+from .verifier import VerifierReport, verify
 from .vm import VmFault, VmThread
 
 __version__ = "0.1.0"
@@ -44,7 +44,7 @@ __all__ = [
     "DescriptorTable", "Snapshotter",
     "Trace", "TraceError", "load_trace", "parse_trace",
     "UserMemory",
-    "VerifierConfig", "VerifierReport", "verify",
+    "VerifierReport", "verify",
     "VmFault", "VmThread",
     "__version__",
 ]

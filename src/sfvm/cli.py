@@ -21,7 +21,7 @@ from .sim import ExplorationLimit, MAX_EXPLORE_STEPS, Simulator, \
     explore_interleavings, log_digest
 from .snapshot import MODES, DescriptorTable
 from .trace import TraceError, load_trace
-from .verifier import VerifierConfig, verify
+from .verifier import verify
 
 
 def _read_program(path: str):
@@ -87,7 +87,7 @@ def cmd_verify(args) -> int:
     except (AsmError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = verify(program, VerifierConfig())
+    report = verify(program)
     print(json.dumps(report.to_json(), indent=2))
     return 0 if report.accepted else 1
 

@@ -55,7 +55,7 @@ from .isa import (
 )
 from .snapshot import COPY, ArgSnapshot, DescriptorTable, MODES, Snapshotter
 from .usermem import UserMemory
-from .verifier import VerifierConfig, verify
+from .verifier import verify
 from .vm import (FaultServiceBlock, InFlightTable, RuntimeEnv, VmThread,
                  WaitBlock)
 
@@ -140,7 +140,6 @@ class EngineConfig:
     bad_filter_action: ResolvedAction = KILL_THREAD
     ptrace_scope: str = "classic"
     snapshot_mode: str = COPY
-    verifier: VerifierConfig = VerifierConfig()
 
     def __post_init__(self):
         if self.ptrace_scope not in PTRACE_SCOPES:
@@ -264,7 +263,7 @@ class Engine:
             new_decls.append(decl)
         copy = replace(program, map_refs=tuple(new_decls),
                        verified=False, load_userns=userns)
-        report = verify(copy, self.config.verifier)
+        report = verify(copy)
         if not report.accepted:
             raise EngineError(
                 f"program rejected: {report.reason}"
@@ -473,8 +472,10 @@ class Engine:
 
     def run_syscall(self, tid: int, ctx: SyscallContext) -> dict:
         """Enter and decide in one go; only fault-service blocks are
-        absorbed here. Anything that must actually wait needs a scheduler."""
+        absorbed here. Anything that must actually wait needs a scheduler,
+        so the syscall is abandoned, registrations and all, and raises."""
         self.start_syscall(tid, ctx)
+        t = self.task(tid)
         while True:
             status, payload = self.resume_syscall(tid)
             if status == "decision":
@@ -483,9 +484,11 @@ class Engine:
                 self.service_fault(tid)
                 continue
             if isinstance(payload, WaitBlock):
-                if not self.in_flight.others_inside(
-                        payload.target_nr, self.task(tid).pending.registered):
+                if not self.in_flight.others_inside(payload.target_nr,
+                                                    t.pending.registered):
                     continue
+                self._abandon_pending(t)
+                t.pending = None
                 raise EngineError(
                     f"task {tid} would wait on syscall "
                     f"{payload.target_nr}; run it under a scheduler")

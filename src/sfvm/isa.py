@@ -195,6 +195,53 @@ MAP_KIND_NAMES = {k: k.name.lower() for k in MapKind}
 MAP_KINDS_BY_NAME = {name: k for k, name in MAP_KIND_NAMES.items()}
 
 
+# Helper contracts, after the kernel's `struct bpf_func_proto`: the type
+# of each argument register r1.. and what r0 holds after the call.  The
+# verifier and the interpreter both check calls against them; a helper
+# without one cannot be called.  Besides maps (`MapArg`) the types are:
+ARG_SCALAR = "scalar"
+ARG_INDEX = "scalar index"  # into the map argument
+ARG_KEY = "key"             # initialized stack bytes: a key of the map argument
+ARG_VALUE = "value"         # initialized stack bytes: a value of that map
+ARG_BUF = "buffer"          # stack bytes the helper fills, as many as the
+                            # next argument says (a positive multiple of 8)
+RET_SCALAR = "scalar"
+RET_MAP_VALUE_OR_NULL = "map value or null"     # a value of the map argument
+
+
+@dataclass(frozen=True)
+class MapArg:
+    """Argument type: a reference to a map of one of `kinds`, which
+    error messages call `what`."""
+
+    kinds: frozenset
+    what: str
+
+
+_ARRAY_OR_HASH = MapArg(frozenset({MapKind.ARRAY, MapKind.HASH}),
+                        "an array or hash")
+_TASK_STORAGE = MapArg(frozenset({MapKind.TASK_STORAGE}), "a task-storage")
+
+# helper -> (argument types for r1.., kind of r0)
+HELPER_PROTOS = {
+    Helper.MAP_LOOKUP_ELEM: ((_ARRAY_OR_HASH, ARG_KEY), RET_MAP_VALUE_OR_NULL),
+    Helper.MAP_UPDATE_ELEM: (
+        (_ARRAY_OR_HASH, ARG_KEY, ARG_VALUE, ARG_SCALAR), RET_SCALAR),
+    Helper.MAP_DELETE_ELEM: ((_ARRAY_OR_HASH, ARG_KEY), RET_SCALAR),
+    Helper.KTIME_GET_NS: ((), RET_SCALAR),
+    Helper.SAFE_READ_USER: ((ARG_BUF, ARG_SCALAR, ARG_SCALAR), RET_SCALAR),
+    Helper.SAFE_READ_USER_STR: ((ARG_BUF, ARG_SCALAR, ARG_SCALAR), RET_SCALAR),
+    Helper.SAFE_TASK_STORAGE_GET: (
+        (_TASK_STORAGE, ARG_SCALAR), RET_MAP_VALUE_OR_NULL),
+    Helper.SAFE_TASK_STORAGE_DELETE: ((_TASK_STORAGE,), RET_SCALAR),
+    Helper.WAIT_SYSCALL: ((ARG_SCALAR, ARG_SCALAR), RET_SCALAR),
+}
+# the operands of the `tail_call` opcode: a program array and an index
+TAIL_CALL_PROTO = (
+    (MapArg(frozenset({MapKind.PROG_ARRAY}), "a program-array"), ARG_INDEX),
+    RET_SCALAR)
+
+
 @dataclass(frozen=True)
 class SyscallContext:
     """The 64-byte record a filter inspects (seccomp-data layout)."""

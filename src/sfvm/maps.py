@@ -35,7 +35,6 @@ from .isa import FilterProgram, MapDecl, MapKind
 EPERM = errno.EPERM
 ENOENT = errno.ENOENT
 E2BIG = errno.E2BIG
-EACCES = errno.EACCES
 EFAULT = errno.EFAULT
 EINVAL = errno.EINVAL
 

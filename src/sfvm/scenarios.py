@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 from .engine import EngineConfig
-from .sim import Simulator, explore_interleavings
+from .sim import MAX_EXPLORE_STEPS, Simulator, explore_interleavings
 from .snapshot import DescriptorTable
 from .trace import Trace, parse_trace
 
@@ -161,7 +161,7 @@ def run_scenario(spec: dict, config: EngineConfig | None = None,
         for check in spec.get("checks", []):
             checks.append(_eval_run_check(check, sim.entries))
     elif mode == "explore":
-        max_steps = spec.get("max_steps", 14)
+        max_steps = spec.get("max_steps", MAX_EXPLORE_STEPS)
         runs = explore_interleavings(_trace_from_spec(events), config=config,
                                      descriptors=descriptors,
                                      max_steps=max_steps)

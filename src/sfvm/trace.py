@@ -41,12 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-EVENT_KINDS = frozenset({
-    "spawn", "spawn_thread", "set_nnp", "set_dumpable", "set_caps",
-    "new_userns", "load", "install", "syscall_enter", "syscall_exit",
-    "mem_write", "map_update", "phase_marker", "checkpoint", "restore",
-})
-
+# event kind -> the fields every event of that kind carries
 _REQUIRED = {
     "spawn": ("tid",),
     "spawn_thread": ("task", "tid"),
@@ -64,6 +59,7 @@ _REQUIRED = {
     "checkpoint": ("task", "id"),
     "restore": ("task",),
 }
+EVENT_KINDS = frozenset(_REQUIRED)
 
 
 class TraceError(ValueError):

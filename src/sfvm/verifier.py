@@ -1,17 +1,19 @@
 """Static safety checker for filter programs.
 
-A program is accepted only if an exhaustive abstract walk of its control
-flow proves, within a configurable step budget, that every path:
+A program of at most `MAX_INSTRUCTIONS` instructions is accepted only if
+an exhaustive abstract walk of its control flow proves, within
+`STEP_BUDGET` abstract steps, that every path:
 
   * reads the syscall context only in whole, naturally aligned fields,
-  * calls only whitelisted helpers with correctly typed arguments
-    (sleepable-only helpers require a sleepable program),
+  * calls only helpers declared in `isa.HELPER_PROTOS`, with arguments
+    of the declared types,
   * keeps every jump inside the program,
   * never reads an uninitialized register or stack slot,
   * terminates at `exit` with a scalar in r0 (a `tail_call` may hand off
     earlier; its fall-through edge, taken when the target entry is
     missing, is verified too),
-  * passes program-array maps, and only those, to `tail_call`.
+  * passes program-array maps, and only those, to `tail_call`
+    (`isa.TAIL_CALL_PROTO`).
 
 The abstract domain is deliberately small: registers are tracked as
 unknown scalars, known constants, or typed pointers (context, frame,
@@ -38,20 +40,29 @@ from dataclasses import dataclass, field
 from .isa import (
     ALU_BASE,
     ALU_OPS,
+    ARG_BUF,
+    ARG_INDEX,
+    ARG_KEY,
+    ARG_SCALAR,
     COND_OPS,
     CTX_FIELDS,
     FilterProgram,
     HELPER_NAMES,
-    Helper,
+    HELPER_PROTOS,
     IMM_FORM,
     JUMP_BASE,
     LD_IMM64_MAP_REF,
-    MapKind,
+    MapArg,
     NUM_REGS,
     Opcode,
+    RET_MAP_VALUE_OR_NULL,
     STACK_SIZE,
+    TAIL_CALL_PROTO,
     U64_MASK,
 )
+
+MAX_INSTRUCTIONS = 100_000
+STEP_BUDGET = 1_000_000
 
 # abstract register tags
 UNINIT = ("X",)
@@ -82,14 +93,6 @@ def null_or_value(idx):
 _SCALARS = ("K", "U")
 
 
-@dataclass(frozen=True)
-class VerifierConfig:
-    max_instructions: int = 100_000
-    step_budget: int = 1_000_000
-    helper_whitelist: frozenset = frozenset(Helper)
-    sleepable_only_helpers: frozenset = frozenset()
-
-
 @dataclass
 class VerifierReport:
     accepted: bool
@@ -115,51 +118,10 @@ class _Violation(Exception):
         self.reason = reason
 
 
-# helper id -> (arg spec, result)
-#   arg spec entries: ("scalar",), ("map", allowed kinds),
-#   ("stack", size source) where size source is "key"/"value" (from the
-#   map in r1) or an int register index holding a known byte count
-# result: "unknown" or "null_or_value"
-_HELPER_SIGS = {
-    Helper.MAP_LOOKUP_ELEM: (
-        [("map", (MapKind.ARRAY, MapKind.HASH)), ("stack", "key")],
-        "null_or_value",
-    ),
-    Helper.MAP_UPDATE_ELEM: (
-        [("map", (MapKind.ARRAY, MapKind.HASH)), ("stack", "key"),
-         ("stack", "value"), ("scalar",)],
-        "unknown",
-    ),
-    Helper.MAP_DELETE_ELEM: (
-        [("map", (MapKind.ARRAY, MapKind.HASH)), ("stack", "key")],
-        "unknown",
-    ),
-    Helper.KTIME_GET_NS: ([], "unknown"),
-    Helper.SAFE_READ_USER: (
-        [("stack", 2), ("scalar",), ("scalar",)],
-        "unknown",
-    ),
-    Helper.SAFE_READ_USER_STR: (
-        [("stack", 2), ("scalar",), ("scalar",)],
-        "unknown",
-    ),
-    Helper.SAFE_TASK_STORAGE_GET: (
-        [("map", (MapKind.TASK_STORAGE,)), ("scalar",)],
-        "null_or_value",
-    ),
-    Helper.SAFE_TASK_STORAGE_DELETE: (
-        [("map", (MapKind.TASK_STORAGE,))],
-        "unknown",
-    ),
-    Helper.WAIT_SYSCALL: ([("scalar",), ("scalar",)], "unknown"),
-}
-
-
 class _Walker:
-    def __init__(self, program: FilterProgram, config: VerifierConfig):
+    def __init__(self, program: FilterProgram):
         self.program = program
         self.insns = program.instructions
-        self.config = config
         self.visits: dict[int, int] = {}
         self.steps = 0
 
@@ -236,10 +198,8 @@ class _Walker:
             return self._ld_map(pc, ins, state)
         if op == Opcode.ST_MAP:
             return self._st_map(pc, ins, state)
-        if op == Opcode.CALL:
+        if op in (Opcode.CALL, Opcode.TAIL_CALL):
             return self._call(pc, ins, state)
-        if op == Opcode.TAIL_CALL:
-            return self._tail_call(pc, ins, state)
         if op == Opcode.EXIT:
             r0 = self.read_reg(pc, state, 0)
             if r0[0] not in _SCALARS:
@@ -344,102 +304,59 @@ class _Walker:
                 stack_init |= 1 << s
         return [(pc + 1, (regs, stack_init))]
 
-    def _stack_arg(self, pc, state, reg_idx, size, helper_name, writes):
-        ptr = self.read_reg(pc, state, reg_idx)
-        if ptr[0] != "S":
-            raise _Violation(
-                pc, f"{helper_name}: r{reg_idx} must point into the stack"
-            )
-        window = self.stack_window(pc, ptr[1], size, helper_name)
-        regs, stack_init = state
-        if writes:
-            for s in window:
-                stack_init |= 1 << s
-        else:
-            for s in window:
-                if not stack_init & (1 << s):
-                    raise _Violation(
-                        pc, f"{helper_name}: stack argument not fully initialized"
-                    )
-        return (regs, stack_init)
-
     def _call(self, pc, ins, state):
-        try:
-            helper = Helper(ins.imm)
-        except ValueError:
-            raise _Violation(pc, f"helper {ins.imm} is not in the whitelist") \
-                from None
-        if helper not in self.config.helper_whitelist:
-            raise _Violation(
-                pc, f"helper {HELPER_NAMES[helper]} is not in the whitelist"
-            )
-        if helper == Helper.TAIL_CALL:
-            raise _Violation(pc, "tail_call must use its dedicated opcode")
-        if (helper in self.config.sleepable_only_helpers
-                and not self.program.sleepable):
-            raise _Violation(
-                pc,
-                f"helper {HELPER_NAMES[helper]} requires a sleepable program",
-            )
-
-        args, result = _HELPER_SIGS[helper]
-        name = HELPER_NAMES[helper]
-        ref_decl_idx = None
-        for i, spec in enumerate(args):
-            reg_idx = i + 1
-            if spec[0] == "map":
-                val = self.read_reg(pc, state, reg_idx)
-                if val[0] != "M":
-                    raise _Violation(pc, f"{name}: r{reg_idx} must be a map reference")
-                decl = self.program.map_refs[val[1]]
-                if decl.kind not in spec[1]:
+        """Check r1.. against the declared argument types.  A `tail_call`
+        whose entry is missing at run time continues like a call."""
+        if ins.opcode == Opcode.TAIL_CALL:
+            name, (args, ret) = "tail_call", TAIL_CALL_PROTO
+        else:
+            name = HELPER_NAMES.get(ins.imm, ins.imm)
+            if ins.imm not in HELPER_PROTOS:
+                raise _Violation(pc, f"helper {name} is not in the whitelist")
+            args, ret = HELPER_PROTOS[ins.imm]
+        map_idx = None
+        for reg, arg in enumerate(args, 1):
+            if arg == ARG_BUF:
+                size = self.read_reg(pc, state, reg + 1)
+                if size[0] != "K":
                     raise _Violation(
-                        pc,
-                        f"{name}: map kind {decl.kind.name.lower()} not accepted",
-                    )
-                ref_decl_idx = val[1]
-            elif spec[0] == "scalar":
-                val = self.read_reg(pc, state, reg_idx)
+                        pc, f"{name}: byte count must be a known constant")
+                size = size[1]
+                if size <= 0 or size % 8 != 0:
+                    raise _Violation(pc, f"{name}: byte count must be a "
+                                         "positive multiple of 8")
+            val = self.read_reg(pc, state, reg)
+            if isinstance(arg, MapArg):
+                if val[0] != "M":
+                    raise _Violation(
+                        pc, f"{name}: r{reg} must be a map reference")
+                kind = self.program.map_refs[val[1]].kind
+                if kind not in arg.kinds:
+                    raise _Violation(
+                        pc, f"{name}: map kind {kind.name.lower()} not accepted;"
+                            f" {name} requires {arg.what} map")
+                map_idx = val[1]
+            elif arg in (ARG_SCALAR, ARG_INDEX):
                 if val[0] not in _SCALARS:
-                    raise _Violation(pc, f"{name}: r{reg_idx} must be a scalar")
-            elif spec[0] == "stack":
-                size_src = spec[1]
-                if isinstance(size_src, int):
-                    size_val = self.read_reg(pc, state, size_src)
-                    if size_val[0] != "K":
+                    raise _Violation(pc, f"{name}: r{reg} must be a {arg}")
+            else:   # stack bytes: the helper fills a buffer, reads the rest
+                if arg != ARG_BUF:
+                    decl = self.program.map_refs[map_idx]
+                    size = decl.key_size if arg == ARG_KEY else decl.value_size
+                if val[0] != "S":
+                    raise _Violation(
+                        pc, f"{name}: r{reg} must point into the stack")
+                regs, stack_init = state
+                for s in self.stack_window(pc, val[1], size, name):
+                    if arg == ARG_BUF:
+                        stack_init |= 1 << s
+                    elif not stack_init & (1 << s):
                         raise _Violation(
-                            pc, f"{name}: byte count must be a known constant"
-                        )
-                    size = size_val[1]
-                    if size <= 0 or size % 8 != 0:
-                        raise _Violation(
-                            pc,
-                            f"{name}: byte count must be a positive multiple of 8",
-                        )
-                    writes = True  # user reads fill the destination buffer
-                else:
-                    decl = self.program.map_refs[ref_decl_idx]
-                    size = decl.key_size if size_src == "key" else decl.value_size
-                    writes = False
-                state = self._stack_arg(pc, state, reg_idx, size, name, writes)
-
-        r0 = null_or_value(ref_decl_idx) if result == "null_or_value" \
+                            pc, f"{name}: stack argument not fully initialized")
+                state = (regs, stack_init)
+        r0 = null_or_value(map_idx) if ret == RET_MAP_VALUE_OR_NULL \
             else UNKNOWN
         return [(pc + 1, _after_call(state, r0))]
-
-    def _tail_call(self, pc, ins, state):
-        val = self.read_reg(pc, state, 1)
-        if val[0] != "M":
-            raise _Violation(pc, "tail_call: r1 must be a map reference")
-        decl = self.program.map_refs[val[1]]
-        if decl.kind != MapKind.PROG_ARRAY:
-            raise _Violation(pc, "tail_call requires a program-array map")
-        idx = self.read_reg(pc, state, 2)
-        if idx[0] not in _SCALARS:
-            raise _Violation(pc, "tail_call: r2 must be a scalar index")
-        # the handoff may fail at run time (missing entry), in which case
-        # execution continues after the instruction like a normal call
-        return [(pc + 1, _after_call(state, UNKNOWN))]
 
 
 def _after_call(state, r0):
@@ -448,25 +365,20 @@ def _after_call(state, r0):
     return ((r0,) + (UNINIT,) * 5 + regs[6:], stack_init)
 
 
-def verify(program: FilterProgram, config: VerifierConfig | None = None) -> VerifierReport:
+def verify(program: FilterProgram) -> VerifierReport:
     """Check `program`; on acceptance its `verified` flag is set."""
-    config = config or VerifierConfig()
-
     if len(program.instructions) == 0:
         return VerifierReport(False, "program is empty", None)
-    if len(program.instructions) > config.max_instructions:
+    if len(program.instructions) > MAX_INSTRUCTIONS:
         return VerifierReport(
-            False,
-            f"program exceeds {config.max_instructions} instructions",
-            None,
-        )
+            False, f"program exceeds {MAX_INSTRUCTIONS} instructions", None)
     for decl in program.map_refs:
         try:
             decl.validate()
         except ValueError as exc:
             return VerifierReport(False, f"bad map declaration: {exc}", None)
 
-    walker = _Walker(program, config)
+    walker = _Walker(program)
     entry = (0, walker.entry_state())
 
     # iterative DFS: `on_path` detects abstract-state cycles, `completed`
@@ -482,7 +394,7 @@ def verify(program: FilterProgram, config: VerifierConfig | None = None) -> Veri
             (pc, state), succs, idx = frame
             if succs is None:
                 steps += 1
-                if steps > config.step_budget:
+                if steps > STEP_BUDGET:
                     raise _Violation(
                         pc, "termination not proven within step budget"
                     )

@@ -13,7 +13,9 @@ Every structural rule the static checker enforces is re-checked here
 and raised as a fault, so an interpreter bug or a forged "verified"
 flag degrades to the configured bad-filter action instead of silently
 corrupting state.  On a genuinely verified program none of these
-checks can fire.
+checks can fire.  For helper calls and `tail_call` the contract is one
+table the verifier reads too (`isa.HELPER_PROTOS`, `isa.TAIL_CALL_PROTO`):
+each call site checks its argument registers against it.
 
 A program is decoded once, on its first run, into a table of per-pc
 handler closures with operand form, immediate, jump targets and
@@ -50,20 +52,25 @@ from . import maps as m
 from .isa import (
     ALU_BASE,
     ALU_OPS,
+    ARG_BUF,
+    ARG_KEY,
+    ARG_VALUE,
     COND_OPS,
     CTX_FIELDS,
     FRAME_REG,
     FilterProgram,
     HELPER_NAMES,
+    HELPER_PROTOS,
     Helper,
     IMM_FORM,
     JUMP_BASE,
     LD_IMM64_MAP_REF,
-    MapKind,
+    MapArg,
     NUM_REGS,
     Opcode,
     STACK_SIZE,
     SyscallContext,
+    TAIL_CALL_PROTO,
     U64_MASK,
 )
 
@@ -164,7 +171,7 @@ class RuntimeEnv:
 
     def __init__(self, *, clock_ns=0, usermem=None, snapshot=None,
                  user_access_allowed=False, leader_tid=0,
-                 in_flight=None, registered=None, step_limit=STEP_LIMIT):
+                 in_flight=None, registered=None):
         self.clock_ns = clock_ns
         self.usermem = usermem
         self.snapshot = snapshot
@@ -172,7 +179,6 @@ class RuntimeEnv:
         self.leader_tid = leader_tid
         self.in_flight = InFlightTable() if in_flight is None else in_flight
         self.registered = set() if registered is None else registered
-        self.step_limit = step_limit
 
     def read_user(self, addr: int, size: int):
         if self.snapshot is not None:
@@ -242,6 +248,15 @@ class VmThread:
             raise VmFault(f"map {v.map.name}: kind not accepted here")
         return v.map
 
+    def _buffer(self, idx: int) -> MemPtr:
+        """r{idx} as a writable buffer of the byte count in the next one."""
+        ptr = self._ptr(idx)
+        size = self._scalar(idx + 1)
+        if size <= 0 or size % 8 != 0:
+            raise VmFault("byte count must be a positive multiple of 8")
+        self._check_window(ptr, ptr.off, size, for_write=True)
+        return ptr
+
     def _check_window(self, ptr: MemPtr, at: int, size: int, for_write: bool):
         if at % 8 != 0 and size >= 8:
             raise VmFault("memory access not 8-byte aligned")
@@ -282,7 +297,7 @@ class VmThread:
 
     def run(self, env: RuntimeEnv) -> str:
         """Advance until "done" or "blocked"."""
-        limit = env.step_limit
+        limit = STEP_LIMIT
         while not self.done:
             if self.block is not None:
                 return "blocked"
@@ -306,41 +321,33 @@ class VmThread:
     # -- helpers -----------------------------------------------------------
     #
     # `_helper_<name>` implements the helper of that name (see
-    # `isa.HELPER_NAMES`): it returns r0, or _PARKED after setting `block`.
+    # `isa.HELPER_NAMES`).  Its contract is its `isa.HELPER_PROTOS`
+    # entry: the call handler checks r1.. against it and passes the typed
+    # arguments, so a body holds only the helper's semantics.  It returns
+    # r0, or _PARKED after setting `block`.
 
-    def _helper_map_lookup_elem(self, env: RuntimeEnv):
-        pmap = self._map(1, (MapKind.ARRAY, MapKind.HASH))
-        key = self._read_mem(self._ptr(2), pmap.key_size)
+    def _helper_map_lookup_elem(self, env, pmap, key):
         value = pmap.lookup(key)
         return 0 if value is None else _mapval_ptr(pmap, value, key)
 
-    def _helper_map_update_elem(self, env: RuntimeEnv):
-        pmap = self._map(1, (MapKind.ARRAY, MapKind.HASH))
-        key = self._read_mem(self._ptr(2), pmap.key_size)
-        value = self._read_mem(self._ptr(3), pmap.value_size)
-        return pmap.update(key, value, self._scalar(4)) & U64_MASK
+    def _helper_map_update_elem(self, env, pmap, key, value, flags):
+        return pmap.update(key, value, flags) & U64_MASK
 
-    def _helper_map_delete_elem(self, env: RuntimeEnv):
-        pmap = self._map(1, (MapKind.ARRAY, MapKind.HASH))
-        key = self._read_mem(self._ptr(2), pmap.key_size)
+    def _helper_map_delete_elem(self, env, pmap, key):
         return pmap.delete(key) & U64_MASK
 
-    def _helper_ktime_get_ns(self, env: RuntimeEnv):
+    def _helper_ktime_get_ns(self, env):
         return env.clock_ns & U64_MASK
 
-    def _helper_safe_task_storage_get(self, env: RuntimeEnv):
-        pmap = self._map(1, (MapKind.TASK_STORAGE,))
-        create = bool(self._scalar(2) & 1)
-        value = pmap.storage_get(env.leader_tid, create)
+    def _helper_safe_task_storage_get(self, env, pmap, flags):
+        value = pmap.storage_get(env.leader_tid, bool(flags & 1))
         key = pmap.storage_key(env.leader_tid)
         return 0 if value is None else _mapval_ptr(pmap, value, key)
 
-    def _helper_safe_task_storage_delete(self, env: RuntimeEnv):
-        pmap = self._map(1, (MapKind.TASK_STORAGE,))
+    def _helper_safe_task_storage_delete(self, env, pmap):
         return pmap.storage_delete(env.leader_tid) & U64_MASK
 
-    def _helper_wait_syscall(self, env: RuntimeEnv):
-        curr, target = self._scalar(1), self._scalar(2)
+    def _helper_wait_syscall(self, env, curr, target):
         # Check before registering: the helper runs atomically, so
         # whichever of two mutually-serialized tasks gets here first
         # claims the window and the other waits, never both.  What this
@@ -351,13 +358,7 @@ class VmThread:
         env.in_flight.register(curr, env.registered)
         return 0
 
-    def _helper_safe_read_user(self, env: RuntimeEnv):
-        dst = self._ptr(1)
-        size = self._scalar(2)
-        addr = self._scalar(3)
-        if size <= 0 or size % 8 != 0:
-            raise VmFault("user read size must be a positive multiple of 8")
-        self._check_window(dst, dst.off, size, for_write=True)
+    def _helper_safe_read_user(self, env, dst, size, addr):
         if not env.user_access_allowed:
             return (-m.EPERM) & U64_MASK
         status, payload = env.read_user(addr, size)
@@ -371,13 +372,7 @@ class VmThread:
         self._write_mem(dst, bytes(size))
         return (-m.EFAULT) & U64_MASK
 
-    def _helper_safe_read_user_str(self, env: RuntimeEnv):
-        dst = self._ptr(1)
-        cap = self._scalar(2)
-        addr = self._scalar(3)
-        if cap <= 0 or cap % 8 != 0:
-            raise VmFault("string capacity must be a positive multiple of 8")
-        self._check_window(dst, dst.off, cap, for_write=True)
+    def _helper_safe_read_user_str(self, env, dst, cap, addr):
         if not env.user_access_allowed:
             return (-m.EPERM) & U64_MASK
         collected = bytearray()
@@ -399,11 +394,10 @@ class VmThread:
         self._write_mem(dst, out)
         return (-m.E2BIG) & U64_MASK
 
-    def _tail_call(self, env: RuntimeEnv):
+    def _tail_call(self, env, pmap, idx):
         """The `tail_call` opcode: -ENOENT when the entry is missing,
         _HANDED_OFF once the target program has taken over."""
-        pmap = self._map(1, (MapKind.PROG_ARRAY,))
-        entry = pmap.get_program(self._scalar(2))
+        entry = pmap.get_program(idx)
         if entry is None:
             return (-m.ENOENT) & U64_MASK
         if self.tail_depth + 1 > MAX_TAIL_CALLS:
@@ -519,21 +513,23 @@ def _lower(pc: int, ins):
         except ValueError:
             return _faulting(f"unknown helper id {imm}")
         name = HELPER_NAMES[helper]
-        body = getattr(VmThread, f"_helper_{name}", None)
-        if body is None:
+        if helper not in HELPER_PROTOS:
             return _faulting(f"helper {name} not callable here")
-        return _lower_call(body, nxt)
+        return _lower_call(getattr(VmThread, f"_helper_{name}"),
+                           HELPER_PROTOS[helper][0], nxt)
     if op == Opcode.TAIL_CALL:
-        return _lower_call(VmThread._tail_call, nxt)
+        return _lower_call(VmThread._tail_call, TAIL_CALL_PROTO[0], nxt)
     if op == Opcode.EXIT:
         return lambda t, env: t._finish(t._scalar(0))
     return _faulting(f"unhandled opcode {op!r}")
 
 
-def _lower_call(body, nxt):
+def _lower_call(body, args, nxt):
+    invoke = _with_args(body, args)
+
     def call(t, env):
         t.pure = False
-        result = body(t, env)
+        result = invoke(t, env)
         if result is _PARKED:
             return None     # no step, no pc move: resuming re-calls
         t.helper_calls += 1
@@ -544,6 +540,39 @@ def _lower_call(body, nxt):
         t.regs[0] = result
         return nxt
     return call
+
+
+def _with_args(body, args):
+    """`body` as a function of (thread, env) that checks and fetches its
+    declared arguments in register order.  Unrolled by arity: a star
+    call costs more than most bodies."""
+    map_reg = next((reg for reg, arg in enumerate(args, 1)
+                    if isinstance(arg, MapArg)), None)
+    fetch = [_arg_fetcher(reg, arg, map_reg)
+             for reg, arg in enumerate(args, 1)]
+    a, b, c, d = fetch + [None] * (4 - len(fetch))
+    return [body,
+            lambda t, env: body(t, env, a(t)),
+            lambda t, env: body(t, env, a(t), b(t)),
+            lambda t, env: body(t, env, a(t), b(t), c(t)),
+            lambda t, env: body(t, env, a(t), b(t), c(t), d(t))][len(fetch)]
+
+
+def _arg_fetcher(reg, arg, map_reg):
+    """A function of the thread that returns r{reg} checked against its
+    type: a map, key or value bytes of the map in r{map_reg} (checked
+    first), a writable buffer or a scalar."""
+    if isinstance(arg, MapArg):
+        kinds = arg.kinds
+        return lambda t: t._map(reg, kinds)
+    if arg == ARG_KEY:
+        return lambda t: t._read_mem(t._ptr(reg), t.regs[map_reg].map.key_size)
+    if arg == ARG_VALUE:
+        return lambda t: t._read_mem(t._ptr(reg),
+                                     t.regs[map_reg].map.value_size)
+    if arg == ARG_BUF:
+        return lambda t: t._buffer(reg)
+    return lambda t: t._scalar(reg)
 
 
 def _lower_mov_imm(dst, value, nxt):

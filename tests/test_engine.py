@@ -362,9 +362,8 @@ def test_wait_needs_a_scheduler_when_the_partner_is_in_flight():
         eng.run_syscall(second, ctx(9, 7))
     eng.syscall_exit(first)
     assert eng.in_flight.count(7) == 0
-    # the second task's stale pending entry is gone with the exception;
+    # the second task's pending syscall went with the exception, so a
     # clean retry succeeds
-    eng.task(second).pending = None
     assert eng.run_syscall(second, ctx(9, 7))["action"] == "allow"
 
 
@@ -388,6 +387,25 @@ def test_stacked_serializations_discount_the_syscalls_own_registration():
     eng.syscall_exit(first)
     assert eng.in_flight.state_key() == ()
     assert probe(eng, first, ctx(0))["action"] == "allow"
+    assert eng.in_flight.state_key() == ()
+
+
+def test_a_syscall_that_would_wait_is_abandoned():
+    # run_syscall cannot wait, so it must drop the refused syscall with
+    # what its earlier filter registered; a retry then starts afresh
+    eng = Engine()
+    first, second = (
+        attach(eng, gen_serialization({0: [0]}),
+               attach(eng, gen_serialization({0: [1]})))
+        for _ in range(2))
+    assert eng.run_syscall(first, ctx(0))["action"] == "allow"
+    with pytest.raises(EngineError, match="would wait on syscall 0"):
+        eng.run_syscall(second, ctx(0))
+    assert eng.task(second).pending is None
+    assert eng.in_flight.state_key() == ((0, 1),)
+    eng.syscall_exit(first)
+    assert eng.in_flight.state_key() == ()
+    assert probe(eng, second, ctx(0))["action"] == "allow"
     assert eng.in_flight.state_key() == ()
 
 

@@ -8,32 +8,32 @@ import pytest
 
 from sfvm.asm import assemble
 from sfvm.engine import Engine, EngineError
+from sfvm import verifier
 from sfvm.isa import (
     FilterProgram,
-    Helper,
     Instruction,
     MapDecl,
     MapKind,
     Opcode,
 )
-from sfvm.verifier import VerifierConfig, verify
+from sfvm.verifier import verify
 
 from .helpers import every_generator
 
 ALLOW = 0x7FFF0000
 
 
-def accept(source: str, config=None):
-    report = verify(assemble(source), config)
+def accept(source: str):
+    report = verify(assemble(source))
     assert report.accepted, report.reason
     return report
 
 
-def reject(source_or_prog, fragment: str, config=None):
+def reject(source_or_prog, fragment: str):
     prog = source_or_prog
     if isinstance(prog, str):
         prog = assemble(prog)
-    report = verify(prog, config)
+    report = verify(prog)
     assert not report.accepted
     assert fragment in report.reason, report.reason
     assert not prog.verified
@@ -148,16 +148,18 @@ def test_unbounded_loops():
         "unbounded loop")
 
 
-def test_step_budget():
+def test_step_budget(monkeypatch):
+    monkeypatch.setattr(verifier, "STEP_BUDGET", 20)
     body = "".join("    add r1, 1\n" for _ in range(50))
     reject("section seccomp\n    mov r1, 0\n" + body + "    mov r0, 0\n"
            "    exit\n",
-           "step budget", VerifierConfig(step_budget=20))
+           "step budget")
 
 
-def test_instruction_count_budget():
+def test_instruction_count_budget(monkeypatch):
+    monkeypatch.setattr(verifier, "MAX_INSTRUCTIONS", 2)
     reject("section seccomp\n    mov r0, 0\n    mov r1, 1\n    exit\n",
-           "exceeds 2 instructions", VerifierConfig(max_instructions=2))
+           "exceeds 2 instructions")
 
 
 def test_context_read_bounds():
@@ -250,19 +252,6 @@ def test_bad_map_declaration():
 def test_helper_whitelist():
     reject(raw([Instruction(Opcode.CALL, imm=99),
                 Instruction(Opcode.EXIT)]), "not in the whitelist")
-    cfg = VerifierConfig(helper_whitelist=frozenset({Helper.KTIME_GET_NS}))
-    reject(
-        "section seccomp\n"
-        "map m hash 8 8 4\n"
-        "    mov r2, 0\n"
-        "    st_map r10, r2, -8\n"
-        "    mov r2, r10\n"
-        "    add r2, -8\n"
-        "    ld_imm64 r1, map:m\n"
-        "    call map_lookup_elem\n"
-        "    mov r0, 0\n"
-        "    exit\n",
-        "not in the whitelist", cfg)
 
 
 def test_helper_argument_types():
@@ -323,22 +312,6 @@ def test_user_read_size_must_be_known_and_aligned():
         "    mov r0, 0\n"
         "    exit\n",
         "multiple of 8")
-
-
-def test_sleepable_only_helper_gate():
-    cfg = VerifierConfig(
-        sleepable_only_helpers=frozenset({Helper.SAFE_READ_USER}))
-    body = (
-        "    mov r1, r10\n"
-        "    add r1, -8\n"
-        "    mov r2, 8\n"
-        "    ld_ctx r3, 24\n"
-        "    call safe_read_user\n"
-        "    mov r0, 0\n"
-        "    exit\n")
-    reject("section seccomp\n" + body, "requires a sleepable", cfg)
-    report = verify(assemble("section seccomp-sleepable\n" + body), cfg)
-    assert report.accepted, report.reason
 
 
 def test_tail_call_shape():

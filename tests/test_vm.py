@@ -18,6 +18,7 @@ from sfvm.isa import (
 )
 from sfvm.maps import EFAULT, ENOENT, EPERM, PolicyMap
 from sfvm.usermem import UserMemory
+from sfvm import vm
 from sfvm.verifier import verify
 from sfvm.vm import (
     MAX_TAIL_CALLS,
@@ -142,7 +143,7 @@ def test_step_accounting_with_loop_and_helpers():
     assert out.steps_executed == 1 + 8 * n + 2
 
 
-def test_runtime_step_limit_faults():
+def test_runtime_step_limit_faults(monkeypatch):
     prog = build(
         "section seccomp\n"
         "    mov r1, 0\n"
@@ -151,7 +152,8 @@ def test_runtime_step_limit_faults():
         "    jlt r1, 1000, loop\n"
         "    mov r0, 0\n"
         "    exit\n")
-    out = run(prog, env=RuntimeEnv(step_limit=50))
+    monkeypatch.setattr(vm, "STEP_LIMIT", 50)
+    out = run(prog)
     assert out.faulted
     assert "step limit" in out.fault_reason
 
