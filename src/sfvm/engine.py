@@ -27,10 +27,12 @@ instead.  Denials clean up immediately (in-flight marks, snapshot) and
 the matching exit event from the application is consumed as a no-op,
 since the syscall it would have paired with never ran.
 
-Each piece of state has one owner.  An installation owns its live maps
-(handoff targets' maps included, see `maps`).  A pending syscall owns
-its snapshot, its thread and the numbers it holds in the in-flight
-table (`registered`), which every filter of it sees through `RuntimeEnv`.
+Each piece of state has one owner, declared with its class (`state`
+derives copies and fingerprints from that).  An installation owns its
+live maps (handoff targets' maps included, see `maps`).  A pending
+syscall owns its snapshot, its thread and the numbers it holds in the
+in-flight table (`registered`), which every filter of it sees through
+`RuntimeEnv`.
 
 Checkpoint blobs capture a task's chain, the live contents of every
 map in it, and the engine clock; restore re-attaches without
@@ -54,6 +56,7 @@ from .isa import (
     encode_program,
 )
 from .snapshot import COPY, ArgSnapshot, DescriptorTable, MODES, Snapshotter
+from .state import stateful
 from .usermem import UserMemory
 from .verifier import verify
 from .vm import (FaultServiceBlock, InFlightTable, RuntimeEnv, VmThread,
@@ -93,6 +96,7 @@ class Credentials:
                 "dumpable": self.dumpable}
 
 
+@stateful(shared="program loader", aliased="maps", value="classic")
 @dataclass
 class Installation:
     program: FilterProgram
@@ -101,13 +105,15 @@ class Installation:
     classic: bool = False
 
 
+@stateful(shared="program", aliased="maps")
 @dataclass
 class LoadedHandle:
-    handle_id: int
     program: FilterProgram
     maps: list
 
 
+@stateful(shared="ctx", owned="snapshot thread", aliased="chain",
+          value="index votes actions registered executing")
 @dataclass
 class PendingSyscall:
     ctx: SyscallContext
@@ -121,11 +127,12 @@ class PendingSyscall:
     executing: bool = False
 
 
+@stateful(value="tid tgid alive denied_enter", shared="creds",
+          aliased="address_space chain", owned="pending")
 @dataclass
 class Task:
     tid: int
     tgid: int
-    parent: int | None
     creds: Credentials
     address_space: UserMemory
     chain: list = field(default_factory=list)
@@ -148,6 +155,9 @@ class EngineConfig:
             raise ValueError(f"unknown snapshot mode {self.snapshot_mode!r}")
 
 
+@stateful(shared="config descriptors snapshotter",
+          owned="tasks handles in_flight",
+          value="clock_ns _next_tid _next_handle _next_userns")
 class Engine:
     def __init__(self, config: EngineConfig | None = None,
                  descriptors: DescriptorTable | None = None):
@@ -192,7 +202,7 @@ class Engine:
                 nnp=bool(nnp),
                 dumpable=True if dumpable is None else dumpable,
             )
-            self.tasks[tid] = Task(tid, tid, None, creds, UserMemory())
+            self.tasks[tid] = Task(tid, tid, creds, UserMemory())
         else:
             p = self.task(parent)
             creds = p.creds
@@ -204,16 +214,15 @@ class Engine:
                 creds = replace(creds, nnp=creds.nnp or nnp)
             if dumpable is not None:
                 creds = replace(creds, dumpable=dumpable)
-            self.tasks[tid] = Task(tid, tid, parent, creds,
-                                   deepcopy(p.address_space),
+            self.tasks[tid] = Task(tid, tid, creds, deepcopy(p.address_space),
                                    chain=list(p.chain))
         return tid
 
     def spawn_thread(self, parent: int, tid: int | None = None) -> int:
         p = self.task(parent)
         tid = self._claim_tid(tid)
-        self.tasks[tid] = Task(tid, p.tgid, parent, p.creds,
-                               p.address_space, chain=list(p.chain))
+        self.tasks[tid] = Task(tid, p.tgid, p.creds, p.address_space,
+                               chain=list(p.chain))
         return tid
 
     def set_nnp(self, tid: int):
@@ -279,8 +288,7 @@ class Engine:
         copy = self._instantiate(program, t.creds.userns)
         handle = self._next_handle
         self._next_handle += 1
-        self.handles[handle] = LoadedHandle(handle, copy,
-                                            m.instantiate(copy))
+        self.handles[handle] = LoadedHandle(copy, m.instantiate(copy))
         return handle
 
     def install(self, tid: int, handle: int) -> int:
@@ -322,6 +330,9 @@ class Engine:
         if CAP_SYS_ADMIN not in a.creds.caps or a.creds.userns != 0:
             raise PermissionDenied("external map updates are privileged")
         t = self.task(target)
+        if not 0 <= install_index < len(t.chain):
+            raise EngineError(f"task {target} has no installation "
+                              f"{install_index}")
         inst = t.chain[install_index]
         for pmap in inst.maps:
             if pmap.name == map_name:
@@ -424,7 +435,6 @@ class Engine:
             pending.executing = True
             return record
         self._abandon_pending(t)
-        t.pending = None
         t.denied_enter = True
         killed = []
         if decision.kind.value == "kill_thread":
@@ -436,7 +446,7 @@ class Engine:
         return record
 
     def _abandon_pending(self, t: Task):
-        pending = t.pending
+        pending, t.pending = t.pending, None
         if pending is None:
             return
         for nr in pending.registered:
@@ -455,7 +465,6 @@ class Engine:
             raise EngineError(f"task {tid}: exit without a completed entry")
         record = {"task": tid, "nr": pending.ctx.nr}
         self._abandon_pending(t)
-        t.pending = None
         return record
 
     def service_fault(self, tid: int) -> bool:
@@ -488,7 +497,6 @@ class Engine:
                                                     t.pending.registered):
                     continue
                 self._abandon_pending(t)
-                t.pending = None
                 raise EngineError(
                     f"task {tid} would wait on syscall "
                     f"{payload.target_nr}; run it under a scheduler")
@@ -502,7 +510,6 @@ class Engine:
             return []
         t.alive = False
         self._abandon_pending(t)
-        t.pending = None
         return [tid]
 
     def kill_process(self, tgid: int) -> list[int]:
@@ -570,39 +577,6 @@ class Engine:
         self.clock_ns = clock
         t.chain += installs
         return list(range(len(t.chain) - len(installs), len(t.chain)))
-
-    # -- fingerprinting ---------------------------------------------------
-
-    def state_key(self):
-        spaces = {}
-        task_keys = []
-        for tid in sorted(self.tasks):
-            t = self.tasks[tid]
-            as_id = spaces.setdefault(id(t.address_space),
-                                      (len(spaces), t.address_space))[0]
-            pending = None
-            if t.pending is not None:
-                p = t.pending
-                pending = (
-                    p.ctx, p.index, p.executing,
-                    tuple(sorted(p.registered)),
-                    tuple((v["raw"], v["faulted"]) for v in p.votes),
-                    p.thread.state_key() if p.thread is not None else None,
-                    tuple(sorted((r.src, r.size) for r in p.snapshot.ranges)),
-                    tuple(sorted(p.snapshot.fault_markers)),
-                    p.snapshot.released,
-                )
-            chain_key = tuple(
-                (id(inst.program),
-                 tuple(pmap.state_key() for pmap in inst.maps))
-                for inst in t.chain)
-            task_keys.append((tid, t.tgid, t.alive, t.creds, as_id,
-                              t.denied_enter, pending, chain_key))
-        space_keys = tuple(space.state_key()
-                           for _, space in sorted(spaces.values(),
-                                                  key=lambda kv: kv[0]))
-        return (self.clock_ns, self.in_flight.state_key(),
-                tuple(task_keys), space_keys)
 
 
 def _parse_checkpoint(blob: bytes):

@@ -157,7 +157,6 @@ COND_OPS = {
 }
 
 
-
 I16_MIN, I16_MAX = -(1 << 15), (1 << 15) - 1
 I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
 
@@ -300,10 +299,6 @@ class Instruction:
         if not I64_MIN <= self.imm <= I64_MAX:
             raise ValueError("immediate does not fit in i64")
 
-    # instructions are immutable; sharing across copied machine states is fine
-    def __deepcopy__(self, memo):
-        return self
-
 
 @dataclass
 class MapDecl:
@@ -358,7 +353,8 @@ class FilterProgram:
     per-pc handler table, built from `instructions` on first run.
     `verdicts` memoizes the engine's outcome per syscall number for runs
     that read nothing but `nr` (see `vm.VmThread.pure`); every copy made
-    with `replace` starts with an empty one.
+    with `replace` starts with an empty one.  Once loaded a program is
+    immutable (both caches are functions of it): copies share it.
     """
 
     instructions: tuple
@@ -370,14 +366,6 @@ class FilterProgram:
                                    compare=False)
     verdicts: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
-
-    # Treated as immutable once built: the verifier flips `verified` at most
-    # once and loads record `load_userns` on a per-load copy, so sharing one
-    # object (its handler table, and its verdict memo, whose every entry is
-    # a pure function of the syscall number) across snapshotted machine
-    # states is safe and keeps state copies cheap.
-    def __deepcopy__(self, memo):
-        return self
 
     @property
     def section_name(self) -> str:

@@ -18,19 +18,21 @@ sharing the map.
 
 Each map has one owner: an installed program's maps belong to its
 installation, and a handoff target's to the program-array entry that
-holds it, so they are copied, fingerprinted and checkpointed as part of
-that array.  The creator's descriptor is a separate handle that the
-owning process can drop (`fd_open = False`).  Once the descriptor is
-closed the map is no longer reachable from outside, so not even the
-loading process can retune a policy after locking itself down.
+holds it, so they are checkpointed as part of that array.  Copies and
+fingerprints follow `PolicyMap`'s declaration (see `state`), in which
+value buffers are aliased: a filter's registers may point into them.
+The creator's descriptor is a separate handle that the owning process
+can drop (`fd_open = False`).  Once the descriptor is closed the map is
+no longer reachable from outside, so not even the loading process can
+retune a policy after locking itself down.
 """
 
 from __future__ import annotations
 
 import errno
-from copy import deepcopy
 
 from .isa import FilterProgram, MapDecl, MapKind
+from .state import stateful
 
 EPERM = errno.EPERM
 ENOENT = errno.ENOENT
@@ -39,6 +41,8 @@ EFAULT = errno.EFAULT
 EINVAL = errno.EINVAL
 
 
+@stateful(value="name kind key_size value_size max_entries fd_open",
+          aliased="_array _table _programs")
 class PolicyMap:
     """One instantiated map. See the module docstring for semantics."""
 
@@ -154,38 +158,6 @@ class PolicyMap:
         if self.kind == MapKind.PROG_ARRAY:
             raise TypeError("program arrays hold programs, not values")
         return sorted((k, bytes(v)) for k, v in self._table.items())
-
-    def state_key(self, _open=frozenset()):
-        """Hashable content fingerprint for interleaving deduplication.
-        A program array includes its targets' maps, cycles by name only."""
-        if self.kind == MapKind.ARRAY:
-            return (self.name, tuple(bytes(v) for v in self._array))
-        if self.kind == MapKind.PROG_ARRAY:
-            if id(self) in _open:
-                return (self.name,)
-            inner = _open | {id(self)}
-            return (self.name, tuple(
-                (i, id(p), tuple(pm.state_key(inner) for pm in pmaps))
-                for i, (p, pmaps) in sorted(self._programs.items())))
-        return (self.name, tuple(sorted(
-            (k, bytes(v)) for k, v in self._table.items())))
-
-    def __deepcopy__(self, memo):
-        clone = object.__new__(PolicyMap)
-        memo[id(self)] = clone
-        clone.name = self.name
-        clone.kind = self.kind
-        clone.key_size = self.key_size
-        clone.value_size = self.value_size
-        clone.max_entries = self.max_entries
-        clone.fd_open = self.fd_open
-        clone._array = (None if self._array is None
-                        else [bytearray(v) for v in self._array])
-        clone._table = {k: bytearray(v) for k, v in self._table.items()}
-        # programs are immutable; their maps are state like any value
-        clone._programs = {i: (p, deepcopy(pmaps, memo))
-                           for i, (p, pmaps) in self._programs.items()}
-        return clone
 
     def __repr__(self):
         return (f"PolicyMap({self.name!r}, {self.kind.name.lower()}, "

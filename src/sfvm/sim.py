@@ -13,13 +13,14 @@ task was killed, engine-level errors, and deadlock.  The log's SHA-256
 over canonical JSON is the run's identity; two runs agree iff their
 digests do.
 
-`explore_interleavings` enumerates every schedule.  It deep-copies the
-whole world at each branch point and deduplicates futures by a full
-state fingerprint: when two prefixes reach indistinguishable states,
-the suffix set is computed once and reused, preserving both schedule
-counts and per-schedule logs.  `dedupe=False` disables the memo for
-brute-force cross-checking.  Exploration refuses traces above a step
-bound rather than silently running for hours.
+`explore_interleavings` enumerates every schedule.  It copies the world
+at each branch point and deduplicates futures by its fingerprint, both
+derived from the field declarations (see `state`): when two prefixes
+reach indistinguishable states, the suffix set is computed once and
+reused, preserving both schedule counts and per-schedule logs.
+`dedupe=False` disables the memo for brute-force cross-checking.
+Exploration refuses traces above a step bound rather than silently
+running for hours.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from copy import deepcopy
 from .engine import Engine, EngineConfig, EngineError
 from .isa import AUDIT_ARCH_X86_64, SyscallContext
 from .snapshot import DescriptorTable
+from .state import stateful
 from .trace import Trace, TraceError
 from .usermem import WriteStatus
 from .vm import FaultServiceBlock, WaitBlock
@@ -54,13 +56,18 @@ def _build_ctx(ev) -> SyscallContext:
                           args=tuple(args))
 
 
+@stateful(shared="trace", owned="engine",
+          value="replay demand_map pos in_progress blocked handle_ids "
+                "checkpoints finished",
+          untracked={"rng": "exploration picks every task itself",
+                     "entries": "the log of the way here, not of what follows",
+                     "schedule": "the way here, not where it leads"})
 class Simulator:
     def __init__(self, trace: Trace, config: EngineConfig | None = None,
                  descriptors: DescriptorTable | None = None,
                  seed: int = 0, schedule=None, demand_map: bool = True):
         self.trace = trace
         self.engine = Engine(config, descriptors)
-        self.seed = seed
         self.rng = random.Random(seed)
         self.replay = list(schedule) if schedule is not None else None
         self.demand_map = demand_map
@@ -369,37 +376,6 @@ class Simulator:
             "schedule": list(self.schedule),
             "digest": self.digest(),
         }
-
-    # -- state fingerprint -------------------------------------------------
-
-    def state_key(self):
-        return (
-            tuple(sorted(self.pos.items())),
-            tuple(sorted(self.in_progress)),
-            tuple(sorted(self.blocked.items())),
-            tuple(sorted(self.handle_ids.items())),
-            self.engine.state_key(),
-        )
-
-    def __deepcopy__(self, memo):
-        clone = object.__new__(Simulator)
-        memo[id(self)] = clone
-        clone.trace = self.trace               # immutable once parsed
-        clone.engine = deepcopy(self.engine, memo)
-        clone.seed = self.seed
-        clone.rng = random.Random()
-        clone.rng.setstate(self.rng.getstate())
-        clone.replay = None if self.replay is None else list(self.replay)
-        clone.demand_map = self.demand_map
-        clone.pos = dict(self.pos)
-        clone.in_progress = set(self.in_progress)
-        clone.blocked = dict(self.blocked)
-        clone.entries = deepcopy(self.entries, memo)
-        clone.schedule = list(self.schedule)
-        clone.handle_ids = dict(self.handle_ids)
-        clone.checkpoints = dict(self.checkpoints)
-        clone.finished = self.finished
-        return clone
 
 
 MAX_EXPLORE_STEPS = 14

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .state import stateful
 from .usermem import UserMemory
 
 SNAPSHOT_LIMIT = 4096
@@ -151,16 +152,17 @@ class DescriptorTable:
         return nr in self._table
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Range:
     src: int
     size: int
     region: int | None   # staging address in copy mode, None in wp mode
 
 
+@stateful(value="mode region_base region_len ranges fault_markers "
+                "protected_pages released")
 @dataclass
 class ArgSnapshot:
-    tid: int
     mode: str
     region_base: int
     region_len: int = 0
@@ -243,7 +245,7 @@ class Snapshotter:
         self.mode = mode
 
     def snapshot(self, mem: UserMemory, tid: int, ctx) -> ArgSnapshot:
-        snap = ArgSnapshot(tid=tid, mode=self.mode,
+        snap = ArgSnapshot(mode=self.mode,
                            region_base=REGION_BASE + tid * REGION_STRIDE)
         for idx, desc in sorted(self.descriptors.get(ctx.nr).items()):
             if desc.kind == "scalar":

@@ -60,6 +60,7 @@ _REQUIRED = {
     "restore": ("task",),
 }
 EVENT_KINDS = frozenset(_REQUIRED)
+_INT_FIELDS = {"tid", "task", "nr", "addr", "install", "target", "value_u64"}
 
 
 class TraceError(ValueError):
@@ -118,6 +119,17 @@ def _check_event(raw: dict, line: int) -> TraceEvent:
         if not isinstance(args, list) or len(args) > 6 \
                 or not all(isinstance(a, int) for a in args):
             raise TraceError(f"line {line}: args must be up to six integers")
+    for key, value in raw.items():
+        if key in _INT_FIELDS and type(value) is not int:
+            raise TraceError(f"line {line}: {key} must be an integer")
+        if key.endswith("_hex"):
+            try:
+                bytes.fromhex(value)
+            except (TypeError, ValueError):
+                raise TraceError(f"line {line}: {key} is not hex") from None
+        elif key == "caps" and not (isinstance(value, list) and all(
+                isinstance(c, str) for c in value)):
+            raise TraceError(f"line {line}: caps must be a list of strings")
     fields = {k: v for k, v in raw.items() if k not in ("event", "dt_ns")}
     return TraceEvent(kind, line, dt, fields)
 

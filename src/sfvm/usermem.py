@@ -18,7 +18,10 @@ needs closed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from enum import Enum
+
+from .state import stateful
 
 PAGE_SIZE = 4096
 
@@ -30,14 +33,13 @@ class WriteStatus(Enum):
     DENIED = "denied"
 
 
+@stateful(value="writable user_accessible may_write data")
+@dataclass(slots=True)
 class _Page:
-    __slots__ = ("data", "writable", "user_accessible", "may_write")
-
-    def __init__(self, writable=True, user_accessible=True, may_write=True):
-        self.data = bytearray(PAGE_SIZE)
-        self.writable = writable
-        self.user_accessible = user_accessible
-        self.may_write = may_write
+    writable: bool = True
+    user_accessible: bool = True
+    may_write: bool = True
+    data: bytearray = field(default_factory=lambda: bytearray(PAGE_SIZE))
 
 
 def page_base(addr: int) -> int:
@@ -53,6 +55,7 @@ def pages_spanning(addr: int, size: int):
     return list(range(first, last + 1, PAGE_SIZE))
 
 
+@stateful(owned="_pages", value="_protected")
 class UserMemory:
     def __init__(self):
         self._pages: dict[int, _Page] = {}
@@ -166,23 +169,3 @@ class UserMemory:
 
     def is_protected(self, addr: int, size: int = 1) -> bool:
         return any(b in self._protected for b in pages_spanning(addr, size))
-
-    # -- introspection ----------------------------------------------------
-
-    def state_key(self):
-        return (
-            tuple(sorted((b, bytes(p.data), p.writable, p.user_accessible,
-                          p.may_write) for b, p in self._pages.items())),
-            tuple(sorted(self._protected.items())),
-        )
-
-    def __deepcopy__(self, memo):
-        clone = object.__new__(UserMemory)
-        memo[id(self)] = clone
-        clone._pages = {}
-        for base, page in self._pages.items():
-            p = _Page(page.writable, page.user_accessible, page.may_write)
-            p.data = bytearray(page.data)
-            clone._pages[base] = p
-        clone._protected = dict(self._protected)
-        return clone

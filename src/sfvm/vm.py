@@ -73,6 +73,7 @@ from .isa import (
     TAIL_CALL_PROTO,
     U64_MASK,
 )
+from .state import stateful
 
 MAX_TAIL_CALLS = 32
 STEP_LIMIT = 1_000_000
@@ -85,28 +86,18 @@ class VmFault(Exception):
     pass
 
 
+@stateful(aliased="map")
 @dataclass(frozen=True)
 class MapRef:
     map: object
 
-    def __deepcopy__(self, memo):
-        from copy import deepcopy
-        return MapRef(deepcopy(self.map, memo))
 
-
+@stateful(aliased="buf", value="off")
 @dataclass(frozen=True)
 class MemPtr:
-    """Pointer into a stack frame or a live map value.
-
-    `origin` is stable provenance for state fingerprinting:
-    ("stack",) or ("mapval", map_name, key_bytes).
-    """
+    """Pointer into a stack frame or a live map value."""
     buf: bytearray
     off: int
-    origin: tuple
-
-    def moved(self, delta: int) -> "MemPtr":
-        return MemPtr(self.buf, self.off + delta, self.origin)
 
 
 @dataclass(frozen=True)
@@ -128,25 +119,26 @@ class VmOutcome:
     fault_reason: str = ""
 
 
+@stateful(value="counts")
 class InFlightTable:
-    """How many tasks are currently inside each syscall number.  The
-    numbers one task holds are a `registered` set kept by its caller."""
+    """How many tasks are currently inside each syscall number (`counts`).
+    The numbers one task holds are a `registered` set kept by its caller."""
 
     def __init__(self):
-        self._counts: dict[int, int] = {}
+        self.counts: dict[int, int] = {}
 
     def increment(self, nr: int):
-        self._counts[nr] = self._counts.get(nr, 0) + 1
+        self.counts[nr] = self.counts.get(nr, 0) + 1
 
     def decrement(self, nr: int):
-        current = self._counts.get(nr, 0)
+        current = self.counts.get(nr, 0)
         if current <= 1:
-            self._counts.pop(nr, None)
+            self.counts.pop(nr, None)
         else:
-            self._counts[nr] = current - 1
+            self.counts[nr] = current - 1
 
     def count(self, nr: int) -> int:
-        return self._counts.get(nr, 0)
+        return self.counts.get(nr, 0)
 
     def register(self, nr: int, registered: set):
         """Count the task holding `registered` as inside `nr`, once."""
@@ -157,9 +149,6 @@ class InFlightTable:
     def others_inside(self, nr: int, registered: set) -> bool:
         """Is a task other than the one holding `registered` inside `nr`?"""
         return self.count(nr) > (nr in registered)
-
-    def state_key(self):
-        return tuple(sorted(self._counts.items()))
 
 
 class RuntimeEnv:
@@ -189,6 +178,9 @@ class RuntimeEnv:
         return ("fault", None) if data is None else ("ok", data)
 
 
+@stateful(shared="ctx program block outcome", aliased="maps regs stack",
+          value="pc stack_init steps helper_calls tail_depth pure done "
+                "fault_serviced")
 class VmThread:
     def __init__(self, program: FilterProgram, prog_maps, ctx: SyscallContext):
         if not program.verified:
@@ -215,7 +207,7 @@ class VmThread:
         self.stack = bytearray(STACK_SIZE)
         self.stack_init = 0
         self.regs[1] = _CTX
-        self.regs[10] = MemPtr(self.stack, STACK_SIZE, ("stack",))
+        self.regs[10] = MemPtr(self.stack, STACK_SIZE)
 
     def _get(self, idx: int):
         v = self.regs[idx]
@@ -262,7 +254,7 @@ class VmThread:
             raise VmFault("memory access not 8-byte aligned")
         if at < 0 or at + size > len(ptr.buf):
             raise VmFault("memory access out of bounds")
-        if ptr.origin == ("stack",) and not for_write:
+        if ptr.buf is self.stack and not for_write:
             first, last = at // 8, (at + size - 1) // 8
             for slot in range(first, last + 1):
                 if not self.stack_init & (1 << slot):
@@ -277,7 +269,7 @@ class VmThread:
         pos = ptr.off if at is None else at
         self._check_window(ptr, pos, len(data), for_write=True)
         ptr.buf[pos:pos + len(data)] = data
-        if ptr.origin == ("stack",):
+        if ptr.buf is self.stack:
             first, last = pos // 8, (pos + len(data) - 1) // 8
             for slot in range(first, last + 1):
                 self.stack_init |= 1 << slot
@@ -328,7 +320,7 @@ class VmThread:
 
     def _helper_map_lookup_elem(self, env, pmap, key):
         value = pmap.lookup(key)
-        return 0 if value is None else _mapval_ptr(pmap, value, key)
+        return 0 if value is None else MemPtr(value, 0)
 
     def _helper_map_update_elem(self, env, pmap, key, value, flags):
         return pmap.update(key, value, flags) & U64_MASK
@@ -341,8 +333,7 @@ class VmThread:
 
     def _helper_safe_task_storage_get(self, env, pmap, flags):
         value = pmap.storage_get(env.leader_tid, bool(flags & 1))
-        key = pmap.storage_key(env.leader_tid)
-        return 0 if value is None else _mapval_ptr(pmap, value, key)
+        return 0 if value is None else MemPtr(value, 0)
 
     def _helper_safe_task_storage_delete(self, env, pmap):
         return pmap.storage_delete(env.leader_tid) & U64_MASK
@@ -406,26 +397,6 @@ class VmThread:
         self._enter(*entry)
         return _HANDED_OFF
 
-    # -- state fingerprinting ----------------------------------------------
-
-    def state_key(self):
-        regs = []
-        for v in self.regs:
-            if isinstance(v, int):
-                regs.append(("k", v))
-            elif isinstance(v, MemPtr):
-                regs.append(("p", v.origin, v.off))
-            elif isinstance(v, MapRef):
-                regs.append(("m", v.map.name))
-            elif v == _CTX:
-                regs.append(("c",))
-            else:
-                regs.append(("x",))
-        return (id(self.program), self.pc, tuple(regs), bytes(self.stack),
-                self.stack_init, self.steps, self.helper_calls,
-                self.tail_depth, self.block, self.done,
-                tuple(sorted(self.fault_serviced)))
-
 
 # -- lowering ---------------------------------------------------------------
 #
@@ -438,10 +409,6 @@ class VmThread:
 _PARKED = object()
 _HANDED_OFF = object()
 _CLOBBERED = [_UNSET] * 5     # r1..r5 after a call
-
-
-def _mapval_ptr(pmap: m.PolicyMap, value: bytearray, key: bytes) -> MemPtr:
-    return MemPtr(value, 0, ("mapval", pmap.name, key))
 
 
 def _compile(program: FilterProgram) -> tuple:
@@ -601,7 +568,9 @@ def _lower_alu(base, imm_form, dst, src, imm, nxt):
             if not isinstance(rhs, int):
                 raise VmFault("pointer arithmetic needs a scalar offset")
             delta = rhs if rhs < (1 << 63) else rhs - (1 << 64)
-            t._set(dst, lhs.moved(delta if base == "add" else -delta))
+            if base == "sub":
+                delta = -delta
+            t._set(dst, MemPtr(lhs.buf, lhs.off + delta))
         elif isinstance(lhs, int) and isinstance(rhs, int):
             t._set(dst, fn(lhs, rhs))
         else:

@@ -379,15 +379,15 @@ def test_stacked_serializations_discount_the_syscalls_own_registration():
                attach(eng, gen_serialization({0: [1]})))
         for _ in range(2))
     assert eng.run_syscall(first, ctx(0))["action"] == "allow"
-    assert eng.in_flight.state_key() == ((0, 1),)
+    assert eng.in_flight.counts == {0: 1}
     # another task inside 0 still holds the second one at the door
     with pytest.raises(EngineError, match="would wait on syscall 0"):
         eng.run_syscall(second, ctx(0))
     assert eng.kill_task(second) == [second]
     eng.syscall_exit(first)
-    assert eng.in_flight.state_key() == ()
+    assert eng.in_flight.counts == {}
     assert probe(eng, first, ctx(0))["action"] == "allow"
-    assert eng.in_flight.state_key() == ()
+    assert eng.in_flight.counts == {}
 
 
 def test_a_syscall_that_would_wait_is_abandoned():
@@ -402,11 +402,11 @@ def test_a_syscall_that_would_wait_is_abandoned():
     with pytest.raises(EngineError, match="would wait on syscall 0"):
         eng.run_syscall(second, ctx(0))
     assert eng.task(second).pending is None
-    assert eng.in_flight.state_key() == ((0, 1),)
+    assert eng.in_flight.counts == {0: 1}
     eng.syscall_exit(first)
-    assert eng.in_flight.state_key() == ()
+    assert eng.in_flight.counts == {}
     assert probe(eng, second, ctx(0))["action"] == "allow"
-    assert eng.in_flight.state_key() == ()
+    assert eng.in_flight.counts == {}
 
 
 def test_in_flight_table_counts():
@@ -416,13 +416,13 @@ def test_in_flight_table_counts():
     table.increment(3)
     table.increment(5)
     assert table.count(3) == 2
-    assert table.state_key() == ((3, 2), (5, 1))
+    assert table.counts == {3: 2, 5: 1}
     table.decrement(3)
     table.decrement(5)
     table.decrement(5)               # over-decrement clamps at zero
     assert table.count(3) == 1
     assert table.count(5) == 0
-    assert table.state_key() == ((3, 1),)
+    assert table.counts == {3: 1}
 
 
 # -- entry-time argument capture ----------------------------------------------

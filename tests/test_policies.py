@@ -270,7 +270,7 @@ def test_serialization_map_layout():
 def test_serialization_registers_only_paired_syscalls():
     eng, tid = fresh(gen_serialization({42: [77]}))
     assert probe(eng, tid, ctx(9))["action"] == "allow"
-    assert eng.in_flight.state_key() == ()
+    assert eng.in_flight.counts == {}
     record = eng.run_syscall(tid, ctx(42))
     assert record["action"] == "allow"
     assert eng.in_flight.count(42) == 1      # held until the exit

@@ -352,18 +352,6 @@ EXPLORE_EVENTS = [
 ]
 
 
-def test_explore_enumerates_every_schedule():
-    trace = parse_trace(trace_text(EXPLORE_EVENTS))
-    results = explore_interleavings(trace)
-    schedules = [tuple(s) for s, _ in results]
-    assert len(schedules) == len(set(schedules))
-    # 4 events for task 1 interleaved with 2 for task 2: C(6,2)
-    assert len(schedules) == 15
-    for schedule, entries in results:
-        again = run_trace(EXPLORE_EVENTS, schedule=list(schedule))
-        assert log_digest(again.entries) == log_digest(entries)
-
-
 # a dispatcher hands every syscall to a target that keeps the last
 # first argument in its own array: it denies with the previous value as
 # errno (allows while that is 0) and stores the new one, so its verdicts
@@ -414,8 +402,142 @@ TAIL_STATE_EVENTS = [
 ]
 
 
+# syscall 5 keeps a pointer to its counter across a wait for syscall 9
+# to drain, then bumps the counter and denies with the new count as
+# errno; syscall 9 registers itself and is allowed
+COUNT_AFTER_WAIT = hexprog(
+    "section seccomp\n"
+    "map count array 8 8 1\n"
+    "    ld_ctx r1, 0\n"
+    "    jeq r1, 5, counted\n"
+    "    mov r2, 77\n"
+    "    call wait_syscall\n"
+    "    ld_imm64 r0, 0x7fff0000\n"
+    "    exit\n"
+    "counted:\n"
+    "    mov r6, 0\n"
+    "    st_map r10, r6, -8\n"
+    "    mov r2, r10\n"
+    "    add r2, -8\n"
+    "    ld_imm64 r1, map:count\n"
+    "    call map_lookup_elem\n"
+    "    jeq r0, 0, out\n"
+    "    mov r6, r0\n"
+    "    mov r1, 5\n"
+    "    mov r2, 9\n"
+    "    call wait_syscall\n"
+    "    ld_map r7, r6, 0\n"
+    "    add r7, 1\n"
+    "    st_map r6, r7, 0\n"
+    "    or r7, 0x50000\n"
+    "    mov r0, r7\n"
+    "    exit\n"
+    "out:\n"
+    "    mov r0, 0\n"
+    "    exit\n")
+
+# a copy taken while task 1 waits must keep r6 pointing into the copy's
+# own counter, or the bump is lost and the second verdict repeats errno 1
+MAP_POINTER_ACROSS_WAIT = [
+    {"event": "spawn", "tid": 1, "nnp": True},
+    *attach_events(1, COUNT_AFTER_WAIT),
+    {"event": "spawn_thread", "task": 1, "tid": 2},
+    {"event": "syscall_enter", "task": 1, "nr": 5},
+    {"event": "syscall_exit", "task": 1},
+    {"event": "syscall_enter", "task": 1, "nr": 5},
+    {"event": "syscall_exit", "task": 1},
+    {"event": "syscall_enter", "task": 2, "nr": 9},
+    {"event": "syscall_exit", "task": 2},
+]
+
+# denies with the value in its array as errno, allows while that is 0
+DENY_WITH_LIMIT = hexprog(
+    "section seccomp\n"
+    "map limit array 8 8 1\n"
+    "    mov r6, 0\n"
+    "    st_map r10, r6, -8\n"
+    "    mov r2, r10\n"
+    "    add r2, -8\n"
+    "    ld_imm64 r1, map:limit\n"
+    "    call map_lookup_elem\n"
+    "    jeq r0, 0, allow\n"
+    "    ld_map r7, r0, 0\n"
+    "    jeq r7, 0, allow\n"
+    "    or r7, 0x50000\n"
+    "    mov r0, r7\n"
+    "    exit\n"
+    "allow:\n"
+    "    ld_imm64 r0, 0x7fff0000\n"
+    "    exit\n")
+
+# the child's update before or after the checkpoint leaves the live map
+# the same but not the saved blob, so the restored filter votes apart
+CHECKPOINT_AFTER_UPDATE = [
+    {"event": "spawn", "tid": 1, "caps": ["CAP_SYS_ADMIN"]},
+    *attach_events(1, DENY_WITH_LIMIT),
+    {"event": "spawn", "task": 1, "tid": 2},
+    {"event": "checkpoint", "task": 1, "id": "c"},
+    {"event": "restore", "task": 1, "id": "c"},
+    {"event": "syscall_enter", "task": 1, "nr": 3},
+    {"event": "map_update", "task": 2, "target": 1, "install": 0,
+     "map": "limit", "key_hex": "00" * 8, "value_hex": "01" + "00" * 7},
+]
+
+# always allows, after a three-step detour while its array holds 1
+DETOUR_ON_FLAG = hexprog(
+    "section seccomp\n"
+    "map flag array 8 8 1\n"
+    "    mov r6, 0\n"
+    "    st_map r10, r6, -8\n"
+    "    mov r2, r10\n"
+    "    add r2, -8\n"
+    "    ld_imm64 r1, map:flag\n"
+    "    call map_lookup_elem\n"
+    "    jeq r0, 0, allow\n"
+    "    ld_map r7, r0, 0\n"
+    "    jeq r7, 0, allow\n"
+    "    mov r7, 1\n"
+    "    mov r7, 2\n"
+    "    mov r7, 3\n"
+    "allow:\n"
+    "    ld_imm64 r0, 0x7fff0000\n"
+    "    exit\n")
+
+# waits for the syscall named in args[0] to drain
+WAIT_ARG0 = hexprog(
+    "section seccomp\n"
+    "    ld_ctx r1, 0\n"
+    "    ld_ctx r2, 16\n"
+    "    call wait_syscall\n"
+    "    ld_imm64 r0, 0x7fff0000\n"
+    "    exit\n")
+
+# task 1's first filter votes allow in a number of steps that depends
+# on the flag, and its second waits while thread 2 is inside syscall 9;
+# task 3 sets the flag and clears it again, so two parked states can
+# agree on everything but the steps of the vote already cast
+VOTE_STEPS = [
+    {"event": "spawn", "tid": 1, "nnp": True},
+    *attach_events(1, DETOUR_ON_FLAG),
+    {"event": "load", "task": 1, "handle": 2, "program_hex": WAIT_ARG0},
+    {"event": "install", "task": 1, "handle": 2},
+    {"event": "spawn_thread", "task": 1, "tid": 2},
+    {"event": "spawn", "task": 1, "tid": 3, "caps": ["CAP_SYS_ADMIN"]},
+    {"event": "syscall_enter", "task": 1, "nr": 5, "args": [9]},
+    {"event": "syscall_enter", "task": 2, "nr": 9, "args": [77]},
+    {"event": "syscall_exit", "task": 2},
+    {"event": "map_update", "task": 3, "target": 1, "install": 0,
+     "map": "flag", "key_hex": "00" * 8, "value_hex": "01" + "00" * 7},
+    {"event": "map_update", "task": 3, "target": 1, "install": 0,
+     "map": "flag", "key_hex": "00" * 8, "value_hex": "00" * 8},
+]
+
+
 TRACE_CASES = {"explore-events": EXPLORE_EVENTS,
-               "tail-call-state": TAIL_STATE_EVENTS}
+               "tail-call-state": TAIL_STATE_EVENTS,
+               "map-pointer-across-wait": MAP_POINTER_ACROSS_WAIT,
+               "checkpoint-after-update": CHECKPOINT_AFTER_UPDATE,
+               "vote-steps": VOTE_STEPS}
 EXPLORE_SCENARIOS = [name for name in bundled_scenario_names()
                      if load_bundled_scenario(name).get("mode") == "explore"]
 
@@ -435,6 +557,38 @@ def test_dedupe_preserves_the_schedule_set(name):
         assert len(fast) == 15
         # the target's state decides: some schedules deny with its value
         assert len({log_digest(e) for _, e in fast}) > 1
+
+
+def test_explore_enumerates_every_schedule():
+    for name, events in TRACE_CASES.items():
+        results = explore_interleavings(parse_trace(trace_text(events)))
+        schedules = [tuple(s) for s, _ in results]
+        assert len(schedules) == len(set(schedules)), name
+        if name == "explore-events":
+            # 4 events for task 1 interleaved with 2 for task 2: C(6,2)
+            assert len(schedules) == 15
+        # every explored log is the log of replaying its schedule
+        for schedule, entries in results:
+            again = run_trace(events, schedule=list(schedule))
+            assert log_digest(again.entries) == log_digest(entries), \
+                (name, schedule)
+
+
+def test_map_update_before_its_target_installs_is_an_error_entry():
+    events = [
+        {"event": "spawn", "tid": 1, "caps": ["CAP_SYS_ADMIN"]},
+        {"event": "spawn", "tid": 2, "caps": ["CAP_SYS_ADMIN"]},
+        *attach_events(1, DENY_WITH_LIMIT),
+        {"event": "map_update", "task": 2, "target": 1, "install": 0,
+         "map": "limit", "key_hex": "00" * 8, "value_hex": "00" * 8},
+    ]
+    sim = run_trace(events, schedule=[2, 1, 1])
+    assert sim.entries == [{"kind": "error", "task": 2,
+                            "event": "map_update",
+                            "error": "task 1 has no installation 0"}]
+    # after the install, before it, or before the load
+    results = explore_interleavings(parse_trace(trace_text(events)))
+    assert [len(e) for _, e in results] == [0, 1, 1]
 
 
 def test_explore_refuses_oversized_traces():

@@ -71,6 +71,23 @@ def test_dt_ns_is_preserved():
      '"args": [1, 2, 3, 4, 5, 6, 7]}', "six integers"),
     ('{"event": "syscall_enter", "task": 1, "nr": 0, "args": ["x"]}',
      "six integers"),
+    ('{"event": "map_update", "task": 1, "install": "0", "map": "m", '
+     '"key_hex": "00", "value_hex": "00"}', "install must be an integer"),
+    ('{"event": "map_update", "task": 1, "install": 0, "map": "m", '
+     '"key_hex": "0g", "value_hex": "00"}', "key_hex is not hex"),
+    ('{"event": "mem_write", "task": 1, "addr": 4096, "data_hex": "abc"}',
+     "data_hex is not hex"),
+    ('{"event": "mem_write", "task": 1, "addr": "0x1000", "value_u64": 1}',
+     "addr must be an integer"),
+    ('{"event": "load", "task": 1, "handle": 1, "program_hex": 7}',
+     "program_hex is not hex"),
+    ('{"event": "restore", "task": 1, "blob_hex": "zz"}',
+     "blob_hex is not hex"),
+    ('{"event": "set_caps", "task": 1, "caps": 5}',
+     "caps must be a list of strings"),
+    ('{"event": "spawn", "task": 1, "tid": 2, "caps": [5]}',
+     "caps must be a list of strings"),
+    ('{"event": "syscall_exit", "task": true}', "task must be an integer"),
 ])
 def test_event_validation(line, fragment):
     with pytest.raises(TraceError, match=fragment):
