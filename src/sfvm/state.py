@@ -57,6 +57,23 @@ def _copy(v, memo):
     return out
 
 
+def _order(k):
+    """A total order over keys of mixed types (a trace may name handles by
+    int and by str): by type name first, tuples element by element."""
+    if type(k) is tuple:
+        return ("tuple", tuple(map(_order, k)))
+    return (type(k).__name__, k)
+
+
+def _sorted(keys):
+    # for the keys held here (ints, strs, bytes, tuples of them) a plain
+    # comparison that works agrees with `_order`, and is faster
+    try:
+        return sorted(keys)
+    except TypeError:
+        return sorted(keys, key=_order)
+
+
 def _key(v, seen, alias):
     t = type(v)
     if t in _LEAVES:
@@ -65,9 +82,10 @@ def _key(v, seen, alias):
         if t is tuple or t is list:
             return tuple([_key(x, seen, alias) for x in v])
         if t is dict:
-            return tuple([(k, _key(v[k], seen, alias)) for k in sorted(v)])
+            return tuple([(k, _key(v[k], seen, alias))
+                          for k in _sorted(v)])
         if t is set:
-            return tuple(sorted(v))
+            return tuple(_sorted(v))
         if alias and t in _MUTABLE:
             n = seen.get(id(v))
             if n is not None:

@@ -127,6 +127,9 @@ def _check_event(raw: dict, line: int) -> TraceEvent:
                 bytes.fromhex(value)
             except (TypeError, ValueError):
                 raise TraceError(f"line {line}: {key} is not hex") from None
+        elif key == "handle" and type(value) not in (int, str):
+            raise TraceError(f"line {line}: handle must be an integer or a"
+                             " string")
         elif key == "caps" and not (isinstance(value, list) and all(
                 isinstance(c, str) for c in value)):
             raise TraceError(f"line {line}: caps must be a list of strings")

@@ -1,7 +1,7 @@
 """Static safety checker for filter programs.
 
 A program of at most `MAX_INSTRUCTIONS` instructions is accepted only if
-an exhaustive abstract walk of its control flow proves, within
+abstract interpretation of its control flow proves, within
 `STEP_BUDGET` abstract steps, that every path:
 
   * reads the syscall context only in whole, naturally aligned fields,
@@ -18,14 +18,32 @@ an exhaustive abstract walk of its control flow proves, within
 The abstract domain is deliberately small: registers are tracked as
 unknown scalars, known constants, or typed pointers (context, frame,
 map handle, map value), and stack slots carry one initialized bit per
-8-byte unit.  Branches whose condition involves an unknown value fork
-the walk in both directions; a branch over known constants follows the
-one real edge, which is what lets counted loops verify.  If an abstract
-state ever repeats on the current path the program cannot be proven
-terminating and is rejected; likewise if the walk exhausts the step
-budget.  Accepted programs therefore execute within the budget at run
-time, at the price of rejecting some terminating programs (e.g. loops
-bounded only by values unknown at verification time).
+8-byte unit.  One abstract step (`_Walker.successors`) gives every
+continuation of one instruction: a branch whose condition involves an
+unknown value goes both ways, a branch over known constants follows the
+one real edge, which is what lets counted loops verify.
+
+The control-flow graph is built once per program.  Code from which no
+cycle can be reached is proven in one forward pass in topological order
+that joins states where paths merge (after the kernel verifier's
+pruning, Documentation/bpf/verifier.rst): equal tags stay, mixed scalars
+become unknown, other mismatches uninitialized, and a stack slot stays
+initialized only if both paths wrote it.  The pass starts at pc 0 of a
+loop-free program, or where the walk below leaves a pc that can reach a
+cycle for one that cannot (a loop's exit); n independent diamonds then
+cost 2n steps, not 2**n paths.  Joins only lose facts, so the pass
+proves only what the walk would.
+
+Everything else is a depth-first walk of abstract paths: around loops,
+and below any state the pass failed on, so every rejection, its reason
+and its pc are the walk's (`_walk`).  If an abstract state repeats on
+the current path the program cannot be proven terminating and is
+rejected; likewise if the walk exhausts the step budget.  The pass has a
+budget of its own, so the one verdict it changes is a loop-free region
+too large for the walk's budget: it now verifies.  Accepted programs
+execute within the budget at run time, at the price of rejecting some
+terminating programs (e.g. loops bounded only by values unknown at
+verification time).
 
 Pointer discipline matches the generated-policy subset rather than the
 full kernel verifier: pointers may be copied and offset by known
@@ -35,6 +53,7 @@ a map-lookup result), or returned.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .isa import (
@@ -91,6 +110,8 @@ def null_or_value(idx):
 
 
 _SCALARS = ("K", "U")
+_JUMPS = frozenset(JUMP_BASE) | {Opcode.JA}
+_NO_FALL_THROUGH = frozenset({Opcode.JA, Opcode.EXIT})
 
 
 @dataclass
@@ -100,6 +121,8 @@ class VerifierReport:
     offending_instruction: int | None = None
     notes: dict = field(default_factory=dict)
     abstract_steps: int = 0
+    joined_states: int = 0      # region entries the joined pass proved
+    walked_states: int = 0      # states the path walk expanded
 
     def to_json(self) -> dict:
         return {
@@ -107,6 +130,8 @@ class VerifierReport:
             "reason": self.reason,
             "offending_instruction": self.offending_instruction,
             "abstract_steps": self.abstract_steps,
+            "joined_states": self.joined_states,
+            "walked_states": self.walked_states,
             "notes": {str(k): v for k, v in sorted(self.notes.items())},
         }
 
@@ -123,7 +148,40 @@ class _Walker:
         self.program = program
         self.insns = program.instructions
         self.visits: dict[int, int] = {}
-        self.steps = 0
+        self.joined_steps = 0
+        self.joined_states = 0
+
+    def report(self, walked, reason=None, pc=None):
+        return VerifierReport(reason is None, reason or "", pc,
+                              notes=dict(self.visits),
+                              abstract_steps=self.joined_steps + walked,
+                              joined_states=self.joined_states,
+                              walked_states=walked)
+
+    def joined_pass(self, rank, pc, state):
+        """Prove (pc, state) in one pass over the acyclic region below it,
+        in topological order, joining states where paths merge.  False if
+        a joined state violates or the pass's budget runs out."""
+        pending = {pc: state}
+        heap = [(-rank[pc], pc)]
+        try:
+            while heap:
+                _, pc = heapq.heappop(heap)
+                self.joined_steps += 1
+                if self.joined_steps > STEP_BUDGET:
+                    return False
+                for nxt, succ in self.successors(pc, pending.pop(pc)):
+                    if nxt not in rank:     # falls off the program end
+                        return False
+                    if nxt in pending:
+                        pending[nxt] = _join(pending[nxt], succ)
+                    else:
+                        pending[nxt] = succ
+                        heapq.heappush(heap, (-rank[nxt], nxt))
+        except _Violation:
+            return False
+        self.joined_states += 1
+        return True
 
     # -- state helpers ------------------------------------------------
 
@@ -365,8 +423,60 @@ def _after_call(state, r0):
     return ((r0,) + (UNINIT,) * 5 + regs[6:], stack_init)
 
 
+def _join(a, b):
+    """One state covering both where two paths merge: a register keeps an
+    equal tag, a scalar mix becomes unknown and any other mismatch
+    uninitialized; a stack slot stays initialized only if both agree."""
+    if a == b:
+        return a
+    regs = tuple(x if x == y else UNKNOWN
+                 if x[0] in _SCALARS and y[0] in _SCALARS else UNINIT
+                 for x, y in zip(a[0], b[0]))
+    return (regs, a[1] & b[1])
+
+
+def _acyclic_ranks(insns):
+    """Rank every pc that reaches no cycle so that edges go from higher
+    ranks to lower; the pcs left out can reach one.  Edges out of the
+    program are dropped and left to the abstract step to reject."""
+    n = len(insns)
+    preds = [[] for _ in range(n)]
+    outdeg = [0] * n
+    for pc, ins in enumerate(insns):
+        op = ins.opcode
+        if op not in _NO_FALL_THROUGH and pc + 1 < n:
+            preds[pc + 1].append(pc)
+            outdeg[pc] += 1
+        if op in _JUMPS and 0 <= pc + 1 + ins.offset < n:
+            preds[pc + 1 + ins.offset].append(pc)
+            outdeg[pc] += 1
+    # peel sinks: whatever never becomes one lies on or above a cycle
+    sinks = [pc for pc in range(n) if not outdeg[pc]]
+    rank = {}
+    while sinks:
+        pc = sinks.pop()
+        rank[pc] = len(rank)
+        for p in preds[pc]:
+            outdeg[p] -= 1
+            if not outdeg[p]:
+                sinks.append(p)
+    return rank
+
+
 def verify(program: FilterProgram) -> VerifierReport:
     """Check `program`; on acceptance its `verified` flag is set."""
+    report = _search(program, joined=True)
+    if report.accepted:
+        program.verified = True
+    return report
+
+
+def _walk(program: FilterProgram) -> VerifierReport:
+    """The path walk alone: the oracle whose verdicts `verify` keeps."""
+    return _search(program, joined=False)
+
+
+def _search(program, joined):
     if len(program.instructions) == 0:
         return VerifierReport(False, "program is empty", None)
     if len(program.instructions) > MAX_INSTRUCTIONS:
@@ -379,16 +489,20 @@ def verify(program: FilterProgram) -> VerifierReport:
             return VerifierReport(False, f"bad map declaration: {exc}", None)
 
     walker = _Walker(program)
+    rank = _acyclic_ranks(walker.insns) if joined else {}
     entry = (0, walker.entry_state())
 
     # iterative DFS: `on_path` detects abstract-state cycles, `completed`
-    # memoizes subtrees already proven terminating
+    # memoizes subtrees already proven terminating, by the walk or by the
+    # joined pass at an acyclic region's entry
     frames = [[entry, None, 0]]
     on_path = {entry}
     completed = set()
     steps = 0
 
     try:
+        if 0 in rank and walker.joined_pass(rank, *entry):
+            frames.clear()
         while frames:
             frame = frames[-1]
             (pc, state), succs, idx = frame
@@ -412,17 +526,12 @@ def verify(program: FilterProgram) -> VerifierReport:
                 raise _Violation(
                     pc, "unbounded loop: abstract state repeats on a path"
                 )
+            if nxt[0] in rank and pc not in rank \
+                    and walker.joined_pass(rank, *nxt):
+                completed.add(nxt)
+                continue
             on_path.add(nxt)
             frames.append([nxt, None, 0])
     except _Violation as v:
-        return VerifierReport(
-            False,
-            v.reason,
-            v.pc if v.pc >= 0 else pc,
-            notes=dict(walker.visits),
-            abstract_steps=steps,
-        )
-
-    program.verified = True
-    return VerifierReport(True, "", None, notes=dict(walker.visits),
-                          abstract_steps=steps)
+        return walker.report(steps, v.reason, v.pc if v.pc >= 0 else pc)
+    return walker.report(steps)

@@ -351,6 +351,7 @@ class VmThread:
 
     def _helper_safe_read_user(self, env, dst, size, addr):
         if not env.user_access_allowed:
+            self._write_mem(dst, bytes(size))   # the buffer is always filled
             return (-m.EPERM) & U64_MASK
         status, payload = env.read_user(addr, size)
         if status == "ok":
@@ -365,6 +366,7 @@ class VmThread:
 
     def _helper_safe_read_user_str(self, env, dst, cap, addr):
         if not env.user_access_allowed:
+            self._write_mem(dst, bytes(cap))
             return (-m.EPERM) & U64_MASK
         collected = bytearray()
         for i in range(cap):

@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from importlib.resources import files
 
+from sfvm.asm import assemble
 from sfvm.engine import Engine
-from sfvm.isa import CTX_FIELDS, SyscallContext
+from sfvm.isa import CTX_FIELDS, MapKind, SyscallContext
+from sfvm.maps import instantiate
 from sfvm.policies import (
     gen_allow_all,
     gen_allowlist,
@@ -25,6 +28,9 @@ from sfvm.policies import (
 from sfvm.sim import Simulator
 from sfvm.snapshot import DescriptorTable
 from sfvm.trace import parse_trace
+from sfvm.usermem import UserMemory
+from sfvm.verifier import verify
+from sfvm.vm import RuntimeEnv, VmThread
 
 
 def ctx(nr, *args, addr=0):
@@ -141,3 +147,316 @@ def every_generator() -> list:
         gen_validation_cache({0: {1: [8, 16]}, 2: {0: [0x1000]}}),
         gen_validation_cache({0: {1: [8, 16]}}, cached=False),
     ]
+
+
+# -- the verifier soundness corpus --------------------------------------------
+
+SOUND_MAPS = ("map arr array 8 16 4\n"
+              "map tab hash 8 8 4\n"
+              "map sto task_storage 8 8 4\n"
+              "map progs prog_array 8 8 2\n")
+USER_BASE = 0x10000         # random contexts point into [USER_BASE, +2 pages)
+
+_BREAKS = [
+    "mov r0, r{uninit}",                    # uninitialized register
+    "ld_map r6, r10, -72",                  # never-written stack slot
+    "st_map r10, r6, -12",                  # misaligned stack access
+    "st_map r10, r6, -520",                 # stack access out of bounds
+    "ld_ctx r6, 12",                        # context read off a field
+    "ld_imm64 r1, map:arr\nmov r2, 0\ntail_call",   # not a program array
+    "mov r1, r10\nadd r1, -8\nld_ctx r2, 16\nld_ctx r3, 24\n"
+    "call safe_read_user",                  # unknown byte count
+    "mov r1, r10\nadd r1, -8\nmov r2, 12\nld_ctx r3, 24\n"
+    "call safe_read_user",                  # byte count not a multiple of 8
+    "mov r2, r10\nadd r2, -80\nld_imm64 r1, map:tab\n"
+    "call map_lookup_elem",                 # key bytes never written
+    "mov r6, r10\nadd r6, r6",              # pointer plus unknown offset
+    "jne r6, r10, {label}\n{label}:",       # pointer in a comparison
+    "st_map r10, r6, -8\nmov r2, r10\nadd r2, -8\nld_imm64 r1, map:tab\n"
+    "call map_lookup_elem\nld_map r0, r0, 0",   # no null check
+    "st_map r10, r6, -8\nmov r2, r10\nadd r2, -8\nld_imm64 r1, map:tab\n"
+    "call map_lookup_elem\njeq r0, 0, {label}\nld_map r0, r0, 8\n"
+    "{label}:",                             # past the end of the value
+]
+
+# (before, one side of a branch, after the merge): a fault on one path
+# only, or on none when a known condition skips the side that breaks it
+_MERGE_BREAKS = [
+    ("mov r3, 5", "call ktime_get_ns", "mov r0, r3"),      # clobbered
+    ("mov r7, 1", "mov r7, r10", "st_map r10, r7, -8"),    # became a pointer
+    ("call ktime_get_ns", "ld_ctx r4, 24", "mov r0, r4"),  # set on one side
+    ("mov r0, 0", "st_map r10, r6, -72", "ld_map r0, r10, -72"),
+    ("mov r7, 3", "mov r7, 4",                             # known per path
+     "jne r7, 4, {label}\nmov r0, r5\n{label}:"),
+]
+
+
+class _SoundGen:
+    """Builds one program out of fragments, tracking which registers hold
+    scalars and which stack slots (offsets from r10) are written, and
+    where paths merge keeping only what both sides have."""
+
+    def __init__(self, rng: random.Random, tail: bool):
+        self.rng = rng
+        self.tail = tail
+        self.lines = ["section seccomp", SOUND_MAPS.rstrip("\n")]
+        self.scalars = set()
+        self.slots = set()
+        self.labels = 0
+
+    def emit(self, text: str):
+        self.lines.extend("    " + ln if not ln.endswith(":") else ln
+                          for ln in text.split("\n"))
+
+    def label(self) -> str:
+        self.labels += 1
+        return f"L{self.labels}"
+
+    def scalar(self) -> str:
+        return f"r{self.rng.choice(sorted(self.scalars))}"
+
+    def called(self, r0_scalar=True):
+        self.scalars -= {0, 1, 2, 3, 4, 5}
+        if r0_scalar:
+            self.scalars.add(0)
+
+    def stack_arg(self, reg: int, off: int):
+        self.emit(f"mov r{reg}, r10\nadd r{reg}, {off}")
+
+    def spill(self, off: int):
+        self.emit(f"st_map r10, {self.scalar()}, {off}")
+        self.slots.add(off)
+
+    # -- fragments: each leaves the tracked facts true on every path ----
+
+    def alu(self):
+        rng = self.rng
+        dst = rng.choice([0, 6, 7, 8, 9])
+        if dst not in self.scalars or rng.random() < 0.3:
+            self.emit(f"mov r{dst}, {rng.randint(-50, 50)}")
+        else:
+            op = rng.choice(["add", "sub", "mul", "and", "or", "xor",
+                             "lsh", "rsh"])
+            rhs = self.scalar() if rng.random() < 0.4 \
+                else str(rng.randint(0, 40))
+            self.emit(f"{op} r{dst}, {rhs}")
+        self.scalars.add(dst)
+
+    def ctx(self):
+        dst = self.rng.choice([6, 7, 8, 9])
+        self.emit(f"ld_ctx r{dst}, {self.rng.choice(sorted(CTX_FIELDS))}")
+        self.scalars.add(dst)
+
+    def stack(self):
+        if self.slots and self.rng.random() < 0.5:
+            dst = self.rng.choice([6, 7, 8, 9])
+            off = self.rng.choice(sorted(self.slots))
+            self.emit(f"ld_map r{dst}, r10, {off}")
+            self.scalars.add(dst)
+        else:
+            self.spill(-8 * self.rng.randint(1, 8))
+
+    def lookup(self):
+        rng = self.rng
+        name, size = rng.choice([("tab", 8), ("arr", 16)])
+        self.spill(-8)
+        self.stack_arg(2, -8)
+        self.emit(f"ld_imm64 r1, map:{name}\ncall map_lookup_elem")
+        self.called(r0_scalar=False)
+        out = self.label()
+        self.emit(f"jeq r0, 0, {out}")
+        off = 8 * rng.randrange(size // 8)
+        if rng.random() < 0.5:
+            self.emit(f"ld_map r0, r0, {off}")
+        else:
+            self.emit(f"st_map r0, {self.scalar()}, {off}\nmov r0, 1")
+        self.emit(f"{out}:")
+
+    def helper(self):
+        rng = self.rng
+        pick = rng.randrange(6)
+        if pick == 0:
+            name, value = rng.choice([("tab", 1), ("arr", 2)])
+            self.spill(-8)
+            for i in range(value):
+                self.spill(-16 - 8 * i)
+            self.stack_arg(2, -8)
+            self.stack_arg(3, -8 - 8 * value)
+            self.emit(f"mov r4, 0\nld_imm64 r1, map:{name}\n"
+                      "call map_update_elem")
+        elif pick == 1:
+            self.spill(-8)
+            self.stack_arg(2, -8)
+            self.emit("ld_imm64 r1, map:tab\ncall map_delete_elem")
+        elif pick == 2:
+            self.emit("call ktime_get_ns")
+        elif pick == 3:
+            size = 8 * rng.randint(1, 3)
+            off = -8 * rng.randint(size // 8, 8)
+            name = rng.choice(["safe_read_user", "safe_read_user_str"])
+            self.stack_arg(1, off)
+            self.emit(f"mov r2, {size}\nld_ctx r3, {rng.choice([16, 24])}\n"
+                      f"call {name}")
+            self.slots |= {off + 8 * i for i in range(size // 8)}
+        elif pick == 4:
+            out = self.label()
+            self.emit(f"ld_imm64 r1, map:sto\nmov r2, {rng.randint(0, 1)}\n"
+                      f"call safe_task_storage_get\njeq r0, 0, {out}\n"
+                      f"ld_map r0, r0, 0\n{out}:")
+            self.called(r0_scalar=False)
+            return
+        else:
+            self.emit(rng.choice(["ld_imm64 r1, map:sto\n"
+                                  "call safe_task_storage_delete",
+                                  "ld_ctx r1, 0\nmov r2, 77\n"
+                                  "call wait_syscall"]))
+        self.called()
+
+    def tail_call(self):
+        index = self.scalar() if self.rng.random() < 0.3 \
+            else str(self.rng.randint(0, 2))
+        self.emit(f"mov r2, {index}\nld_imm64 r1, map:progs\ntail_call")
+        self.called()
+
+    def branch(self, depth: int):
+        rng = self.rng
+        op = rng.choice(["jeq", "jne", "jgt", "jlt", "jset"])
+        rhs = self.scalar() if rng.random() < 0.3 else str(rng.randint(0, 9))
+        skip = self.label()
+        self.emit(f"{op} {self.scalar()}, {rhs}, {skip}")
+        before = (set(self.scalars), set(self.slots))
+        if rng.random() < 0.2:
+            self.emit(f"mov r0, {rng.randint(0, 3)}\nexit")
+        else:
+            self.body(depth + 1, rng.randint(1, 3))
+            before = (before[0] & self.scalars, before[1] & self.slots)
+        self.emit(f"{skip}:")
+        self.scalars, self.slots = before
+
+    def loop(self):
+        rng = self.rng
+        counter = rng.choice([6, 7, 8, 9])
+        top = self.label()
+        self.emit(f"mov r0, 0\nmov r{counter}, 0\n{top}:")
+        self.scalars |= {0, counter}
+        if rng.random() < 0.5:      # a diamond inside: paths double per turn
+            bit = self.label()
+            self.emit(f"jset {self.scalar()}, {1 << rng.randrange(8)}, {bit}\n"
+                      f"add r0, 1\n{bit}:")
+        self.emit(f"add r{counter}, 1\njlt r{counter}, {rng.randint(1, 4)},"
+                  f" {top}")
+
+    def body(self, depth: int, count: int):
+        kinds = [self.alu, self.ctx, self.stack, self.lookup, self.helper]
+        if self.tail:
+            kinds.append(self.tail_call)
+        for _ in range(count):
+            pick = self.rng.random()
+            if pick < 0.15 and depth < 2:
+                self.branch(depth)
+            elif pick < 0.22 and depth == 0:
+                self.loop()
+            else:
+                self.rng.choice(kinds)()
+
+    def breakage(self):
+        if self.rng.random() < 0.5:
+            before, side, after = self.rng.choice(_MERGE_BREAKS)
+            skip = self.label()
+            cond = self.rng.choice(["ld_ctx r9, 16", "mov r9, 3"])
+            self.emit(f"{before}\n{cond}\njeq r9, 3, {skip}\n{side}\n"
+                      f"{skip}:\n" + after.format(label=self.label()))
+            self.scalars = (self.scalars - {0, 1, 2, 3, 4, 5, 7}) | {9}
+            return
+        # r1..r5 are never tracked as scalars; r6 always is
+        self.emit(self.rng.choice(_BREAKS).format(
+            uninit=self.rng.randint(1, 5), label=self.label()))
+
+    def finish(self) -> str:
+        r0 = self.scalar() if self.rng.random() < 0.3 \
+            else self.rng.choice([0, 0x7FFF0000])
+        self.emit(f"mov r0, {r0}\nexit")
+        return "\n".join(self.lines) + "\n"
+
+
+def soundness_program(rng: random.Random, tail: bool = True):
+    """A program for the verifier's soundness properties, with its map
+    declarations: spills and fills through r10, map lookups with a null
+    check, the other helpers with stack arguments, tail calls into a
+    program array, forward branches on known and unknown values, counted
+    loops and looped diamonds.  About one in four is deliberately broken
+    once (`_BREAKS`, `_MERGE_BREAKS`, or a loop bounded only by an
+    unknown value); the rest should verify.  Returns (source, program)."""
+    gen = _SoundGen(rng, tail)
+    gen.emit("mov r6, 0")
+    gen.scalars.add(6)
+    count = rng.randint(3, 9)
+    breaks_at = rng.randrange(count) if rng.random() < 0.25 else None
+    for i in range(count):
+        if i == breaks_at:
+            if rng.random() < 0.15:
+                spin = gen.label()
+                gen.emit(f"ld_ctx r7, 16\n{spin}:\nadd r7, 0\n"
+                         f"jne r7, 0, {spin}")
+                gen.scalars.add(7)
+            else:
+                gen.breakage()
+        gen.body(0, 1)
+    source = gen.finish()
+    program = assemble(source)
+    if tail:
+        target = soundness_program(rng, tail=False)[1]
+        if verify(target).accepted:
+            decls = [replace(d, initial_programs={0: target})
+                     if d.kind == MapKind.PROG_ARRAY else d
+                     for d in program.map_refs]
+            program = replace(program, map_refs=tuple(decls))
+    return source, program
+
+
+def soundness_inputs(rng: random.Random, program):
+    """Random maps, context, user memory and environment for one run."""
+    prog_maps = instantiate(program)
+    nested = [pm.get_program(i) for pm in prog_maps
+              if pm.kind == MapKind.PROG_ARRAY for i in range(pm.max_entries)]
+    for pmap in prog_maps + [m for entry in nested if entry for m in entry[1]]:
+        if pmap.kind in (MapKind.ARRAY, MapKind.HASH):
+            for _ in range(rng.randint(0, 4)):
+                pmap.update(rng.randrange(6).to_bytes(8, "little"),
+                            rng.randbytes(pmap.value_size))
+        elif pmap.kind == MapKind.TASK_STORAGE and rng.random() < 0.5:
+            pmap.storage_get(1, create=True)[:] = rng.randbytes(8)
+    mem = UserMemory()
+    mem.map_region(USER_BASE, 2 * 4096)
+    mem.write(USER_BASE, rng.randbytes(2 * 4096))
+    c = SyscallContext(
+        nr=rng.choice([0, 1, 2, 77, rng.randint(-2**31, 2**31 - 1)]),
+        args=tuple(rng.choice([USER_BASE + rng.randrange(8192),
+                               rng.randint(0, 2**64 - 1), rng.randint(0, 9)])
+                   for _ in range(6)),
+        calling_address=rng.randint(0, 2**64 - 1))
+    env = RuntimeEnv(clock_ns=rng.randint(0, 2**40), usermem=mem,
+                     user_access_allowed=rng.random() < 0.7, leader_tid=1)
+    return prog_maps, c, env
+
+
+def soundness_faults(rng: random.Random, program, runs: int) -> list:
+    """Fault reasons of `runs` random runs of a verified program.  Hitting
+    `vm.STEP_LIMIT` after a handoff is excused: the limit counts steps
+    across a tail-call chain, the verifier bounds each program alone."""
+    faults = []
+    for _ in range(runs):
+        prog_maps, c, env = soundness_inputs(rng, program)
+        thread = VmThread(program, prog_maps, c)
+        if thread.run(env) != "done":
+            faults.append("run did not finish")
+        elif thread.outcome.faulted and not (
+                thread.outcome.fault_reason == "step limit exceeded"
+                and thread.tail_depth > 0):
+            faults.append(thread.outcome.fault_reason)
+    return faults
+
+
+def same_verdict(a, b) -> bool:
+    return (a.accepted, a.reason, a.offending_instruction) \
+        == (b.accepted, b.reason, b.offending_instruction)

@@ -78,6 +78,8 @@ def test_verify_accept_and_reject(tmp_path, asm_file, capsys):
     assert main(["verify", asm_file]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["accepted"] is True
+    # the asm file is loop-free: one joined pass proves it, no walk
+    assert (report["joined_states"], report["walked_states"]) == (1, 0)
 
     bad = tmp_path / "bad.s"
     bad.write_text(BAD_ASM)

@@ -591,6 +591,21 @@ def test_map_update_before_its_target_installs_is_an_error_entry():
     assert [len(e) for _, e in results] == [0, 1, 1]
 
 
+def test_explore_keys_handles_named_by_int_and_by_str():
+    # two pending handles of one task, one named 1 and one "a": the state
+    # fingerprint must order them without comparing an int with a str
+    events = [
+        {"event": "spawn", "tid": 1, "nnp": True},
+        {"event": "spawn", "tid": 2, "nnp": True},
+        {"event": "load", "task": 1, "handle": 1, "program_hex": ALLOW_ALL},
+        {"event": "load", "task": 1, "handle": "a", "program_hex": ALLOW_ALL},
+        {"event": "set_nnp", "task": 2},
+    ]
+    results = explore_interleavings(parse_trace(trace_text(events)))
+    assert len(results) == 3
+    assert all(entries == [] for _, entries in results)
+
+
 def test_explore_refuses_oversized_traces():
     events = [{"event": "spawn", "tid": 1, "nnp": True}]
     events += [{"event": "set_nnp", "task": 1}] * (MAX_EXPLORE_STEPS + 1)

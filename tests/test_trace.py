@@ -88,6 +88,12 @@ def test_dt_ns_is_preserved():
     ('{"event": "spawn", "task": 1, "tid": 2, "caps": [5]}',
      "caps must be a list of strings"),
     ('{"event": "syscall_exit", "task": true}', "task must be an integer"),
+    ('{"event": "install", "task": 1, "handle": [1]}',
+     "handle must be an integer or a string"),
+    ('{"event": "install", "task": 1, "handle": 1.5}',
+     "handle must be an integer or a string"),
+    ('{"event": "install", "task": 1, "handle": false}',
+     "handle must be an integer or a string"),
 ])
 def test_event_validation(line, fragment):
     with pytest.raises(TraceError, match=fragment):

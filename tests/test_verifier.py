@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -18,7 +20,7 @@ from sfvm.isa import (
 )
 from sfvm.verifier import verify
 
-from .helpers import every_generator
+from .helpers import every_generator, fuzz_source
 
 ALLOW = 0x7FFF0000
 
@@ -377,3 +379,76 @@ def test_every_generator_output_is_accepted():
     for prog in every_generator():
         report = verify(prog)
         assert report.accepted, report.reason
+        # loop-free: one joined pass proves it, so no policy pays twice
+        assert (report.joined_states, report.walked_states) == (1, 0)
+
+
+# -- the joined pass: loop-free regions in one forward pass ---------------------
+
+def diamonds(n: int, looped: bool = False) -> str:
+    """n independent `jset` diamonds on an unknown argument, each adding a
+    distinct power of two to r3: 2**n paths for a path walk.  `looped`
+    puts a spin on the unknown argument right after the inits (pc 2)."""
+    lines = ["section seccomp", "    ld_ctx r2, 16", "    mov r3, 0"]
+    if looped:
+        lines += ["spin:", "    jne r2, 0, spin"]
+    for i in range(n):
+        lines += [f"    jset r2, {1 << i}, d{i}", f"    add r3, {1 << i}",
+                  f"d{i}:"]
+    lines += ["    jgt r3, 100000, deny", f"    mov r0, {ALLOW}", "    exit",
+              "deny:", "    mov r0, 0x50001", "    exit"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [9, 18, 40])
+def test_diamonds_verify_in_linear_steps(n):
+    t0 = time.perf_counter()
+    report = accept(diamonds(n))
+    assert time.perf_counter() - t0 < 0.25
+    # 2n + 7 instructions, each stepped once
+    assert report.abstract_steps == 2 * n + 7
+    assert (report.joined_states, report.walked_states) == (1, 0)
+
+
+def test_looped_diamonds_are_still_unbounded():
+    report = reject(diamonds(9, looped=True), "unbounded loop")
+    assert report.offending_instruction == 2
+    # the loop's exit enters the loop-free diamonds: one pass proves them
+    assert report.joined_states == 1
+    assert report.abstract_steps < 50
+
+
+def test_a_loop_free_program_past_the_walk_budget_now_verifies(monkeypatch):
+    # the one verdict the joined pass changes: 2**9 paths do not fit a
+    # 1000-step walk, but the program's 25 instructions do
+    monkeypatch.setattr(verifier, "STEP_BUDGET", 1000)
+    program = assemble(diamonds(9))
+    assert "step budget" in verifier._walk(program).reason
+    assert accept(diamonds(9)).abstract_steps == 25
+
+
+def test_joined_pass_falls_back_to_the_walk_where_joins_lose_facts():
+    # r3 is a known constant on each path but unknown once they merge,
+    # and a stack pointer may only move by a known offset
+    report = accept(
+        "section seccomp\n"
+        "    ld_ctx r2, 16\n"
+        "    mov r3, 8\n"
+        "    jeq r2, 0, merge\n"
+        "    mov r3, 16\n"
+        "merge:\n"
+        "    mov r4, r10\n"
+        "    sub r4, r3\n"
+        "    mov r0, 0\n"
+        "    exit\n")
+    assert report.joined_states == 0
+    # the failed pass's six steps count too
+    assert report.abstract_steps == report.walked_states + 6
+
+
+def test_criterion_5_fuzz_programs_are_proved_by_the_joined_pass():
+    rng = random.Random(31337)      # criterion 5's corpus
+    for _ in range(1000):
+        report = verify(assemble(fuzz_source(rng)))
+        assert report.accepted, report.reason
+        assert (report.joined_states, report.walked_states) == (1, 0)

@@ -385,6 +385,25 @@ def test_safe_read_user_denied_without_access_grant():
     assert out.raw_action == (-EPERM) & U32
 
 
+@pytest.mark.parametrize("helper", ["safe_read_user", "safe_read_user_str"])
+def test_user_reads_fill_their_buffer_even_when_denied(helper):
+    # the verifier counts the buffer as written after the call, so a
+    # denied read must write it too (with zeros) or the read below faults
+    out = run("section seccomp\n"
+              "    mov r1, r10\n"
+              "    add r1, -16\n"
+              "    mov r2, 16\n"
+              "    ld_ctx r3, 16\n"
+              f"    call {helper}\n"
+              "    ld_map r0, r10, -16\n"
+              "    ld_map r1, r10, -8\n"
+              "    or r0, r1\n"
+              "    exit\n",
+              ctx(2, 0x1000), env=RuntimeEnv(user_access_allowed=False))
+    assert not out.faulted, out.fault_reason
+    assert out.raw_action == 0
+
+
 READ_STR = (
     "section seccomp\n"
     "    mov r1, r10\n"
