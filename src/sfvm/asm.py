@@ -13,9 +13,10 @@ Grammar, one instruction per line:
         tail_call
         exit
 
-ALU and conditional-jump mnemonics take either a register or an
-immediate second operand; the assembler selects the opcode variant.
-`jmp` is accepted as an alias for `ja`.
+Operands follow `isa.INSNS`, with one parser and one renderer per
+operand kind.  A register-or-immediate operand selects the opcode
+variant, a jump target is a label or a bare relative offset, and a
+helper is a name or a number.  `jmp` is an alias for `ja`.
 """
 
 from __future__ import annotations
@@ -23,34 +24,38 @@ from __future__ import annotations
 import re
 
 from .isa import (
-    ALU_BASE,
-    ALU_FORMS,
+    CTX_OFF,
     FilterProgram,
+    HELPER,
     HELPER_NAMES,
     HELPERS_BY_NAME,
-    Helper,
     I16_MAX,
     I16_MIN,
     IMM_FORM,
+    IMM_OR_MAP,
+    INSNS,
     Instruction,
-    JUMP_BASE,
-    JUMP_FORMS,
+    JUMPS,
     LD_IMM64_MAP_REF,
     MAP_KIND_NAMES,
     MAP_KINDS_BY_NAME,
+    MEM_OFF,
+    MNEMONICS,
     MapDecl,
-    Opcode,
+    REG,
+    REG_OR_IMM,
     SECTIONS,
+    TARGET,
 )
 
 
 class AsmError(ValueError):
-    def __init__(self, msg: str, line: int, col: int = 1):
-        super().__init__(f"line {line}, col {col}: {msg}")
+    def __init__(self, msg: str, line: int):
+        super().__init__(f"line {line}: {msg}")
         self.line = line
-        self.col = col
 
 
+_COMMENT_RE = re.compile(r"[;#]")
 _LABEL_RE = re.compile(r"^[A-Za-z_.][\w.]*$")
 _REG_RE = re.compile(r"^r(\d+)$")
 
@@ -62,48 +67,15 @@ def _parse_int(tok: str, lineno: int) -> int:
         raise AsmError(f"expected a number, got {tok!r}", lineno) from None
 
 
-def _parse_reg(tok: str, lineno: int) -> int:
-    m = _REG_RE.match(tok)
-    if not m:
-        raise AsmError(f"expected a register, got {tok!r}", lineno)
-    n = int(m.group(1))
-    if n > 10:
-        raise AsmError(f"register out of range: {tok}", lineno)
-    return n
-
-
-def _wrap_i64(value: int, lineno: int) -> int:
-    if value >= 1 << 64 or value < -(1 << 63):
-        raise AsmError(f"immediate out of 64-bit range: {value:#x}", lineno)
-    if value >= 1 << 63:
-        value -= 1 << 64
-    return value
-
-
-class _Pending:
-    """An instruction whose jump target may still be unresolved."""
-
-    __slots__ = ("opcode", "dst", "src", "imm", "target", "lineno", "offset")
-
-    def __init__(self, opcode, dst=0, src=0, imm=0, target=None, offset=0, lineno=0):
-        self.opcode = opcode
-        self.dst = dst
-        self.src = src
-        self.imm = imm
-        self.target = target
-        self.offset = offset
-        self.lineno = lineno
-
-
 def assemble(source: str) -> FilterProgram:
     section = None
     decls: list[MapDecl] = []
     decl_names: dict[str, int] = {}
     labels: dict[str, int] = {}
-    pending: list[_Pending] = []
+    pending: list[tuple] = []   # (opcode, fields, lineno)
 
     for lineno, raw_line in enumerate(source.splitlines(), start=1):
-        line = re.split(r"[;#]", raw_line, maxsplit=1)[0].strip()
+        line = _COMMENT_RE.split(raw_line, maxsplit=1)[0].strip()
         if not line:
             continue
 
@@ -168,17 +140,16 @@ def assemble(source: str) -> FilterProgram:
 
         pending.append(_parse_insn(mnem, ops, lineno, decl_names))
 
-    # resolve labels into relative jump offsets
+    # a label stands in the offset field until every label is known
     insns = []
-    for index, p in enumerate(pending):
-        offset = p.offset
-        if p.target is not None:
-            if p.target not in labels:
-                raise AsmError(f"unresolved label {p.target!r}", p.lineno)
-            offset = labels[p.target] - (index + 1)
-        if not I16_MIN <= offset <= I16_MAX:
-            raise AsmError("jump displacement does not fit in i16", p.lineno)
-        insns.append(Instruction(p.opcode, p.dst, p.src, offset, p.imm))
+    for index, (opcode, fields, lineno) in enumerate(pending):
+        target = fields.get("offset")
+        if type(target) is str:
+            if target not in labels:
+                raise AsmError(f"unresolved label {target!r}", lineno)
+            fields["offset"] = _i16(labels[target] - (index + 1),
+                                    "jump displacement", lineno)
+        insns.append(Instruction(opcode, **fields))
 
     return FilterProgram(
         instructions=tuple(insns),
@@ -187,95 +158,79 @@ def assemble(source: str) -> FilterProgram:
     )
 
 
-def _jump_operand(tok: str):
-    """A jump target is a label name or a bare relative offset."""
-    try:
-        return None, int(tok, 0)
-    except ValueError:
-        return tok, 0
+def _parse_insn(mnem, ops, lineno, decl_names):
+    if mnem not in INSNS:
+        raise AsmError(f"unknown mnemonic {mnem!r}", lineno)
+    opcodes, kinds = INSNS[mnem]
+    if len(ops) != len(kinds):
+        raise AsmError(f"{mnem} takes {len(kinds)} operand(s)", lineno)
+    fields = {}
+    for kind, tok in zip(kinds, ops):
+        _PARSE[kind](tok, fields, lineno, decl_names)
+    # a register in the register-or-immediate slot picks the second form
+    opcode = opcodes[-1] if "src" in fields else opcodes[0]
+    return opcode, fields, lineno
 
 
-def _parse_insn(mnem, ops, lineno, decl_names) -> _Pending:
-    def need(n):
-        if len(ops) != n:
-            raise AsmError(f"{mnem} takes {n} operand(s)", lineno)
+# -- one parser per operand kind: token -> the instruction fields it fills
 
-    if mnem in ALU_FORMS:
-        need(2)
-        dst = _parse_reg(ops[0], lineno)
-        if _REG_RE.match(ops[1]):
-            return _Pending(ALU_FORMS[mnem][1], dst,
-                            _parse_reg(ops[1], lineno), lineno=lineno)
-        imm = _wrap_i64(_parse_int(ops[1], lineno), lineno)
-        return _Pending(ALU_FORMS[mnem][0], dst, imm=imm, lineno=lineno)
+def _reg(tok, fields, lineno, decl_names):
+    m = _REG_RE.match(tok)
+    if not m:
+        raise AsmError(f"expected a register, got {tok!r}", lineno)
+    n = int(m.group(1))
+    if n > 10:
+        raise AsmError(f"register out of range: {tok}", lineno)
+    fields["src" if "dst" in fields else "dst"] = n
 
-    if mnem in JUMP_FORMS:
-        need(3)
-        dst = _parse_reg(ops[0], lineno)
-        target, offset = _jump_operand(ops[2])
-        if _REG_RE.match(ops[1]):
-            return _Pending(JUMP_FORMS[mnem][1], dst,
-                            _parse_reg(ops[1], lineno),
-                            target=target, offset=offset, lineno=lineno)
-        imm = _wrap_i64(_parse_int(ops[1], lineno), lineno)
-        return _Pending(JUMP_FORMS[mnem][0], dst, imm=imm,
-                        target=target, offset=offset, lineno=lineno)
 
-    if mnem in ("ja", "jmp"):
-        need(1)
-        target, offset = _jump_operand(ops[0])
-        return _Pending(Opcode.JA, target=target, offset=offset, lineno=lineno)
+def _imm(tok, fields, lineno, decl_names):
+    value = _parse_int(tok, lineno)
+    if value >= 1 << 64 or value < -(1 << 63):
+        raise AsmError(f"immediate out of 64-bit range: {value:#x}", lineno)
+    fields["imm"] = value - (1 << 64) if value >= 1 << 63 else value
 
-    if mnem == "ld_imm64":
-        need(2)
-        dst = _parse_reg(ops[0], lineno)
-        if ops[1].startswith("map:"):
-            name = ops[1][4:]
-            if name not in decl_names:
-                raise AsmError(f"reference to undeclared map {name!r}", lineno)
-            return _Pending(Opcode.LD_IMM64, dst, src=LD_IMM64_MAP_REF,
-                            imm=decl_names[name], lineno=lineno)
-        imm = _wrap_i64(_parse_int(ops[1], lineno), lineno)
-        return _Pending(Opcode.LD_IMM64, dst, imm=imm, lineno=lineno)
 
-    if mnem == "ld_ctx":
-        need(2)
-        dst = _parse_reg(ops[0], lineno)
-        off = _parse_int(ops[1], lineno)
-        if not I16_MIN <= off <= I16_MAX:
-            raise AsmError("context offset does not fit in i16", lineno)
-        return _Pending(Opcode.LD_CTX, dst, offset=off, lineno=lineno)
+def _i16(value, what, lineno):
+    if not I16_MIN <= value <= I16_MAX:
+        raise AsmError(f"{what} does not fit in i16", lineno)
+    return value
 
-    if mnem in ("ld_map", "st_map"):
-        need(3)
-        dst = _parse_reg(ops[0], lineno)
-        src = _parse_reg(ops[1], lineno)
-        off = _parse_int(ops[2], lineno)
-        if not I16_MIN <= off <= I16_MAX:
-            raise AsmError("memory offset does not fit in i16", lineno)
-        op = Opcode.LD_MAP if mnem == "ld_map" else Opcode.ST_MAP
-        return _Pending(op, dst, src, offset=off, lineno=lineno)
 
-    if mnem == "call":
-        need(1)
-        tok = ops[0]
-        if tok in HELPERS_BY_NAME:
-            helper = HELPERS_BY_NAME[tok]
-        else:
-            helper = _parse_int(tok, lineno)
-        if helper == Helper.TAIL_CALL:
-            raise AsmError("tail_call has a dedicated mnemonic", lineno)
-        return _Pending(Opcode.CALL, imm=int(helper), lineno=lineno)
+def _offset(what):
+    def parse(tok, fields, lineno, decl_names):
+        fields["offset"] = _i16(_parse_int(tok, lineno), what, lineno)
+    return parse
 
-    if mnem == "tail_call":
-        need(0)
-        return _Pending(Opcode.TAIL_CALL, lineno=lineno)
 
-    if mnem == "exit":
-        need(0)
-        return _Pending(Opcode.EXIT, lineno=lineno)
+def _target(tok, fields, lineno, decl_names):
+    if _LABEL_RE.match(tok):
+        fields["offset"] = tok      # resolved once every label is known
+    else:
+        fields["offset"] = _i16(_parse_int(tok, lineno),
+                                "jump displacement", lineno)
 
-    raise AsmError(f"unknown mnemonic {mnem!r}", lineno)
+
+def _imm_or_map(tok, fields, lineno, decl_names):
+    if not tok.startswith("map:"):
+        return _imm(tok, fields, lineno, decl_names)
+    if tok[4:] not in decl_names:
+        raise AsmError(f"reference to undeclared map {tok[4:]!r}", lineno)
+    fields["src"] = LD_IMM64_MAP_REF
+    fields["imm"] = decl_names[tok[4:]]
+
+
+def _helper(tok, fields, lineno, decl_names):
+    if tok not in HELPERS_BY_NAME:
+        return _imm(tok, fields, lineno, decl_names)
+    fields["imm"] = int(HELPERS_BY_NAME[tok])
+
+
+_PARSE = {REG: _reg, TARGET: _target, IMM_OR_MAP: _imm_or_map,
+          CTX_OFF: _offset("context offset"),
+          MEM_OFF: _offset("memory offset"), HELPER: _helper,
+          REG_OR_IMM: lambda tok, *rest:
+              (_reg if _REG_RE.match(tok) else _imm)(tok, *rest)}
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +241,14 @@ def _parse_insn(mnem, ops, lineno, decl_names) -> _Pending:
 def disassemble(program: FilterProgram) -> str:
     """Render a program back to assembly text.
 
-    Jump targets get synthetic labels; assembling the result yields an
+    Jump targets inside the program or just past its end get synthetic
+    labels, others stay bare offsets; assembling the result yields an
     instruction-identical program.
     """
-    targets = set()
-    for i, ins in enumerate(program.instructions):
-        if ins.opcode == Opcode.JA or ins.opcode in JUMP_BASE:
-            targets.add(i + 1 + ins.offset)
-    labels = {t: f"L{t}" for t in sorted(targets)}
+    n = len(program.instructions)
+    labels = {t: f"L{t}" for t in sorted(
+        i + 1 + ins.offset for i, ins in enumerate(program.instructions)
+        if ins.opcode in JUMPS) if 0 <= t <= n}
 
     lines = [f"section {program.section_name}"]
     for decl in program.map_refs:
@@ -304,42 +259,33 @@ def disassemble(program: FilterProgram) -> str:
     for i, ins in enumerate(program.instructions):
         if i in labels:
             lines.append(f"{labels[i]}:")
-        lines.append("    " + _render(ins, i, labels, program))
-    # a trailing label (jump just past the end never verifies, but keep
-    # the text round-trippable anyway)
-    if len(program.instructions) in labels:
-        lines.append(f"{labels[len(program.instructions)]}:")
+        name = MNEMONICS[ins.opcode]
+        regs = iter((ins.dst, ins.src))
+        text = ", ".join(_RENDER[kind](ins, regs, i, labels, program)
+                         for kind in INSNS[name][1])
+        lines.append(f"    {name} {text}".rstrip())
+    if n in labels:
+        lines.append(f"{labels[n]}:")
     return "\n".join(lines) + "\n"
 
 
-def _render(ins: Instruction, index: int, labels, program) -> str:
-    op = ins.opcode
-    rhs = str(ins.imm) if op in IMM_FORM else f"r{ins.src}"
-    if op in ALU_BASE:
-        return f"{ALU_BASE[op]} r{ins.dst}, {rhs}"
-    if op in JUMP_BASE:
-        target = labels[index + 1 + ins.offset]
-        return f"{JUMP_BASE[op]} r{ins.dst}, {rhs}, {target}"
-    if op == Opcode.JA:
-        return f"ja {labels[index + 1 + ins.offset]}"
-    if op == Opcode.LD_IMM64:
-        if ins.src == LD_IMM64_MAP_REF:
-            name = program.map_refs[ins.imm].name
-            return f"ld_imm64 r{ins.dst}, map:{name}"
-        imm = ins.imm if ins.imm >= 0 else ins.imm + (1 << 64)
-        return f"ld_imm64 r{ins.dst}, {imm:#x}" if imm > 9 else \
-            f"ld_imm64 r{ins.dst}, {imm}"
-    if op == Opcode.LD_CTX:
-        return f"ld_ctx r{ins.dst}, {ins.offset}"
-    if op == Opcode.LD_MAP:
-        return f"ld_map r{ins.dst}, r{ins.src}, {ins.offset}"
-    if op == Opcode.ST_MAP:
-        return f"st_map r{ins.dst}, r{ins.src}, {ins.offset}"
-    if op == Opcode.CALL:
-        name = HELPER_NAMES.get(ins.imm)
-        return f"call {name}" if name else f"call {ins.imm}"
-    if op == Opcode.TAIL_CALL:
-        return "tail_call"
-    if op == Opcode.EXIT:
-        return "exit"
-    raise AssertionError(f"unhandled opcode {op!r}")
+# -- one renderer per operand kind: instruction -> token
+
+def _render_imm_or_map(ins, regs, pc, labels, program):
+    if ins.src == LD_IMM64_MAP_REF:
+        return f"map:{program.map_refs[ins.imm].name}"
+    imm = ins.imm & ((1 << 64) - 1)
+    return f"{imm:#x}" if imm > 9 else str(imm)
+
+
+_RENDER = {
+    REG: lambda ins, regs, *_: f"r{next(regs)}",
+    REG_OR_IMM: lambda ins, regs, *_:
+        str(ins.imm) if ins.opcode in IMM_FORM else f"r{next(regs)}",
+    TARGET: lambda ins, regs, pc, labels, _:
+        labels.get(pc + 1 + ins.offset, str(ins.offset)),
+    IMM_OR_MAP: _render_imm_or_map,
+    CTX_OFF: lambda ins, *_: str(ins.offset),
+    MEM_OFF: lambda ins, *_: str(ins.offset),
+    HELPER: lambda ins, *_: HELPER_NAMES.get(ins.imm, str(ins.imm)),
+}

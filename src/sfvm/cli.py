@@ -15,7 +15,7 @@ import sys
 
 from .asm import AsmError, assemble, disassemble
 from .engine import EngineConfig
-from .isa import PROGRAM_MAGIC, decode_program
+from .isa import PROGRAM_MAGIC, decode_program, encode_program
 from .reporting import attack_surface_report, render_table
 from .sim import ExplorationLimit, MAX_EXPLORE_STEPS, Simulator, \
     explore_interleavings, log_digest
@@ -25,11 +25,12 @@ from .verifier import verify
 
 
 def _read_program(path: str):
+    """(program, whether the file held the binary container)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:len(PROGRAM_MAGIC)] == PROGRAM_MAGIC:
-        return decode_program(raw)
-    return assemble(raw.decode("utf-8"))
+        return decode_program(raw), True
+    return assemble(raw.decode("utf-8")), False
 
 
 def _engine_config(args) -> EngineConfig:
@@ -62,13 +63,9 @@ def _parse_schedule(text: str):
 
 def cmd_asm(args) -> int:
     try:
-        with open(args.input, "rb") as fh:
-            raw = fh.read()
-        if raw[:len(PROGRAM_MAGIC)] == PROGRAM_MAGIC:
-            out = disassemble(decode_program(raw)).encode("utf-8")
-        else:
-            from .isa import encode_program
-            out = encode_program(assemble(raw.decode("utf-8")))
+        program, binary = _read_program(args.input)
+        out = disassemble(program).encode("utf-8") if binary \
+            else encode_program(program)
     except (AsmError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -76,14 +73,13 @@ def cmd_asm(args) -> int:
         with open(args.output, "wb") as fh:
             fh.write(out)
     else:
-        sys.stdout.buffer.write(out if out[:4] != PROGRAM_MAGIC
-                                else out.hex().encode() + b"\n")
+        sys.stdout.buffer.write(out if binary else out.hex().encode() + b"\n")
     return 0
 
 
 def cmd_verify(args) -> int:
     try:
-        program = _read_program(args.program)
+        program, _ = _read_program(args.program)
     except (AsmError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -125,8 +121,7 @@ def cmd_explore(args) -> int:
     try:
         runs = explore_interleavings(trace, config=_engine_config(args),
                                      descriptors=_descriptors(args),
-                                     max_steps=args.max_steps,
-                                     dedupe=not args.no_dedupe)
+                                     max_steps=args.max_steps)
     except ExplorationLimit as exc:
         # refusal, not failure: the trace is fine but too big to walk
         print(f"error: {exc}", file=sys.stderr)
@@ -178,9 +173,6 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if args.kind != "attack-surface":
-        print(f"error: unknown report {args.kind!r}", file=sys.stderr)
-        return 2
     profiles = None
     if args.profiles:
         from .policies import load_profiles
@@ -220,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="run a trace under every schedule")
     p.add_argument("trace")
     p.add_argument("--max-steps", type=int, default=MAX_EXPLORE_STEPS)
-    p.add_argument("--no-dedupe", action="store_true")
     p.add_argument("--mode", choices=sorted(MODES))
     p.add_argument("--descriptors")
     p.add_argument("--json", action="store_true")

@@ -14,14 +14,17 @@ layout: nr (4 bytes), arch (4), calling address (8), six 8-byte
 arguments.  `ld_ctx` is the only way to read it and must load exactly
 one whole field.
 
-ALU mnemonics come in register and immediate forms; the assembler picks
-the variant from the operand, but the two forms are distinct opcodes so
-the wire format stays unambiguous.
+Each instruction is described once, in `INSNS`, for the assembler, the
+disassembler, the decoder and the verifier's control-flow graph.  ALU
+mnemonics come in register and immediate forms; the assembler picks the
+variant from the operand, but the two forms are distinct opcodes so the
+wire format stays unambiguous.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -97,39 +100,77 @@ class Opcode(IntEnum):
     EXIT = 0x42
 
 
-# ALU and conditional-jump opcodes whose second operand is the immediate
-# rather than the src register
-IMM_FORM = frozenset(op for op in Opcode if op.name.endswith("_IMM"))
-
 # ld_imm64 src=1 marks the immediate as an index into the program's map
 # declarations rather than a literal (the eBPF pseudo-map convention)
 LD_IMM64_MAP_REF = 1
 
-# mnemonic -> (imm-form opcode, reg-form opcode); shared by the assembler,
-# the verifier, and the interpreter so all three agree on semantics
-ALU_FORMS = {
-    "mov": (Opcode.MOV_IMM, Opcode.MOV_REG),
-    "add": (Opcode.ADD_IMM, Opcode.ADD_REG),
-    "sub": (Opcode.SUB_IMM, Opcode.SUB_REG),
-    "mul": (Opcode.MUL_IMM, Opcode.MUL_REG),
-    "and": (Opcode.AND_IMM, Opcode.AND_REG),
-    "or": (Opcode.OR_IMM, Opcode.OR_REG),
-    "xor": (Opcode.XOR_IMM, Opcode.XOR_REG),
-    "lsh": (Opcode.LSH_IMM, Opcode.LSH_REG),
-    "rsh": (Opcode.RSH_IMM, Opcode.RSH_REG),
-}
-JUMP_FORMS = {
-    "jeq": (Opcode.JEQ_IMM, Opcode.JEQ_REG),
-    "jne": (Opcode.JNE_IMM, Opcode.JNE_REG),
-    "jgt": (Opcode.JGT_IMM, Opcode.JGT_REG),
-    "jge": (Opcode.JGE_IMM, Opcode.JGE_REG),
-    "jlt": (Opcode.JLT_IMM, Opcode.JLT_REG),
-    "jle": (Opcode.JLE_IMM, Opcode.JLE_REG),
-    "jset": (Opcode.JSET_IMM, Opcode.JSET_REG),
-}
+# Operand kinds of the assembly syntax.  Registers fill dst, then src; a
+# register-or-immediate operand fills src or imm and so picks the form.
+REG = "register"
+REG_OR_IMM = "register or immediate"
+TARGET = "jump target"
+IMM_OR_MAP = "immediate or map:"
+CTX_OFF = "context offset"
+MEM_OFF = "memory offset"
+HELPER = "helper"
+# the fields the other kinds fill; ld_imm64 keeps its map flag in src
+_FIELDS = {TARGET: ("offset",), IMM_OR_MAP: ("src", "imm"),
+           CTX_OFF: ("offset",), MEM_OFF: ("offset",), HELPER: ("imm",)}
 
-ALU_BASE = {op: name for name, ops in ALU_FORMS.items() for op in ops}
-JUMP_BASE = {op: name for name, ops in JUMP_FORMS.items() for op in ops}
+# mnemonic -> (opcodes, operand kinds), immediate form first: the one
+# description of every instruction, from which the rest derives
+INSNS = {
+    "mov": ((Opcode.MOV_IMM, Opcode.MOV_REG), (REG, REG_OR_IMM)),
+    "add": ((Opcode.ADD_IMM, Opcode.ADD_REG), (REG, REG_OR_IMM)),
+    "sub": ((Opcode.SUB_IMM, Opcode.SUB_REG), (REG, REG_OR_IMM)),
+    "mul": ((Opcode.MUL_IMM, Opcode.MUL_REG), (REG, REG_OR_IMM)),
+    "and": ((Opcode.AND_IMM, Opcode.AND_REG), (REG, REG_OR_IMM)),
+    "or": ((Opcode.OR_IMM, Opcode.OR_REG), (REG, REG_OR_IMM)),
+    "xor": ((Opcode.XOR_IMM, Opcode.XOR_REG), (REG, REG_OR_IMM)),
+    "lsh": ((Opcode.LSH_IMM, Opcode.LSH_REG), (REG, REG_OR_IMM)),
+    "rsh": ((Opcode.RSH_IMM, Opcode.RSH_REG), (REG, REG_OR_IMM)),
+    "ld_imm64": ((Opcode.LD_IMM64,), (REG, IMM_OR_MAP)),
+    "ld_ctx": ((Opcode.LD_CTX,), (REG, CTX_OFF)),
+    "ld_map": ((Opcode.LD_MAP,), (REG, REG, MEM_OFF)),
+    "st_map": ((Opcode.ST_MAP,), (REG, REG, MEM_OFF)),
+    "jeq": ((Opcode.JEQ_IMM, Opcode.JEQ_REG), (REG, REG_OR_IMM, TARGET)),
+    "jne": ((Opcode.JNE_IMM, Opcode.JNE_REG), (REG, REG_OR_IMM, TARGET)),
+    "jgt": ((Opcode.JGT_IMM, Opcode.JGT_REG), (REG, REG_OR_IMM, TARGET)),
+    "jge": ((Opcode.JGE_IMM, Opcode.JGE_REG), (REG, REG_OR_IMM, TARGET)),
+    "jlt": ((Opcode.JLT_IMM, Opcode.JLT_REG), (REG, REG_OR_IMM, TARGET)),
+    "jle": ((Opcode.JLE_IMM, Opcode.JLE_REG), (REG, REG_OR_IMM, TARGET)),
+    "jset": ((Opcode.JSET_IMM, Opcode.JSET_REG), (REG, REG_OR_IMM, TARGET)),
+    "jmp": ((Opcode.JA,), (TARGET,)),   # alias; the later ja is printed
+    "ja": ((Opcode.JA,), (TARGET,)),
+    "call": ((Opcode.CALL,), (HELPER,)),
+    "tail_call": ((Opcode.TAIL_CALL,), ()),
+    "exit": ((Opcode.EXIT,), ()),
+}
+# control never continues to the next instruction after these
+NO_FALL_THROUGH = frozenset({Opcode.JA, Opcode.EXIT})
+# opcodes whose offset is a jump target
+JUMPS = frozenset(op for ops, kinds in INSNS.values() if TARGET in kinds
+                  for op in ops)
+# ALU and conditional-jump opcodes whose second operand is the immediate
+# rather than the src register
+IMM_FORM = frozenset(ops[0] for ops, kinds in INSNS.values()
+                     if REG_OR_IMM in kinds)
+
+
+def _reserved(op, kinds):
+    used = set(("dst", "src")[:kinds.count(REG)])
+    for kind in kinds:
+        if kind == REG_OR_IMM:
+            used.add("imm" if op in IMM_FORM else "src")
+        used.update(_FIELDS.get(kind, ()))
+    return tuple(f for f in ("dst", "src", "offset", "pad", "imm")
+                 if f not in used)
+
+
+# opcode -> its mnemonic, and the fields of its encoding that must be zero
+MNEMONICS = {op: name for name, (ops, _) in INSNS.items() for op in ops}
+RESERVED = {op: _reserved(op, kinds)
+            for ops, kinds in INSNS.values() for op in ops}
 
 
 # mnemonic -> semantics, shared by the verifier's abstract step and the
@@ -156,6 +197,10 @@ COND_OPS = {
     "jset": lambda a, b: (a & b) != 0,
 }
 
+
+# opcode -> mnemonic, for the verifier's and the interpreter's dispatch
+ALU_BASE = {op: name for name in ALU_OPS for op in INSNS[name][0]}
+JUMP_BASE = {op: name for name in COND_OPS for op in INSNS[name][0]}
 
 I16_MIN, I16_MAX = -(1 << 15), (1 << 15) - 1
 I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
@@ -319,8 +364,8 @@ class MapDecl:
     initial_programs: dict = field(default_factory=dict)
 
     def validate(self):
-        if not self.name:
-            raise ValueError("map name must be non-empty")
+        if not re.fullmatch(r"[\w.]+", self.name, re.ASCII):   # as the kernel's
+            raise ValueError(f"map name {self.name!r} is not [A-Za-z0-9_.]+")
         if self.key_size <= 0 or self.value_size <= 0 or self.max_entries <= 0:
             raise ValueError(f"map {self.name}: sizes must be positive")
         if self.kind == MapKind.ARRAY and self.key_size != 8:
@@ -478,10 +523,12 @@ def _decode(raw: bytes, depth: int) -> FilterProgram:
             idx, blob_len = struct.unpack("<QI", rd.take(12))
             decl.initial_programs[idx] = _decode(rd.take(blob_len), depth + 1)
         decl.validate()
+        if any(d.name == name for d in decls):     # text names maps
+            raise ProgramFormatError(f"duplicate map {name!r}")
         decls.append(decl)
     insns = []
     for i in range(n_insns):
-        opcode, dst, src, off, _pad, imm = rd.unpack(_INSN)
+        opcode, dst, src, off, pad, imm = rd.unpack(_INSN)
         try:
             opcode = Opcode(opcode)
         except ValueError:
@@ -489,6 +536,15 @@ def _decode(raw: bytes, depth: int) -> FilterProgram:
                 f"instruction {i}: unknown opcode 0x{opcode:x}"
             ) from None
         insns.append(Instruction(opcode, dst, src, off, imm))
+        fields = {"dst": dst, "src": src, "offset": off, "pad": pad, "imm": imm}
+        for name in RESERVED[opcode]:
+            if fields[name]:
+                raise ProgramFormatError(f"instruction {i}: {MNEMONICS[opcode]}"
+                                         f" uses reserved field {name}")
+        if opcode == Opcode.LD_IMM64 and src and (
+                src != LD_IMM64_MAP_REF or not 0 <= imm < len(decls)):
+            raise ProgramFormatError(
+                f"instruction {i}: ld_imm64 src {src} imm {imm} names no map")
     if rd.pos != len(raw):
         raise ProgramFormatError("trailing bytes after program body")
     return FilterProgram(

@@ -45,6 +45,9 @@ from .asm import assemble
 from .isa import FilterProgram
 
 SWEEP_DOMAIN = range(0, 451)
+# capacity of the hash denylist's map; fixed, not sized to the set, so the
+# program and its declarations are byte-identical across set sizes
+DENYLIST_HASH_CAPACITY = 512
 
 _ACTION_WORDS = {
     "allow": RET_ALLOW,
@@ -162,17 +165,15 @@ def gen_allowlist(allowed, layout: str = "linear",
     return _finish("\n".join(lines) + "\n" + _tails(RET_ALLOW, deny_raw))
 
 
-def gen_denylist(denied, layout: str = "linear", deny="errno:1",
-                 hash_capacity: int = 512) -> FilterProgram:
+def gen_denylist(denied, layout: str = "linear",
+                 deny="errno:1") -> FilterProgram:
     denied = sorted(set(denied))
     deny_raw = parse_action(deny)
     if layout == "hash":
-        # capacity is fixed, not sized to the set, so the program and
-        # its declarations are byte-identical across set sizes
-        if len(denied) > hash_capacity:
+        if len(denied) > DENYLIST_HASH_CAPACITY:
             raise ValueError("denied set exceeds hash capacity")
         text = (f"section seccomp\n"
-                f"map denied hash 8 8 {hash_capacity}\n"
+                f"map denied hash 8 8 {DENYLIST_HASH_CAPACITY}\n"
                 f"    ld_ctx r2, 0\n"
                 f"    st_map r10, r2, -8\n"
                 + _lookup("denied", 8) +

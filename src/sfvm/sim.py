@@ -384,8 +384,7 @@ MAX_EXPLORE_STEPS = 14
 def explore_interleavings(trace: Trace, config: EngineConfig | None = None,
                           descriptors: DescriptorTable | None = None,
                           max_steps: int = MAX_EXPLORE_STEPS,
-                          dedupe: bool = True,
-                          demand_map: bool = True) -> list[tuple]:
+                          dedupe: bool = True) -> list[tuple]:
     """Every schedule of `trace`, as (schedule, entries) pairs.
 
     Refuses traces whose scheduling depth exceeds `max_steps`: the
@@ -398,8 +397,7 @@ def explore_interleavings(trace: Trace, config: EngineConfig | None = None,
             f"trace has {total} schedulable events; exploration is capped "
             f"at {max_steps} (pass max_steps to raise the cap)")
 
-    base = Simulator(trace, config=config, descriptors=descriptors,
-                     demand_map=demand_map)
+    base = Simulator(trace, config=config, descriptors=descriptors)
     memo: dict = {}
 
     def futures(sim: Simulator) -> list[tuple]:

@@ -148,9 +148,6 @@ class DescriptorTable:
     def get(self, nr: int) -> dict[int, ArgDesc]:
         return self._table.get(nr, {})
 
-    def __contains__(self, nr: int) -> bool:
-        return nr in self._table
-
 
 @dataclass(frozen=True)
 class _Range:

@@ -46,6 +46,18 @@ def page_base(addr: int) -> int:
     return addr & ~(PAGE_SIZE - 1)
 
 
+def _pieces(addr: int, size: int):
+    """(page base, offset in the page, offset in the access, length) of
+    each one-page piece of [addr, addr+size)."""
+    pos = addr
+    end = addr + size
+    while pos < end:
+        off = pos % PAGE_SIZE
+        chunk = min(end - pos, PAGE_SIZE - off)
+        yield pos - off, off, pos - addr, chunk
+        pos += chunk
+
+
 def pages_spanning(addr: int, size: int):
     """Bases of every page touched by [addr, addr+size)."""
     if size <= 0:
@@ -72,38 +84,25 @@ class UserMemory:
     def runs(self, addr: int, size: int):
         """Contiguous (addr, size, mapped) spans covering [addr, addr+size)."""
         out = []
-        pos = addr
-        end = addr + size
-        while pos < end:
-            base = page_base(pos)
-            chunk = min(end, base + PAGE_SIZE) - pos
+        for base, _, start, chunk in _pieces(addr, size):
             mapped = base in self._pages
             if out and out[-1][2] == mapped:
                 prev = out[-1]
                 out[-1] = (prev[0], prev[1] + chunk, mapped)
             else:
-                out.append((pos, chunk, mapped))
-            pos += chunk
+                out.append((addr + start, chunk, mapped))
         return out
 
     # -- access --------------------------------------------------------
 
     def read(self, addr: int, size: int) -> bytes | None:
         """None if any byte is unmapped or not user-accessible."""
-        if size <= 0:
-            return b""
         out = bytearray()
-        pos = addr
-        end = addr + size
-        while pos < end:
-            base = page_base(pos)
+        for base, off, _, chunk in _pieces(addr, size):
             page = self._pages.get(base)
             if page is None or not page.user_accessible:
                 return None
-            chunk = min(end, base + PAGE_SIZE) - pos
-            off = pos - base
             out += page.data[off:off + chunk]
-            pos += chunk
         return bytes(out)
 
     def write(self, addr: int, data: bytes, demand_map=False) -> WriteStatus:
@@ -124,28 +123,13 @@ class UserMemory:
         for base in bases:
             if base not in self._pages:
                 self._pages[base] = _Page()
-        pos = addr
-        end = addr + len(data)
-        while pos < end:
-            base = page_base(pos)
-            chunk = min(end, base + PAGE_SIZE) - pos
-            off = pos - base
-            self._pages[base].data[off:off + chunk] = \
-                data[pos - addr:pos - addr + chunk]
-            pos += chunk
+        self.poke(addr, data)
         return WriteStatus.OK
 
     def poke(self, addr: int, data: bytes):
         """Privileged store for the snapshot layer; target must be mapped."""
-        pos = addr
-        end = addr + len(data)
-        while pos < end:
-            base = page_base(pos)
-            page = self._pages[base]
-            chunk = min(end, base + PAGE_SIZE) - pos
-            off = pos - base
-            page.data[off:off + chunk] = data[pos - addr:pos - addr + chunk]
-            pos += chunk
+        for base, off, start, chunk in _pieces(addr, len(data)):
+            self._pages[base].data[off:off + chunk] = data[start:start + chunk]
 
     # -- write protection ------------------------------------------------
 

@@ -70,8 +70,10 @@ from .isa import (
     HELPER_PROTOS,
     IMM_FORM,
     JUMP_BASE,
+    JUMPS,
     LD_IMM64_MAP_REF,
     MapArg,
+    NO_FALL_THROUGH,
     NUM_REGS,
     Opcode,
     RET_MAP_VALUE_OR_NULL,
@@ -110,8 +112,6 @@ def null_or_value(idx):
 
 
 _SCALARS = ("K", "U")
-_JUMPS = frozenset(JUMP_BASE) | {Opcode.JA}
-_NO_FALL_THROUGH = frozenset({Opcode.JA, Opcode.EXIT})
 
 
 @dataclass
@@ -444,10 +444,10 @@ def _acyclic_ranks(insns):
     outdeg = [0] * n
     for pc, ins in enumerate(insns):
         op = ins.opcode
-        if op not in _NO_FALL_THROUGH and pc + 1 < n:
+        if op not in NO_FALL_THROUGH and pc + 1 < n:
             preds[pc + 1].append(pc)
             outdeg[pc] += 1
-        if op in _JUMPS and 0 <= pc + 1 + ins.offset < n:
+        if op in JUMPS and 0 <= pc + 1 + ins.offset < n:
             preds[pc + 1 + ins.offset].append(pc)
             outdeg[pc] += 1
     # peel sinks: whatever never becomes one lies on or above a cycle

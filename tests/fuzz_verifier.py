@@ -4,9 +4,10 @@
     PYTHONPATH=src python -m tests.fuzz_verifier --seed 1 --programs 5000
 
 For each generated program it checks that `verify` agrees with the path
-walk alone (when the walk fits `STEP_BUDGET`) and, if accepted, that
-random runs end at `exit` without a VM fault.  It prints the counts and
-exits non-zero on any fault or disagreement.
+walk alone (when the walk fits `STEP_BUDGET`), that the program survives
+encode/decode and disassemble/assemble, and, if accepted, that random
+runs end at `exit` without a VM fault.  It prints the counts and exits
+non-zero on any fault, disagreement or round-trip failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ import sys
 
 from sfvm import verifier
 
-from .helpers import same_verdict, soundness_faults, soundness_program
+from .helpers import (
+    round_trip_faults,
+    same_verdict,
+    soundness_faults,
+    soundness_program,
+)
 
 
 def main(argv=None) -> int:
@@ -30,8 +36,12 @@ def main(argv=None) -> int:
 
     rng = random.Random(args.seed)
     accepted = looped = fallbacks = faults = disagreements = 0
+    round_trips = 0
     for _ in range(args.programs):
         source, program = soundness_program(rng)
+        for problem in round_trip_faults(program):
+            round_trips += 1
+            print(f"round trip: {problem}\n{source}")
         report = verifier.verify(program)
         walked = verifier._walk(program)
         if report.walked_states:
@@ -58,8 +68,9 @@ def main(argv=None) -> int:
           f"walked-state fallbacks {fallbacks} (loop-free programs)  "
           f"walked around a loop {looped}")
     print(f"VM faults of accepted programs {faults}  "
-          f"walk/verify disagreements {disagreements}")
-    return 1 if faults or disagreements else 0
+          f"walk/verify disagreements {disagreements}  "
+          f"round-trip failures {round_trips}")
+    return 1 if faults or disagreements or round_trips else 0
 
 
 if __name__ == "__main__":

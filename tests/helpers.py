@@ -8,9 +8,23 @@ import random
 from dataclasses import replace
 from importlib.resources import files
 
-from sfvm.asm import assemble
+from sfvm.asm import assemble, disassemble
 from sfvm.engine import Engine
-from sfvm.isa import CTX_FIELDS, MapKind, SyscallContext
+from sfvm.isa import (
+    CTX_FIELDS,
+    I16_MAX,
+    I16_MIN,
+    I64_MAX,
+    I64_MIN,
+    FilterProgram,
+    Instruction,
+    MapDecl,
+    MapKind,
+    Opcode,
+    SyscallContext,
+    decode_program,
+    encode_program,
+)
 from sfvm.maps import instantiate
 from sfvm.policies import (
     gen_allow_all,
@@ -460,3 +474,81 @@ def soundness_faults(rng: random.Random, program, runs: int) -> list:
 def same_verdict(a, b) -> bool:
     return (a.accepted, a.reason, a.offending_instruction) \
         == (b.accepted, b.reason, b.offending_instruction)
+
+
+# -- the encoding and assembly round trips -------------------------------------
+
+def fields_used(op: Opcode) -> set:
+    """The instruction fields `op` gives a meaning to, written down apart
+    from `isa.INSNS` so that tests can check the table against it."""
+    name = op.name
+    if name.endswith(("_IMM", "_REG")):
+        used = {"dst", "imm" if name.endswith("_IMM") else "src"}
+        return used | {"offset"} if name.startswith("J") else used
+    return {"LD_IMM64": {"dst", "src", "imm"}, "LD_CTX": {"dst", "offset"},
+            "LD_MAP": {"dst", "src", "offset"},
+            "ST_MAP": {"dst", "src", "offset"},
+            "JA": {"offset"}, "CALL": {"imm"}}.get(name, set())
+
+
+def _random_imm(rng: random.Random) -> int:
+    return rng.choice([0, 1, -1, 9, 10, I64_MIN, I64_MAX,
+                       rng.randint(-100, 100), rng.randint(I64_MIN, I64_MAX)])
+
+
+def decodable_program(rng: random.Random) -> FilterProgram:
+    """A random program the decoder accepts, verifiable or not: every
+    opcode in both forms, jump targets before, inside, at and past the
+    end, `map:` references, helpers by name and by number.  Fields the
+    opcode does not use stay zero."""
+    maps = tuple(MapDecl(f"m{i}", rng.choice(list(MapKind)), 8, 8,
+                         rng.randint(1, 4))
+                 for i in range(rng.randint(0, 3)))
+    n = rng.randint(1, 12)
+    insns = []
+    for pc in range(n):
+        op = rng.choice(list(Opcode))
+        used = fields_used(op)
+        fields = {f: 0 for f in ("dst", "src", "offset", "imm")}
+        for f in used:
+            fields[f] = rng.randrange(11) if f in ("dst", "src") \
+                else rng.randint(I16_MIN, I16_MAX) if f == "offset" \
+                else _random_imm(rng)
+        if op.name.startswith("J") and rng.random() < 0.8:
+            fields["offset"] = rng.randint(-3, n + 3) - (pc + 1)
+        if op is Opcode.LD_IMM64:
+            fields["src"] = int(bool(maps) and rng.random() < 0.5)
+            if fields["src"]:
+                fields["imm"] = rng.randrange(len(maps))
+        if op is Opcode.CALL and rng.random() < 0.8:
+            fields["imm"] = rng.randrange(12)
+        insns.append(Instruction(op, **fields))
+    return FilterProgram(instructions=tuple(insns),
+                         sleepable=rng.random() < 0.5, map_refs=maps)
+
+
+def round_trip_faults(program: FilterProgram) -> list:
+    """How `program` fails to survive encode/decode or disassemble/
+    assemble: the decoded program must encode to the same bytes, and both
+    copies must carry the same instructions, section and map shapes."""
+    faults = []
+    raw = encode_program(program)
+    back = decode_program(raw)
+    if encode_program(back) != raw or back.instructions \
+            != program.instructions:
+        faults.append("decode(encode(p)) differs from p")
+    text = disassemble(program)
+    try:
+        again = assemble(text)
+    except ValueError as exc:
+        return faults + [f"disassembly does not assemble: {exc}\n{text}"]
+    if again.instructions != program.instructions \
+            or again.sleepable != program.sleepable \
+            or _shapes(again) != _shapes(program):
+        faults.append(f"assemble(disassemble(p)) differs from p\n{text}")
+    return faults
+
+
+def _shapes(program):
+    return [(d.name, d.kind, d.key_size, d.value_size, d.max_entries)
+            for d in program.map_refs]

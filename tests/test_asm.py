@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+import struct
+
 import pytest
 
 from sfvm.asm import AsmError, assemble, disassemble
-from sfvm.isa import MapKind, Opcode
+from sfvm.isa import (
+    MapKind,
+    Opcode,
+    ProgramFormatError,
+    decode_program,
+    encode_program,
+)
 from sfvm.policies import (
     build_program,
     gen_allowlist,
@@ -15,6 +25,15 @@ from sfvm.policies import (
     gen_temporal,
     gen_validation_cache,
     load_profiles,
+)
+from sfvm.verifier import verify
+
+from .helpers import (
+    decodable_program,
+    every_generator,
+    fields_used,
+    fuzz_source,
+    round_trip_faults,
 )
 
 BASIC = """
@@ -105,6 +124,9 @@ def test_negative_and_hex_immediates():
     ("section seccomp\nmap m bogus 8 8 4\n    exit\n", "kind"),
     ("section seccomp\n    ld_imm64 r1, map:nope\n    exit\n", "map"),
     ("section seccomp\n    ld_ctx r2\n    exit\n", "operand"),
+    ("section seccomp\n    ja 40000\n    exit\n", "i16"),
+    ("section seccomp\n    ja -32769\n    exit\n", "i16"),
+    ("section seccomp\nmap a,b hash 8 8 4\n    exit\n", "map name"),
 ])
 def test_assembly_errors(source, fragment):
     with pytest.raises(AsmError) as err:
@@ -147,3 +169,77 @@ def test_disassemble_assemble_fixpoint():
                [ (d.name, d.kind, d.key_size, d.value_size, d.max_entries)
                  for d in prog.map_refs ]
         assert disassemble(again) == text
+
+
+def test_helpers_by_name_or_number():
+    # tail_call assembles as a helper id too; the verifier refuses it
+    prog = assemble("section seccomp\n    call 4\n    call 99\n"
+                    "    call ktime_get_ns\n    exit\n")
+    assert [i.imm for i in prog.instructions[:3]] == [4, 99, 5]
+    assert disassemble(prog).splitlines()[1:4] == [
+        "    call tail_call", "    call 99", "    call ktime_get_ns"]
+    report = verify(prog)
+    assert not report.accepted
+    assert report.reason == "helper tail_call is not in the whitelist"
+
+
+# byte position and format of each field in a 16-byte encoded instruction
+_FIELD_AT = {"dst": (2, "<B"), "src": (3, "<B"), "offset": (4, "<h"),
+             "pad": (6, "<H"), "imm": (8, "<q")}
+
+
+def _patched(raw, index, count, **fields):
+    """`raw` with instruction `index` of `count` given new field values."""
+    out = bytearray(raw)
+    at = len(raw) - 16 * (count - index)
+    for field, value in fields.items():
+        pos, fmt = _FIELD_AT[field]
+        struct.pack_into(fmt, out, at + pos, value)
+    return bytes(out)
+
+
+def test_random_decodable_programs_round_trip():
+    """Every decodable program survives encode/decode and disassemble/
+    assemble; a non-zero field its opcode leaves unused, and an ld_imm64
+    that names no declared map, are refused at the instruction."""
+    rng = random.Random(0x15A)
+    seen = set()
+    for _ in range(400):
+        program = decodable_program(rng)
+        seen.update(ins.opcode for ins in program.instructions)
+        assert decode_program(encode_program(program)) == program
+        assert round_trip_faults(program) == []
+        raw = encode_program(program)
+        n = len(program.instructions)
+        for i, ins in enumerate(program.instructions):
+            field = rng.choice(sorted({"dst", "src", "offset", "imm"}
+                                      - fields_used(ins.opcode)) + ["pad"])
+            value = rng.randint(1, 10) if field in ("dst", "src") \
+                else rng.choice([1, -1]) if field in ("offset", "imm") \
+                else rng.randint(1, 0xFFFF)
+            with pytest.raises(ProgramFormatError,
+                               match=rf"^instruction {i}: .*\b{field}\b"):
+                decode_program(_patched(raw, i, n, **{field: value}))
+            if ins.opcode is Opcode.LD_IMM64:
+                for src, imm in ((rng.randint(2, 10), 0),
+                                 (1, len(program.map_refs))):
+                    with pytest.raises(ProgramFormatError,
+                                       match=rf"^instruction {i}: .*no map"):
+                        decode_program(_patched(raw, i, n, src=src, imm=imm))
+    assert seen == set(Opcode)
+
+
+# sha256 over the encodings of every `every_generator()` program, then of
+# criterion 5's 1000 fuzz sources; assembler changes must not move it
+ENCODING_DIGEST = \
+    "93cd6635dc8d87115c12059748946a61bb8cddcc80887b5476ff106343037b60"
+
+
+def test_encodings_of_generators_and_fuzz_corpus_are_pinned():
+    digest = hashlib.sha256()
+    for program in every_generator():
+        digest.update(encode_program(program))
+    rng = random.Random(31337)      # criterion 5's seed
+    for _ in range(1000):
+        digest.update(encode_program(assemble(fuzz_source(rng))))
+    assert digest.hexdigest() == ENCODING_DIGEST

@@ -135,6 +135,8 @@ def test_map_decl_validation():
     MapDecl("m", MapKind.HASH, 8, 8, 4).validate()
     with pytest.raises(ValueError):
         MapDecl("", MapKind.HASH, 8, 8, 4).validate()
+    with pytest.raises(ValueError, match="name"):
+        MapDecl("a b", MapKind.HASH, 8, 8, 4).validate()
     with pytest.raises(ValueError):
         MapDecl("m", MapKind.HASH, 0, 8, 4).validate()
     with pytest.raises(ValueError):
@@ -231,6 +233,10 @@ def test_decode_rejects_garbage():
     bad_version[4] = 0xFF
     with pytest.raises(ProgramFormatError):
         decode_program(bytes(bad_version))
+    decl = MapDecl("m", MapKind.HASH, 8, 8, 4)
+    with pytest.raises(ProgramFormatError, match="duplicate map"):
+        decode_program(encode_program(FilterProgram(
+            instructions=(Instruction(Opcode.EXIT),), map_refs=(decl, decl))))
 
 
 def test_decode_raises_only_format_errors():

@@ -13,6 +13,8 @@ that fault, and only after a handoff, is excused.
 the verdict, reason and offending pc of the path walk alone
 (`verifier._walk`) on every program whose walk fits `STEP_BUDGET`.
 
+(C) Every program survives encode/decode and disassemble/assemble.
+
 `python -m tests.fuzz_verifier` runs the same checks for longer.
 """
 
@@ -24,7 +26,12 @@ import pytest
 
 from sfvm import verifier
 
-from .helpers import same_verdict, soundness_faults, soundness_program
+from .helpers import (
+    round_trip_faults,
+    same_verdict,
+    soundness_faults,
+    soundness_program,
+)
 
 SEED = 2302
 PROGRAMS = 300
@@ -53,6 +60,11 @@ def test_verify_agrees_with_the_walk_alone(corpus):
         walked = verifier._walk(program)
         if "step budget" not in walked.reason:
             assert same_verdict(report, walked), (source, report, walked)
+
+
+def test_programs_survive_both_round_trips(corpus):
+    for source, program, _ in corpus:
+        assert round_trip_faults(program) == [], source
 
 
 def test_corpus_mixes_every_shape(corpus):
