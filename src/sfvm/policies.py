@@ -48,6 +48,8 @@ SWEEP_DOMAIN = range(0, 451)
 # capacity of the hash denylist's map; fixed, not sized to the set, so the
 # program and its declarations are byte-identical across set sizes
 DENYLIST_HASH_CAPACITY = 512
+# entries of each validation checker's decision cache
+VALIDATION_CACHE_CAPACITY = 1024
 
 _ACTION_WORDS = {
     "allow": RET_ALLOW,
@@ -509,11 +511,11 @@ def gen_serialization(pairs: dict) -> FilterProgram:
 
 # -- dispatched argument validation ------------------------------------------
 
-def _check_program(nr: int, arg_rules: dict, cached: bool, deny_raw: int,
-                   cache_capacity: int) -> FilterProgram:
+def _check_program(nr: int, arg_rules: dict, cached: bool,
+                   deny_raw: int) -> FilterProgram:
     lines = ["section seccomp"]
     if cached:
-        lines.append(f"map cache hash 48 8 {cache_capacity}")
+        lines.append(f"map cache hash 48 8 {VALIDATION_CACHE_CAPACITY}")
         # stage [nr, arg0..arg4] as the cache key at r10-48
         lines.append("    ld_ctx r3, 0")
         lines.append("    st_map r10, r3, -48")
@@ -548,8 +550,7 @@ def _check_program(nr: int, arg_rules: dict, cached: bool, deny_raw: int,
 
 
 def gen_validation_cache(rules: dict, cached: bool = True, deny="errno:1",
-                         default="allow",
-                         cache_capacity: int = 1024) -> FilterProgram:
+                         default="allow") -> FilterProgram:
     """Per-syscall argument allowlists behind a dispatcher.
 
     `rules` maps syscall number -> {argument index -> allowed values}.
@@ -580,8 +581,7 @@ def gen_validation_cache(rules: dict, cached: bool = True, deny="errno:1",
     handlers = {}
     for slot, nr in enumerate(governed):
         arg_rules = {int(a): vals for a, vals in rules[nr].items()}
-        handlers[slot] = _check_program(nr, arg_rules, cached, deny_raw,
-                                        cache_capacity)
+        handlers[slot] = _check_program(nr, arg_rules, cached, deny_raw)
     return _finish("\n".join(lines) + "\n",
                    programs={"handlers": handlers})
 

@@ -13,14 +13,17 @@ task was killed, engine-level errors, and deadlock.  The log's SHA-256
 over canonical JSON is the run's identity; two runs agree iff their
 digests do.
 
-`explore_interleavings` enumerates every schedule.  It copies the world
-at each branch point and deduplicates futures by its fingerprint, both
-derived from the field declarations (see `state`): when two prefixes
-reach indistinguishable states, the suffix set is computed once and
-reused, preserving both schedule counts and per-schedule logs.
-`dedupe=False` disables the memo for brute-force cross-checking.
-Exploration refuses traces above a step bound rather than silently
-running for hours.
+`explore_interleavings` enumerates every schedule.  It steps one
+simulator in place while a single task can run, and copies and
+fingerprints the world only at branch points, where two or more can:
+there the last runnable task steps the original and the others step
+copies.  Copy and fingerprint are derived from the field declarations
+(see `state`).  Futures are deduplicated by fingerprint: when two
+prefixes reach indistinguishable branch points, the suffix set is
+computed once and reused, preserving both schedule counts and
+per-schedule logs.  `dedupe=False` disables the memo for brute-force
+cross-checking.  Exploration refuses traces above a step bound rather
+than silently running for hours.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ def _build_ctx(ev) -> SyscallContext:
 
 
 @stateful(shared="trace", owned="engine",
-          value="replay demand_map pos in_progress blocked handle_ids "
+          value="replay pos in_progress blocked handle_ids "
                 "checkpoints finished",
           untracked={"rng": "exploration picks every task itself",
                      "entries": "the log of the way here, not of what follows",
@@ -65,12 +68,11 @@ def _build_ctx(ev) -> SyscallContext:
 class Simulator:
     def __init__(self, trace: Trace, config: EngineConfig | None = None,
                  descriptors: DescriptorTable | None = None,
-                 seed: int = 0, schedule=None, demand_map: bool = True):
+                 seed: int = 0, schedule=None):
         self.trace = trace
         self.engine = Engine(config, descriptors)
         self.rng = random.Random(seed)
         self.replay = list(schedule) if schedule is not None else None
-        self.demand_map = demand_map
         self.pos = {tid: 0 for tid in trace.queues}
         self.in_progress: set[int] = set()      # undecided syscall entries
         self.blocked: dict[int, tuple] = {}     # tid -> wake condition
@@ -300,7 +302,7 @@ class Simulator:
         else:
             data = (ev["value_u64"] & (2 ** 64 - 1)).to_bytes(8, "little")
         mem = self.engine.task(tid).address_space
-        status = mem.write(ev["addr"], data, demand_map=self.demand_map)
+        status = mem.write(ev["addr"], data, demand_map=True)
         if status == WriteStatus.STALL:
             if first_attempt:
                 self.entries.append({"kind": "stall", "task": tid,
@@ -385,7 +387,14 @@ def explore_interleavings(trace: Trace, config: EngineConfig | None = None,
                           descriptors: DescriptorTable | None = None,
                           max_steps: int = MAX_EXPLORE_STEPS,
                           dedupe: bool = True) -> list[tuple]:
-    """Every schedule of `trace`, as (schedule, entries) pairs.
+    """Every schedule of `trace`, as (schedule, entries) pairs, in
+    depth-first order with runnable tasks taken by ascending id.
+
+    A state where one task can run is stepped in place, neither copied
+    nor keyed.  A branch point with k runnable tasks is keyed once
+    (with `dedupe`) and, unless the memo already holds its futures,
+    copied k-1 times; its last task steps the original.  Finished
+    states are never keyed.
 
     Refuses traces whose scheduling depth exceeds `max_steps`: the
     schedule space is exponential and this is a verification aid, not
@@ -398,29 +407,34 @@ def explore_interleavings(trace: Trace, config: EngineConfig | None = None,
             f"at {max_steps} (pass max_steps to raise the cap)")
 
     base = Simulator(trace, config=config, descriptors=descriptors)
+    base.rng = None     # exploration picks every task itself
     memo: dict = {}
 
-    def futures(sim: Simulator) -> list[tuple]:
-        key = sim.state_key() if dedupe else None
-        if dedupe and key in memo:
-            return memo[key]
+    def futures(sim: Simulator, first: int | None = None) -> list[tuple]:
+        # the ways on from `sim`, after `first` steps if given; `sim` is
+        # stepped in place, since nothing reads a state again once it
+        # is keyed and its other children are copied
+        mark, start = len(sim.schedule), len(sim.entries)
+        if first is not None:
+            sim.step(first)
         runnable = sim.runnable_tasks()
+        while len(runnable) == 1:
+            sim.step(runnable[0])
+            runnable = sim.runnable_tasks()
         if not runnable:
-            before = len(sim.entries)
             sim.finalize()
-            result = [((), sim.entries[before:])]
-        else:
+            return [(tuple(sim.schedule[mark:]), sim.entries[start:])]
+        path, head = tuple(sim.schedule[mark:]), sim.entries[start:]
+        key = sim.state_key() if dedupe else None
+        result = memo.get(key) if dedupe else None
+        if result is None:
             result = []
             for tid in runnable:
-                child = deepcopy(sim)
-                before = len(child.entries)
-                child.step(tid)
-                head = child.entries[before:]
-                for choices, tail in futures(child):
-                    result.append(((tid,) + choices, head + tail))
-        if dedupe:
-            memo[key] = result
-        return result
+                child = sim if tid == runnable[-1] else deepcopy(sim)
+                result += futures(child, tid)
+            if dedupe:
+                memo[key] = result
+        return [(path + choices, head + tail) for choices, tail in result]
 
     prefix_entries = list(base.entries)
     return [(list(choices), prefix_entries + suffix)

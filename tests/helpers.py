@@ -1,15 +1,17 @@
 """Hand tools shared by the test modules: context builders, one-call
-policy attachment, and a small trace runner."""
+policy attachment, a small trace runner, program generators, and a
+reference explorer with a corpus of small races to check it against."""
 
 from __future__ import annotations
 
 import json
 import random
+from copy import deepcopy
 from dataclasses import replace
 from importlib.resources import files
 
 from sfvm.asm import assemble, disassemble
-from sfvm.engine import Engine
+from sfvm.engine import Engine, EngineConfig
 from sfvm.isa import (
     CTX_FIELDS,
     I16_MAX,
@@ -39,7 +41,7 @@ from sfvm.policies import (
     gen_validation_cache,
     load_profiles,
 )
-from sfvm.sim import Simulator
+from sfvm.sim import MAX_EXPLORE_STEPS, Simulator, explore_interleavings
 from sfvm.snapshot import DescriptorTable
 from sfvm.trace import parse_trace
 from sfvm.usermem import UserMemory
@@ -552,3 +554,121 @@ def round_trip_faults(program: FilterProgram) -> list:
 def _shapes(program):
     return [(d.name, d.kind, d.key_size, d.value_size, d.max_entries)
             for d in program.map_refs]
+
+
+# -- exploration oracle ------------------------------------------------------
+
+def reference_explore(trace, config=None, descriptors=None) -> list:
+    """Every schedule of `trace` as (schedule, entries) pairs, the plain
+    way: a deep copy for every child, no memo, nothing stepped in place.
+    `explore_interleavings` must return the same list, in the same
+    order."""
+    def futures(sim):
+        runnable = sim.runnable_tasks()
+        if not runnable:
+            before = len(sim.entries)
+            sim.finalize()
+            return [((), sim.entries[before:])]
+        out = []
+        for tid in runnable:
+            child = deepcopy(sim)
+            before = len(child.entries)
+            child.step(tid)
+            head = child.entries[before:]
+            out += [((tid,) + rest, head + tail)
+                    for rest, tail in futures(child)]
+        return out
+
+    base = Simulator(trace, config=config, descriptors=descriptors)
+    return [(list(choices), base.entries + suffix)
+            for choices, suffix in futures(base)]
+
+
+RACE_PAGE = 0x8000          # stored to by the corpus, and read by write(2)
+RACE_NRS = (1, 28, 101)     # write(2) snapshots 64 bytes at its arg 1
+
+
+def race_trace(rng: random.Random) -> tuple[list, EngineConfig]:
+    """A small race: the root (CAP_SYS_ADMIN) stores into `RACE_PAGE`,
+    installs an allow_all, count_limit or serialization policy and spawns
+    one or two children, processes or threads.  Then the tasks issue
+    syscalls, stores and external map updates, at most 10 schedulable
+    events in all.  Half the traces snapshot by write protection, so a
+    thread's store stalls while a sibling's write(2) holds the page; a
+    count_limit may kill, and the kill drains the victim and its
+    threads."""
+    a, b = rng.sample(RACE_NRS, 2)
+    kind = rng.choice(("allow_all", "count_limit", "serialization"))
+    if kind == "count_limit":
+        policy = {"generator": kind, "nr": a, "max": rng.randrange(2),
+                  "deny": rng.choice(("errno:1", "kill_process"))}
+    elif kind == "serialization":
+        policy = {"generator": kind, "pairs": {str(a): [b], str(b): [a]}}
+    else:
+        policy = {"generator": kind}
+    events = [
+        {"event": "spawn", "tid": 1, "nnp": True, "caps": ["CAP_SYS_ADMIN"]},
+        {"event": "mem_write", "task": 1, "addr": RACE_PAGE, "value_u64": 1},
+        {"event": "load", "task": 1, "handle": "h", "policy": policy},
+        {"event": "install", "task": 1, "handle": "h"},
+    ]
+    tids = [1]
+    for tid in range(2, 3 + rng.randrange(2)):
+        events.append({"event": rng.choice(("spawn", "spawn_thread")),
+                       "task": 1, "tid": tid})
+        tids.append(tid)
+    budget = 10 - (len(events) - 1)
+    while budget:
+        tid, what = rng.choice(tids), rng.randrange(4)
+        if what < 2 and budget >= 2:
+            events += [{"event": "syscall_enter", "task": tid,
+                        "nr": rng.choice((a, b)),
+                        "args": [5, RACE_PAGE, 64]},
+                       {"event": "syscall_exit", "task": tid}]
+            budget -= 2
+            continue
+        if what == 3:
+            # a counter reset, a serialization pair rewritten, or (for
+            # allow_all) an update of a map that is not there
+            name, key, value, size = (
+                ("partners", a, b, 16) if kind == "serialization"
+                else ("counter", 0, rng.randrange(2), 8))
+            events.append({"event": "map_update", "task": tid,
+                           "target": rng.choice(tids), "install": 0,
+                           "map": name,
+                           "key_hex": key.to_bytes(8, "little").hex(),
+                           "value_hex": value.to_bytes(size, "little").hex()})
+        else:
+            events.append({"event": "mem_write", "task": tid,
+                           "addr": RACE_PAGE + 8 * rng.randrange(4),
+                           "value_u64": rng.randrange(1 << 16)})
+        budget -= 1
+    mode = rng.choice(("copy", "write_protect"))
+    return events, EngineConfig(snapshot_mode=mode)
+
+
+def explore_disagreements(trace, config=None, descriptors=None,
+                          max_steps=MAX_EXPLORE_STEPS) -> list:
+    """How exploration departs from `reference_explore`, with and without
+    its memo, and how an explored log departs from replaying its
+    schedule from scratch; empty when all agree."""
+    want = reference_explore(trace, config, descriptors)
+    problems = []
+    for dedupe in (True, False):
+        try:
+            got = explore_interleavings(trace, config, descriptors,
+                                        max_steps=max_steps, dedupe=dedupe)
+        except Exception as exc:    # a crash is a disagreement too
+            problems.append(f"dedupe={dedupe}: raised {exc!r}")
+            continue
+        if got != want:
+            at = next((i for i, (g, w) in enumerate(zip(got, want))
+                       if g != w), min(len(got), len(want)))
+            problems.append(f"dedupe={dedupe}: {len(got)} schedules "
+                            f"against {len(want)}, first apart at {at}")
+    for schedule, entries in want:
+        again = Simulator(trace, config=config, descriptors=descriptors,
+                          schedule=schedule).run()
+        if again.entries != entries:
+            problems.append(f"replaying {schedule} logs otherwise")
+    return problems

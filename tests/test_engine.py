@@ -692,8 +692,7 @@ def _fuzz_checkpoint() -> bytes:
     eng = Engine()
     tid = attach(eng, assemble(BUDGET3))
     eng.install(tid, eng.load(tid, _zero_valued_allowlist()))
-    eng.install(tid, eng.load(tid, gen_validation_cache(
-        {7: {0: [1, 2]}}, cache_capacity=4)))
+    eng.install(tid, eng.load(tid, gen_validation_cache({7: {0: [1, 2]}})))
     probe(eng, tid, ctx(7, 1))
     eng.clock_ns = 4242
     return eng.checkpoint(tid)
