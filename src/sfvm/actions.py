@@ -90,9 +90,6 @@ class ResolvedAction:
             return cls(kind, errno=raw & _DATA_MASK)
         return cls(kind)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind.value, "errno": self.errno, "raw": self.raw}
-
 
 ALLOW = ResolvedAction(ActionKind.ALLOW)
 LOG = ResolvedAction(ActionKind.LOG)

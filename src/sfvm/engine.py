@@ -90,11 +90,6 @@ class Credentials:
     nnp: bool = False
     dumpable: bool = True
 
-    def to_json(self):
-        return {"uid": self.uid, "caps": sorted(self.caps),
-                "userns": self.userns, "nnp": self.nnp,
-                "dumpable": self.dumpable}
-
 
 @stateful(shared="program loader", aliased="maps", value="classic")
 @dataclass
@@ -543,21 +538,26 @@ class Engine:
             raise EngineError("checkpoint requires the task to be between "
                               "syscalls")
         out = bytearray()
-        out += _CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                                       0, self.clock_ns, len(t.chain))
-        for inst in t.chain:
-            blob = encode_program(self._snapshot_program(inst.program,
-                                                         inst.maps))
-            caps = ",".join(sorted(inst.loader.caps)).encode()
-            out += _CHECKPOINT_INSTALL.pack(
-                1 if inst.classic else 0, inst.loader.uid,
-                inst.loader.userns, 1 if inst.loader.nnp else 0,
-                1 if inst.loader.dumpable else 0, len(caps))
-            out += caps
-            out += struct.pack("<I", len(inst.maps))
-            out += bytes(1 if pmap.fd_open else 0 for pmap in inst.maps)
-            out += struct.pack("<I", len(blob))
-            out += blob
+        try:
+            out += _CHECKPOINT_HEADER.pack(
+                CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 0, self.clock_ns,
+                len(t.chain))
+            for inst in t.chain:
+                blob = encode_program(self._snapshot_program(inst.program,
+                                                             inst.maps))
+                caps = ",".join(sorted(inst.loader.caps)).encode()
+                out += _CHECKPOINT_INSTALL.pack(
+                    1 if inst.classic else 0, inst.loader.uid,
+                    inst.loader.userns, 1 if inst.loader.nnp else 0,
+                    1 if inst.loader.dumpable else 0, len(caps))
+                out += caps
+                out += struct.pack("<I", len(inst.maps))
+                out += bytes(1 if pmap.fd_open else 0 for pmap in inst.maps)
+                out += struct.pack("<I", len(blob))
+                out += blob
+        # a clock or a uid out of the range the format's fields hold
+        except struct.error as exc:
+            raise EngineError(f"cannot checkpoint: {exc}") from None
         return bytes(out)
 
     def restore(self, tid: int, blob: bytes) -> list[int]:
@@ -574,7 +574,9 @@ class Engine:
         # ProgramFormatError and UnicodeDecodeError are ValueErrors
         except (struct.error, ValueError) as exc:
             raise EngineError(f"malformed checkpoint: {exc}") from None
-        self.clock_ns = clock
+        # time is shared by every task: a restored clock may move it
+        # forward, never back
+        self.clock_ns = max(self.clock_ns, clock)
         t.chain += installs
         return list(range(len(t.chain) - len(installs), len(t.chain)))
 

@@ -21,9 +21,8 @@ copies.  Copy and fingerprint are derived from the field declarations
 (see `state`).  Futures are deduplicated by fingerprint: when two
 prefixes reach indistinguishable branch points, the suffix set is
 computed once and reused, preserving both schedule counts and
-per-schedule logs.  `dedupe=False` disables the memo for brute-force
-cross-checking.  Exploration refuses traces above a step bound rather
-than silently running for hours.
+per-schedule logs.  Exploration refuses traces above a step bound
+rather than silently running for hours.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ import random
 from copy import deepcopy
 
 from .engine import Engine, EngineConfig, EngineError
-from .isa import AUDIT_ARCH_X86_64, SyscallContext
+from .isa import AUDIT_ARCH_X86_64, SyscallContext, decode_program
+from .policies import build_program
 from .snapshot import DescriptorTable
 from .state import stateful
 from .trace import Trace, TraceError
@@ -52,11 +52,9 @@ def log_digest(entries) -> str:
 
 
 def _build_ctx(ev) -> SyscallContext:
-    args = list(ev.get("args", []))
-    args += [0] * (6 - len(args))
     return SyscallContext(nr=ev["nr"], arch=AUDIT_ARCH_X86_64,
                           calling_address=ev.get("addr", 0),
-                          args=tuple(args))
+                          args=(*ev.get("args", ()), 0, 0, 0, 0, 0, 0)[:6])
 
 
 @stateful(shared="trace", owned="engine",
@@ -219,7 +217,7 @@ class Simulator:
         self._consume(tid)
 
     def _ev_set_dumpable(self, tid: int, ev):
-        self.engine.set_dumpable(tid, bool(ev["value"]))
+        self.engine.set_dumpable(tid, ev["value"])
         self._consume(tid)
 
     def _ev_set_caps(self, tid: int, ev):
@@ -231,11 +229,15 @@ class Simulator:
         self._consume(tid)
 
     def _ev_load(self, tid: int, ev):
-        if "program_hex" in ev.fields:
-            program = bytes.fromhex(ev["program_hex"])
-        else:
-            from .policies import build_program
-            program = build_program(ev["policy"])
+        try:
+            if "program_hex" in ev.fields:
+                program = decode_program(bytes.fromhex(ev["program_hex"]))
+            else:
+                program = build_program(ev["policy"])
+        # ProgramFormatError is a ValueError; a bad generator spec raises
+        # whatever the generator's first use of the bad value raises
+        except (ValueError, TypeError, LookupError, AttributeError) as exc:
+            raise EngineError(f"cannot load: {exc!r}") from None
         handle = self.engine.load(tid, program)
         self.handle_ids[(tid, ev["handle"])] = handle
         self._consume(tid)
@@ -385,16 +387,14 @@ MAX_EXPLORE_STEPS = 14
 
 def explore_interleavings(trace: Trace, config: EngineConfig | None = None,
                           descriptors: DescriptorTable | None = None,
-                          max_steps: int = MAX_EXPLORE_STEPS,
-                          dedupe: bool = True) -> list[tuple]:
+                          max_steps: int = MAX_EXPLORE_STEPS) -> list[tuple]:
     """Every schedule of `trace`, as (schedule, entries) pairs, in
     depth-first order with runnable tasks taken by ascending id.
 
     A state where one task can run is stepped in place, neither copied
-    nor keyed.  A branch point with k runnable tasks is keyed once
-    (with `dedupe`) and, unless the memo already holds its futures,
-    copied k-1 times; its last task steps the original.  Finished
-    states are never keyed.
+    nor keyed.  A branch point with k runnable tasks is keyed once and,
+    unless the memo already holds its futures, copied k-1 times; its
+    last task steps the original.  Finished states are never keyed.
 
     Refuses traces whose scheduling depth exceeds `max_steps`: the
     schedule space is exponential and this is a verification aid, not
@@ -425,15 +425,14 @@ def explore_interleavings(trace: Trace, config: EngineConfig | None = None,
             sim.finalize()
             return [(tuple(sim.schedule[mark:]), sim.entries[start:])]
         path, head = tuple(sim.schedule[mark:]), sim.entries[start:]
-        key = sim.state_key() if dedupe else None
-        result = memo.get(key) if dedupe else None
+        key = sim.state_key()
+        result = memo.get(key)
         if result is None:
             result = []
             for tid in runnable:
                 child = sim if tid == runnable[-1] else deepcopy(sim)
                 result += futures(child, tid)
-            if dedupe:
-                memo[key] = result
+            memo[key] = result
         return [(path + choices, head + tail) for choices, tail in result]
 
     prefix_entries = list(base.entries)

@@ -73,35 +73,41 @@ class ArgDesc:
         return self.size + sum(f.size for f in self.fields)
 
 
-def _parse_field(raw: dict, where: str) -> FieldDesc:
-    kind = raw.get("kind")
+def _object(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise DescriptorError(f"{where}: must be a JSON object")
+    return raw
+
+
+def _parse_field(raw, where: str) -> FieldDesc:
+    kind = _object(raw, where).get("kind")
     if kind not in ("user_buffer", "user_string"):
         raise DescriptorError(f"{where}: record fields may only be "
                               f"user_buffer or user_string, got {kind!r}")
     offset = raw.get("offset")
-    size = raw.get("max" if kind == "user_string" else "size")
-    if not isinstance(offset, int) or offset < 0:
+    if type(offset) is not int or offset < 0:
         raise DescriptorError(f"{where}: bad field offset")
-    if not isinstance(size, int) or size <= 0:
-        raise DescriptorError(f"{where}: bad field size")
-    return FieldDesc(offset, kind, size)
+    return FieldDesc(offset, kind, _parse_arg(raw, where).size)
 
 
-def _parse_arg(raw: dict, where: str) -> ArgDesc:
-    kind = raw.get("kind")
+def _parse_arg(raw, where: str) -> ArgDesc:
+    kind = _object(raw, where).get("kind")
     if kind == "scalar":
         return ArgDesc("scalar")
     if kind in ("user_buffer", "user_string"):
         size = raw.get("max" if kind == "user_string" else "size")
-        if not isinstance(size, int) or size <= 0:
+        if type(size) is not int or size <= 0:
             raise DescriptorError(f"{where}: bad size")
         return ArgDesc(kind, size)
     if kind == "user_record":
         size = raw.get("size")
-        if not isinstance(size, int) or size <= 0:
+        if type(size) is not int or size <= 0:
             raise DescriptorError(f"{where}: bad record size")
+        raw_fields = raw.get("fields", [])
+        if not isinstance(raw_fields, list):
+            raise DescriptorError(f"{where}: fields must be a list")
         fields = []
-        for i, f in enumerate(raw.get("fields", [])):
+        for i, f in enumerate(raw_fields):
             fd = _parse_field(f, f"{where}.fields[{i}]")
             if fd.offset + 8 > size:
                 raise DescriptorError(
@@ -123,24 +129,31 @@ class DescriptorTable:
         if isinstance(data, (str, bytes)):
             data = json.loads(data)
         table: dict[int, dict[int, ArgDesc]] = {}
-        for nr_key, entry in data.items():
+        for nr_key, entry in _object(data, "descriptor table").items():
             try:
                 nr = int(nr_key)
-            except ValueError:
+            except (TypeError, ValueError):
                 raise DescriptorError(f"bad syscall number {nr_key!r}") from None
+            where = f"syscall {nr}"
+            raw_args = _object(_object(entry, where).get("args", {}),
+                               f"{where} args")
             args: dict[int, ArgDesc] = {}
             total = 0
-            for idx_key, raw in entry.get("args", {}).items():
-                idx = int(idx_key)
+            for idx_key, raw in raw_args.items():
+                try:
+                    idx = int(idx_key)
+                except (TypeError, ValueError):
+                    raise DescriptorError(f"{where}: bad argument index "
+                                          f"{idx_key!r}") from None
                 if not 0 <= idx <= 5:
                     raise DescriptorError(
-                        f"syscall {nr}: argument index {idx} out of range")
-                desc = _parse_arg(raw, f"syscall {nr} arg {idx}")
+                        f"{where}: argument index {idx} out of range")
+                desc = _parse_arg(raw, f"{where} arg {idx}")
                 args[idx] = desc
                 total += desc.snapshot_bytes
             if total > SNAPSHOT_LIMIT:
                 raise DescriptorError(
-                    f"syscall {nr}: snapshot would be {total} bytes, "
+                    f"{where}: snapshot would be {total} bytes, "
                     f"limit is {SNAPSHOT_LIMIT}")
             table[nr] = args
         return cls(table)

@@ -13,27 +13,9 @@ Any event may carry "dt_ns", which advances the global clock before
 the event is processed.  Time is data here, not wall clock, so runs
 are reproducible.
 
-Event kinds and their fields:
-
-  spawn          tid, [task=parent, uid, caps, nnp, dumpable]
-  spawn_thread   task, tid
-  set_nnp        task
-  set_dumpable   task, value
-  set_caps       task, caps
-  new_userns     task
-  load           task, handle, program_hex | policy
-  install        task, handle
-  syscall_enter  task, nr, [args, addr]
-  syscall_exit   task
-  mem_write      task, addr, data_hex | value_u64
-  map_update     task, install, map, key_hex, value_hex
-  phase_marker   task, nr
-  checkpoint     task, id
-  restore        task, id | blob_hex
-
-`load` takes either a hex-encoded program blob or a policy generator
-spec (a dict with "generator" plus its parameters), so traces can stay
-self-contained without embedding binaries.
+`EVENTS` below gives each event kind its fields and `FIELDS` each field
+its type.  A `load` carries a hex program blob or a policy spec (a dict
+with "generator" plus its parameters), which keeps traces binary-free.
 """
 
 from __future__ import annotations
@@ -41,26 +23,61 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-# event kind -> the fields every event of that kind carries
-_REQUIRED = {
-    "spawn": ("tid",),
-    "spawn_thread": ("task", "tid"),
-    "set_nnp": ("task",),
-    "set_dumpable": ("task", "value"),
-    "set_caps": ("task", "caps"),
-    "new_userns": ("task",),
-    "load": ("task", "handle"),
-    "install": ("task", "handle"),
-    "syscall_enter": ("task", "nr"),
-    "syscall_exit": ("task",),
-    "mem_write": ("task", "addr"),
-    "map_update": ("task", "install", "map", "key_hex", "value_hex"),
-    "phase_marker": ("task", "nr"),
-    "checkpoint": ("task", "id"),
-    "restore": ("task",),
+# event kind -> the fields it requires ("a|b": either, or both) and the
+# others it may carry; any event may carry dt_ns, and unknown fields pass
+EVENTS = {
+    "spawn":         ("tid", "task uid caps nnp dumpable"),
+    "spawn_thread":  ("task tid", ""),
+    "set_nnp":       ("task", ""),
+    "set_dumpable":  ("task value", ""),
+    "set_caps":      ("task caps", ""),
+    "new_userns":    ("task", ""),
+    "load":          ("task handle program_hex|policy", ""),
+    "install":       ("task handle", ""),
+    "syscall_enter": ("task nr", "args addr"),
+    "syscall_exit":  ("task", ""),
+    "mem_write":     ("task addr data_hex|value_u64", ""),
+    "map_update":    ("task install map key_hex value_hex", "target"),
+    "phase_marker":  ("task nr", "args addr"),
+    "checkpoint":    ("task id", ""),
+    "restore":       ("task id|blob_hex", ""),
 }
-EVENT_KINDS = frozenset(_REQUIRED)
-_INT_FIELDS = {"tid", "task", "nr", "addr", "install", "target", "value_u64"}
+_REQUIRES = {kind: [names.split("|") for names in required.split()]
+             for kind, (required, _) in EVENTS.items()}
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_hex(value) -> bool:
+    try:
+        bytes.fromhex(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+# field name -> (the test its value passes, what a value failing it is
+# told); a field has this one type in every event that carries it
+FIELDS = {
+    **dict.fromkeys(("tid", "task", "nr", "addr", "install", "target", "uid",
+                     "value_u64"), (_is_int, "must be an integer")),
+    "dt_ns": (lambda v: _is_int(v) and v >= 0,
+              "must be a non-negative integer"),
+    **dict.fromkeys(("handle", "id"), (lambda v: type(v) in (int, str),
+                                       "must be an integer or a string")),
+    "caps": (lambda v: type(v) is list and all(type(c) is str for c in v),
+             "must be a list of strings"),
+    "args": (lambda v: type(v) is list and len(v) <= 6
+             and all(map(_is_int, v)), "must be up to six integers"),
+    **dict.fromkeys(("nnp", "dumpable", "value"),
+                    (lambda v: type(v) is bool, "must be true or false")),
+    "map": (lambda v: type(v) is str, "must be a string"),
+    "policy": (lambda v: type(v) is dict, "must be an object"),
+    **dict.fromkeys(("program_hex", "data_hex", "key_hex", "value_hex",
+                     "blob_hex"), (_is_hex, "is not hex")),
+}
 
 
 class TraceError(ValueError):
@@ -100,41 +117,18 @@ def _check_event(raw: dict, line: int) -> TraceEvent:
     if not isinstance(raw, dict):
         raise TraceError(f"line {line}: event must be a JSON object")
     kind = raw.get("event")
-    if kind not in EVENT_KINDS:
+    if not isinstance(kind, str) or kind not in EVENTS:
         raise TraceError(f"line {line}: unknown event kind {kind!r}")
-    for key in _REQUIRED[kind]:
-        if key not in raw:
-            raise TraceError(f"line {line}: {kind} event is missing {key!r}")
-    dt = raw.get("dt_ns", 0)
-    if not isinstance(dt, int) or dt < 0:
-        raise TraceError(f"line {line}: dt_ns must be a non-negative integer")
-    if kind == "load" and "program_hex" not in raw and "policy" not in raw:
-        raise TraceError(f"line {line}: load needs program_hex or policy")
-    if kind == "mem_write" and "data_hex" not in raw and "value_u64" not in raw:
-        raise TraceError(f"line {line}: mem_write needs data_hex or value_u64")
-    if kind == "restore" and "id" not in raw and "blob_hex" not in raw:
-        raise TraceError(f"line {line}: restore needs id or blob_hex")
-    if kind == "syscall_enter":
-        args = raw.get("args", [])
-        if not isinstance(args, list) or len(args) > 6 \
-                or not all(isinstance(a, int) for a in args):
-            raise TraceError(f"line {line}: args must be up to six integers")
+    for names in _REQUIRES[kind]:
+        if raw.keys().isdisjoint(names):
+            raise TraceError(f"line {line}: {kind} event is missing "
+                             f"{' or '.join(names)!r}")
     for key, value in raw.items():
-        if key in _INT_FIELDS and type(value) is not int:
-            raise TraceError(f"line {line}: {key} must be an integer")
-        if key.endswith("_hex"):
-            try:
-                bytes.fromhex(value)
-            except (TypeError, ValueError):
-                raise TraceError(f"line {line}: {key} is not hex") from None
-        elif key == "handle" and type(value) not in (int, str):
-            raise TraceError(f"line {line}: handle must be an integer or a"
-                             " string")
-        elif key == "caps" and not (isinstance(value, list) and all(
-                isinstance(c, str) for c in value)):
-            raise TraceError(f"line {line}: caps must be a list of strings")
+        check = FIELDS.get(key)
+        if check is not None and not check[0](value):
+            raise TraceError(f"line {line}: {key} {check[1]}")
     fields = {k: v for k, v in raw.items() if k not in ("event", "dt_ns")}
-    return TraceEvent(kind, line, dt, fields)
+    return TraceEvent(kind, line, raw.get("dt_ns", 0), fields)
 
 
 def parse_trace(text: str) -> Trace:
@@ -153,25 +147,19 @@ def parse_trace(text: str) -> Trace:
     setup = []
     queues: dict[int, list] = {}
     seen_tids: set[int] = set()
-    body_started = False
     for ev in events:
         if ev.kind == "spawn" and ev.task is None:
-            if body_started:
+            if queues:
                 raise TraceError(
                     f"line {ev.line}: parentless spawns must lead the trace")
-            tid = ev["tid"]
-            if tid in seen_tids:
-                raise TraceError(f"line {ev.line}: task {tid} spawned twice")
-            seen_tids.add(tid)
             setup.append(ev)
-            continue
-        body_started = True
+        else:
+            queues.setdefault(ev.task, []).append(ev)
         if ev.kind in ("spawn", "spawn_thread"):
             tid = ev["tid"]
             if tid in seen_tids:
                 raise TraceError(f"line {ev.line}: task {tid} spawned twice")
             seen_tids.add(tid)
-        queues.setdefault(ev.task, []).append(ev)
 
     for tid, queue in queues.items():
         if tid not in seen_tids:

@@ -3,11 +3,10 @@ outside the test suite:
 
     PYTHONPATH=src python -m tests.fuzz_explore --seed 1 --traces 2000
 
-For each generated race it checks that `explore_interleavings`, with and
-without its memo, returns the reference explorer's schedules and logs in
-the reference's order, and that replaying each schedule from scratch
-logs the same entries.  It prints the counts and exits with the number
-of disagreeing traces.
+For each generated race it checks that `explore_interleavings` returns
+the reference explorer's schedules and logs in the reference's order,
+and that replaying each schedule from scratch logs the same entries.
+It prints the counts and exits with the number of disagreeing traces.
 """
 
 from __future__ import annotations

@@ -649,26 +649,70 @@ def race_trace(rng: random.Random) -> tuple[list, EngineConfig]:
 
 def explore_disagreements(trace, config=None, descriptors=None,
                           max_steps=MAX_EXPLORE_STEPS) -> list:
-    """How exploration departs from `reference_explore`, with and without
-    its memo, and how an explored log departs from replaying its
-    schedule from scratch; empty when all agree."""
+    """How exploration departs from `reference_explore`, and how an
+    explored log departs from replaying its schedule from scratch; empty
+    when all agree."""
     want = reference_explore(trace, config, descriptors)
     problems = []
-    for dedupe in (True, False):
-        try:
-            got = explore_interleavings(trace, config, descriptors,
-                                        max_steps=max_steps, dedupe=dedupe)
-        except Exception as exc:    # a crash is a disagreement too
-            problems.append(f"dedupe={dedupe}: raised {exc!r}")
-            continue
+    try:
+        got = explore_interleavings(trace, config, descriptors,
+                                    max_steps=max_steps)
+    except Exception as exc:    # a crash is a disagreement too
+        problems.append(f"raised {exc!r}")
+    else:
         if got != want:
             at = next((i for i, (g, w) in enumerate(zip(got, want))
                        if g != w), min(len(got), len(want)))
-            problems.append(f"dedupe={dedupe}: {len(got)} schedules "
-                            f"against {len(want)}, first apart at {at}")
+            problems.append(f"{len(got)} schedules against {len(want)}, "
+                            f"first apart at {at}")
     for schedule, entries in want:
         again = Simulator(trace, config=config, descriptors=descriptors,
                           schedule=schedule).run()
         if again.entries != entries:
             problems.append(f"replaying {schedule} logs otherwise")
     return problems
+
+
+def every_field_trace() -> list:
+    """A trace in which each event kind carries each field that
+    `trace.EVENTS` lists for it, and the run reads every one: restores
+    by id and by blob, loads by spec and by blob, a store that races a
+    write(2) snapshot, and a map update that reaches its map."""
+    engine = Engine()
+    admin = engine.spawn(caps=["CAP_SYS_ADMIN"])
+    attach(engine, gen_count_limit(1, 2), admin)
+    blob = engine.checkpoint(admin)
+    return [
+        {"event": "spawn", "tid": 1, "uid": 0, "caps": ["CAP_SYS_ADMIN"],
+         "nnp": False, "dumpable": True},
+        {"event": "spawn", "task": 1, "tid": 2, "uid": 1000, "caps": [],
+         "nnp": True, "dumpable": False, "dt_ns": 10},
+        {"event": "set_nnp", "task": 2},
+        {"event": "set_dumpable", "task": 2, "value": True},
+        {"event": "set_caps", "task": 2, "caps": ["CAP_SYS_PTRACE"]},
+        {"event": "load", "task": 2, "handle": "limit",
+         "policy": {"generator": "count_limit", "nr": 1, "max": 1}},
+        {"event": "install", "task": 2, "handle": "limit"},
+        {"event": "new_userns", "task": 2},
+        {"event": "load", "task": 1, "handle": 0,
+         "program_hex": encode_program(gen_count_limit(1, 2)).hex()},
+        {"event": "install", "task": 1, "handle": 0},
+        {"event": "spawn_thread", "task": 1, "tid": 3},
+        {"event": "syscall_enter", "task": 1, "nr": 1,
+         "args": [5, RACE_PAGE, 64], "addr": 4096, "dt_ns": 5},
+        {"event": "mem_write", "task": 3, "addr": RACE_PAGE,
+         "data_hex": "00ff"},
+        {"event": "syscall_exit", "task": 1},
+        {"event": "mem_write", "task": 3, "addr": RACE_PAGE + 8,
+         "value_u64": 5},
+        {"event": "map_update", "task": 1, "target": 3, "install": 0,
+         "map": "counter", "key_hex": "00" * 8, "value_hex": "00" * 8},
+        {"event": "phase_marker", "task": 1, "nr": 1, "args": [5],
+         "addr": 0},
+        {"event": "checkpoint", "task": 1, "id": "c"},
+        {"event": "restore", "task": 1, "id": "c"},
+        {"event": "restore", "task": 1, "blob_hex": blob.hex()},
+        {"event": "syscall_enter", "task": 2, "nr": 1, "args": [5]},
+        {"event": "syscall_exit", "task": 2},
+    ]
+

@@ -599,6 +599,30 @@ def test_restore_round_trips_map_state():
     assert probe(other, target, ctx(0))["action"] == "errno"
 
 
+def test_restore_never_moves_the_clock_back():
+    eng = Engine()
+    admin = eng.spawn(caps=[CAP_SYS_ADMIN])
+    blob = eng.checkpoint(admin)                    # taken at clock 0
+    tid = attach(eng, gen_rate_limit(1, 1, 2))
+    eng.clock_ns = 5 * 10 ** 9
+    spent = [probe(eng, tid, ctx(1))["action"] for _ in range(4)]
+    assert spent == ["allow", "allow", "errno", "errno"]
+    eng.restore(admin, blob)
+    # no time passed, so the other task's bucket stays empty
+    assert eng.clock_ns == 5 * 10 ** 9
+    assert probe(eng, tid, ctx(1))["action"] == "errno"
+
+
+@pytest.mark.parametrize("uid,clock", [(-1, 0), (2 ** 32, 0), (0, 2 ** 64)])
+def test_checkpoint_refuses_values_its_format_cannot_hold(uid, clock):
+    eng = Engine()
+    tid = eng.spawn(uid=uid, nnp=True)
+    eng.install(tid, eng.load(tid, ALLOW_ALL))
+    eng.clock_ns = clock
+    with pytest.raises(EngineError, match="cannot checkpoint"):
+        eng.checkpoint(tid)
+
+
 def _target_items(eng: Engine, tid: int) -> list:
     """Contents of the maps of the first handoff target of the task's
     first filter."""

@@ -276,6 +276,28 @@ def test_engine_errors_become_log_entries():
     assert sim.pos[1] == 2                     # the run moved on
 
 
+@pytest.mark.parametrize("source,error", [
+    ({"program_hex": "00"}, "ProgramFormatError('truncated program file')"),
+    ({"policy": {"generator": "nope"}},
+     """ValueError("unknown policy generator 'nope'")"""),
+    ({"policy": {"generator": "allowlist", "allowed": 5}},
+     """TypeError("'int' object is not iterable")"""),
+    ({"policy": {"generator": "temporal", "profile": 5}},
+     """AttributeError("'int' object has no attribute 'get'")"""),
+    ({"policy": {"generator": "count_limit", "nr": 1}}, "KeyError('max')"),
+])
+def test_a_load_that_cannot_be_carried_out_is_an_error_entry(source, error):
+    events = [
+        {"event": "spawn", "tid": 1, "nnp": True},
+        {"event": "load", "task": 1, "handle": 1, **source},
+        {"event": "set_nnp", "task": 1},
+    ]
+    sim = run_trace(events)
+    assert sim.entries == [{"kind": "error", "task": 1, "event": "load",
+                            "error": f"cannot load: {error}"}]
+    assert sim.pos[1] == 2                     # the run moved on
+
+
 def test_failed_write_is_an_error_entry():
     # write(2)'s buffer is copied into the task's staging page, which
     # stays mapped and refuses application stores
@@ -564,7 +586,7 @@ def test_dedupe_preserves_the_schedule_set(name):
     trace = parse_trace(trace_text(spec["trace"]))
     kwargs = {"descriptors": bundled_descriptors(),
               "max_steps": spec.get("max_steps", MAX_EXPLORE_STEPS)}
-    # with and without the memo: the reference's list, in its order
+    # the reference's list, in its order
     assert explore_disagreements(trace, **kwargs) == []
     if name == "tail-call-state":
         fast = explore_interleavings(trace, **kwargs)

@@ -79,6 +79,25 @@ def test_record_fields_parse():
      "may only be"),
     ({"1": {"args": {"0": {"kind": "user_buffer",
                            "size": SNAPSHOT_LIMIT + 1}}}}, "limit is"),
+    ({"1": {"args": {"x": {"kind": "scalar"}}}}, "bad argument index 'x'"),
+    ([1], "descriptor table: must be a JSON object"),
+    ({"1": [1]}, "syscall 1: must be a JSON object"),
+    ({"1": {"args": [1]}}, "syscall 1 args: must be a JSON object"),
+    ({"1": {"args": {"0": "scalar"}}}, "syscall 1 arg 0: must be a JSON"),
+    ({"1": {"args": {"0": {"kind": "user_record", "size": 16,
+                           "fields": [8]}}}}, r"fields\[0\]: must be a JSON"),
+    ({"1": {"args": {"0": {"kind": "user_record", "size": 16,
+                           "fields": "ab"}}}}, "fields must be a list"),
+    ({"1": {"args": {"0": {"kind": "user_buffer", "size": True}}}},
+     "bad size"),
+    ({"1": {"args": {"0": {"kind": "user_record", "size": True}}}},
+     "bad record size"),
+    ({"1": {"args": {"0": {"kind": "user_record", "size": 16, "fields":
+        [{"offset": True, "kind": "user_buffer", "size": 8}]}}}},
+     "bad field offset"),
+    ({"1": {"args": {"0": {"kind": "user_record", "size": 16, "fields":
+        [{"offset": 0, "kind": "user_string", "max": 0}]}}}},
+     r"fields\[0\]: bad size"),
 ])
 def test_table_rejects_bad_descriptors(spec, fragment):
     with pytest.raises(DescriptorError, match=fragment):

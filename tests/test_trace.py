@@ -6,9 +6,16 @@ import json
 
 import pytest
 
-from sfvm.trace import TraceError, event_to_json, parse_trace
+from sfvm.sim import Simulator
+from sfvm.trace import EVENTS, TraceError, event_to_json, parse_trace
 
-from .helpers import trace_text
+from . import fuzz_trace
+from .helpers import (
+    bundled_descriptors,
+    decisions,
+    every_field_trace,
+    trace_text,
+)
 
 
 def test_queues_split_by_task():
@@ -94,10 +101,48 @@ def test_dt_ns_is_preserved():
      "handle must be an integer or a string"),
     ('{"event": "install", "task": 1, "handle": false}',
      "handle must be an integer or a string"),
+    ('{"event": "phase_marker", "task": 1, "nr": 0, "args": "abc"}',
+     "line 2: args must be up to six integers"),
+    ('{"event": "checkpoint", "task": 1, "id": [1]}',
+     "line 2: id must be an integer or a string"),
+    ('{"event": "restore", "task": 1, "id": {"a": 1}}',
+     "line 2: id must be an integer or a string"),
+    ('{"event": "load", "task": 1, "handle": 1, "policy": "allow_all"}',
+     "line 2: policy must be an object"),
+    ('{"event": "spawn", "task": 1, "tid": 2, "uid": "root"}',
+     "line 2: uid must be an integer"),
+    ('{"event": "spawn", "task": 1, "tid": 2, "nnp": "false"}',
+     "line 2: nnp must be true or false"),
+    ('{"event": "spawn", "task": 1, "tid": 2, "dumpable": "false"}',
+     "line 2: dumpable must be true or false"),
+    ('{"event": "set_dumpable", "task": 1, "value": 0}',
+     "line 2: value must be true or false"),
+    ('{"event": "map_update", "task": 1, "install": 0, "map": 5, '
+     '"key_hex": "00", "value_hex": "00"}', "line 2: map must be a string"),
+    ('{"event": ["spawn"], "tid": 2}', "line 2: unknown event kind"),
+    ('{"event": "syscall_exit", "task": 1, "dt_ns": true}',
+     "line 2: dt_ns must be a non-negative integer"),
 ])
 def test_event_validation(line, fragment):
     with pytest.raises(TraceError, match=fragment):
         parse_trace('{"event": "spawn", "tid": 1}\n' + line)
+
+
+def test_every_field_trace_runs_clean():
+    events = every_field_trace()
+    for kind in EVENTS:
+        carried = set().union(*(ev for ev in events if ev["event"] == kind))
+        assert set(fuzz_trace.kind_fields(kind)) <= carried, kind
+    sim = Simulator(parse_trace(trace_text(events)),
+                    descriptors=bundled_descriptors()).run()
+    assert [e for e in sim.entries if e["kind"] not in ("decision", "exit")
+            ] == []
+    assert len(decisions(sim.entries)) == 3
+
+
+def test_a_wrong_typed_field_is_refused_or_runs():
+    # a fixed slice of the fuzzer; it prints every trace that crashed
+    assert fuzz_trace.main(["--seed", "1", "--traces", "200"]) == 0
 
 
 def test_error_reports_the_offending_line():
