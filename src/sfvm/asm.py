@@ -13,10 +13,16 @@ Grammar, one instruction per line:
         tail_call
         exit
 
-Operands follow `isa.INSNS`, with one parser and one renderer per
-operand kind.  A register-or-immediate operand selects the opcode
-variant, a jump target is a label or a bare relative offset, and a
-helper is a name or a number.  `jmp` is an alias for `ja`.
+Operands follow `isa.INSNS`.  At import each mnemonic is bound to its
+operand plan: the opcode of its immediate form and one parser per
+operand, each already told the instruction field it fills (registers
+fill dst, then src) and, for a register-or-immediate operand, the
+opcode of the register form that a register there selects.  A line
+then costs one plan lookup and one call per operand.  Registers resolve
+through an r0..r10 table; a token outside it goes to the regular
+expression, which refuses r11 and accepts the r007 spelling.  A jump
+target is a label or a bare relative offset, and a helper is a name or
+a number.  `jmp` is an alias for `ja`.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .isa import (
     MEM_OFF,
     MNEMONICS,
     MapDecl,
+    NUM_REGS,
     REG,
     REG_OR_IMM,
     SECTIONS,
@@ -58,6 +65,10 @@ class AsmError(ValueError):
 _COMMENT_RE = re.compile(r"[;#]")
 _LABEL_RE = re.compile(r"^[A-Za-z_.][\w.]*$")
 _REG_RE = re.compile(r"^r(\d+)$")
+_REGS = {f"r{n}": n for n in range(NUM_REGS)}
+
+# an instruction being parsed is [opcode, dst, src, offset, imm, lineno]
+_DST, _SRC, _OFF, _IMM = 1, 2, 3, 4
 
 
 def _parse_int(tok: str, lineno: int) -> int:
@@ -72,10 +83,12 @@ def assemble(source: str) -> FilterProgram:
     decls: list[MapDecl] = []
     decl_names: dict[str, int] = {}
     labels: dict[str, int] = {}
-    pending: list[tuple] = []   # (opcode, fields, lineno)
+    pending: list[list] = []    # instructions being parsed
 
-    for lineno, raw_line in enumerate(source.splitlines(), start=1):
-        line = _COMMENT_RE.split(raw_line, maxsplit=1)[0].strip()
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        if ";" in line or "#" in line:
+            line = _COMMENT_RE.split(line, maxsplit=1)[0]
+        line = line.strip()
         if not line:
             continue
 
@@ -95,21 +108,31 @@ def assemble(source: str) -> FilterProgram:
 
         parts = line.split(None, 1)
         mnem = parts[0].lower()
-        ops = [o.strip() for o in parts[1].split(",")] if len(parts) > 1 else []
+        ops = parts[1].split(",") if len(parts) > 1 else ()
 
-        if mnem == "section":
+        plan = _PLANS.get(mnem)
+        if plan is not None:
+            opcode, parsers = plan
+            if len(ops) != len(parsers):
+                raise AsmError(f"{mnem} takes {len(parsers)} operand(s)",
+                               lineno)
+            insn = [opcode, 0, 0, 0, 0, lineno]
+            for parse, tok in zip(parsers, map(str.strip, ops)):
+                parse(tok, insn, lineno, decl_names)
+            pending.append(insn)
+
+        elif mnem == "section":
             if section is not None:
                 raise AsmError("multiple section directives", lineno)
             if pending or decls:
                 raise AsmError("section directive must come first", lineno)
-            if len(ops) != 1 or ops[0] not in SECTIONS:
+            if len(ops) != 1 or ops[0].strip() not in SECTIONS:
                 raise AsmError(
                     f"section must be one of {', '.join(SECTIONS)}", lineno
                 )
-            section = ops[0]
-            continue
+            section = ops[0].strip()
 
-        if mnem == "map":
+        elif mnem == "map":
             fields = line.split()
             if len(fields) != 6:
                 raise AsmError(
@@ -136,20 +159,19 @@ def assemble(source: str) -> FilterProgram:
                 raise AsmError(str(exc), lineno) from None
             decl_names[name] = len(decls)
             decls.append(decl)
-            continue
 
-        pending.append(_parse_insn(mnem, ops, lineno, decl_names))
+        else:
+            raise AsmError(f"unknown mnemonic {mnem!r}", lineno)
 
     # a label stands in the offset field until every label is known
     insns = []
-    for index, (opcode, fields, lineno) in enumerate(pending):
-        target = fields.get("offset")
-        if type(target) is str:
-            if target not in labels:
-                raise AsmError(f"unresolved label {target!r}", lineno)
-            fields["offset"] = _i16(labels[target] - (index + 1),
-                                    "jump displacement", lineno)
-        insns.append(Instruction(opcode, **fields))
+    for index, (opcode, dst, src, offset, imm, lineno) in enumerate(pending):
+        if type(offset) is str:
+            if offset not in labels:
+                raise AsmError(f"unresolved label {offset!r}", lineno)
+            offset = _i16(labels[offset] - (index + 1), "jump displacement",
+                          lineno)
+        insns.append(Instruction(opcode, dst, src, offset, imm))
 
     return FilterProgram(
         instructions=tuple(insns),
@@ -158,37 +180,44 @@ def assemble(source: str) -> FilterProgram:
     )
 
 
-def _parse_insn(mnem, ops, lineno, decl_names):
-    if mnem not in INSNS:
-        raise AsmError(f"unknown mnemonic {mnem!r}", lineno)
-    opcodes, kinds = INSNS[mnem]
-    if len(ops) != len(kinds):
-        raise AsmError(f"{mnem} takes {len(kinds)} operand(s)", lineno)
-    fields = {}
-    for kind, tok in zip(kinds, ops):
-        _PARSE[kind](tok, fields, lineno, decl_names)
-    # a register in the register-or-immediate slot picks the second form
-    opcode = opcodes[-1] if "src" in fields else opcodes[0]
-    return opcode, fields, lineno
+# -- operand parsers: each fills its fields of the instruction being parsed
 
-
-# -- one parser per operand kind: token -> the instruction fields it fills
-
-def _reg(tok, fields, lineno, decl_names):
+def _odd_reg(tok, lineno):
+    """A register token outside `_REGS`: r007 is r7, the rest is refused."""
     m = _REG_RE.match(tok)
     if not m:
         raise AsmError(f"expected a register, got {tok!r}", lineno)
     n = int(m.group(1))
-    if n > 10:
+    if n >= NUM_REGS:
         raise AsmError(f"register out of range: {tok}", lineno)
-    fields["src" if "dst" in fields else "dst"] = n
+    return n
 
 
-def _imm(tok, fields, lineno, decl_names):
+def _reg(slot):
+    def parse(tok, insn, lineno, decl_names):
+        try:
+            insn[slot] = _REGS[tok]
+        except KeyError:
+            insn[slot] = _odd_reg(tok, lineno)
+    return parse
+
+
+def _reg_or_imm(reg_opcode):
+    def parse(tok, insn, lineno, decl_names):
+        n = _REGS.get(tok)
+        if n is None and not _REG_RE.match(tok):
+            insn[_IMM] = _imm(tok, lineno)
+            return
+        insn[0] = reg_opcode
+        insn[_SRC] = _odd_reg(tok, lineno) if n is None else n
+    return parse
+
+
+def _imm(tok, lineno):
     value = _parse_int(tok, lineno)
     if value >= 1 << 64 or value < -(1 << 63):
         raise AsmError(f"immediate out of 64-bit range: {value:#x}", lineno)
-    fields["imm"] = value - (1 << 64) if value >= 1 << 63 else value
+    return value - (1 << 64) if value >= 1 << 63 else value
 
 
 def _i16(value, what, lineno):
@@ -198,39 +227,49 @@ def _i16(value, what, lineno):
 
 
 def _offset(what):
-    def parse(tok, fields, lineno, decl_names):
-        fields["offset"] = _i16(_parse_int(tok, lineno), what, lineno)
+    def parse(tok, insn, lineno, decl_names):
+        insn[_OFF] = _i16(_parse_int(tok, lineno), what, lineno)
     return parse
 
 
-def _target(tok, fields, lineno, decl_names):
+def _target(tok, insn, lineno, decl_names):
     if _LABEL_RE.match(tok):
-        fields["offset"] = tok      # resolved once every label is known
+        insn[_OFF] = tok
     else:
-        fields["offset"] = _i16(_parse_int(tok, lineno),
-                                "jump displacement", lineno)
+        insn[_OFF] = _i16(_parse_int(tok, lineno), "jump displacement", lineno)
 
 
-def _imm_or_map(tok, fields, lineno, decl_names):
+def _imm_or_map(tok, insn, lineno, decl_names):
     if not tok.startswith("map:"):
-        return _imm(tok, fields, lineno, decl_names)
-    if tok[4:] not in decl_names:
+        insn[_IMM] = _imm(tok, lineno)
+    elif tok[4:] not in decl_names:
         raise AsmError(f"reference to undeclared map {tok[4:]!r}", lineno)
-    fields["src"] = LD_IMM64_MAP_REF
-    fields["imm"] = decl_names[tok[4:]]
+    else:
+        insn[_SRC] = LD_IMM64_MAP_REF
+        insn[_IMM] = decl_names[tok[4:]]
 
 
-def _helper(tok, fields, lineno, decl_names):
-    if tok not in HELPERS_BY_NAME:
-        return _imm(tok, fields, lineno, decl_names)
-    fields["imm"] = int(HELPERS_BY_NAME[tok])
+def _helper(tok, insn, lineno, decl_names):
+    helper = HELPERS_BY_NAME.get(tok)
+    insn[_IMM] = _imm(tok, lineno) if helper is None else int(helper)
 
 
-_PARSE = {REG: _reg, TARGET: _target, IMM_OR_MAP: _imm_or_map,
+_PARSE = {TARGET: _target, IMM_OR_MAP: _imm_or_map,
           CTX_OFF: _offset("context offset"),
-          MEM_OFF: _offset("memory offset"), HELPER: _helper,
-          REG_OR_IMM: lambda tok, *rest:
-              (_reg if _REG_RE.match(tok) else _imm)(tok, *rest)}
+          MEM_OFF: _offset("memory offset"), HELPER: _helper}
+
+
+def _plan(opcodes, kinds):
+    regs = iter((_DST, _SRC))
+    return opcodes[0], tuple(
+        _reg(next(regs)) if kind == REG
+        else _reg_or_imm(opcodes[-1]) if kind == REG_OR_IMM
+        else _PARSE[kind] for kind in kinds)
+
+
+# mnemonic -> (opcode of its first form, one bound parser per operand)
+_PLANS = {mnem: _plan(opcodes, kinds)
+          for mnem, (opcodes, kinds) in INSNS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 import operator
 import re
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -328,21 +329,28 @@ class SyscallContext:
         raise ValueError(f"no context field starts at offset {offset}")
 
 
-@dataclass(frozen=True)
-class Instruction:
-    opcode: Opcode
-    dst: int = 0
-    src: int = 0
-    offset: int = 0
-    imm: int = 0
+class Instruction(namedtuple("Instruction", "opcode dst src offset imm")):
+    """One instruction, immutable; every field fits its encoding.
 
-    def __post_init__(self):
-        if not 0 <= self.dst < NUM_REGS or not 0 <= self.src < NUM_REGS:
+    A tuple type, because programs build and compare many of them: the
+    one constructor checks the fields, and `_make` (which `_replace`
+    uses) goes through it too."""
+
+    __slots__ = ()
+
+    def __new__(cls, opcode: Opcode, dst: int = 0, src: int = 0,
+                offset: int = 0, imm: int = 0):
+        if not 0 <= dst < NUM_REGS or not 0 <= src < NUM_REGS:
             raise ValueError("register index out of range (r0..r10)")
-        if not I16_MIN <= self.offset <= I16_MAX:
+        if not I16_MIN <= offset <= I16_MAX:
             raise ValueError("offset does not fit in i16")
-        if not I64_MIN <= self.imm <= I64_MAX:
+        if not I64_MIN <= imm <= I64_MAX:
             raise ValueError("immediate does not fit in i64")
+        return tuple.__new__(cls, (opcode, dst, src, offset, imm))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 @dataclass

@@ -58,21 +58,28 @@ def _strip_policies(events: list) -> list:
 
 def decision_windows_overlap(entries, pair) -> bool:
     """True if the two syscall numbers were ever simultaneously inside
-    allowed (entered, not yet exited) invocations."""
+    allowed (entered, not yet exited) invocations.  An allowed phase
+    marker opens no window, so the exit logged after it closes none."""
     a, b = pair
     open_counts = {a: 0, b: 0}
+    markers = set()     # (task, nr) of allowed markers not yet exited
     for entry in entries:
         kind = entry.get("kind")
         nr = entry.get("nr")
         if nr not in open_counts:
             continue
-        if kind == "decision" and entry["action"] in ("allow", "log") \
-                and not entry.get("marker"):
+        if kind == "decision" and entry["action"] in ("allow", "log"):
+            if entry.get("marker"):
+                markers.add((entry["task"], nr))
+                continue
             open_counts[nr] += 1
             if open_counts[a] > 0 and open_counts[b] > 0:
                 return True
         elif kind == "exit":
-            open_counts[nr] -= 1
+            if (entry["task"], nr) in markers:
+                markers.remove((entry["task"], nr))
+            else:
+                open_counts[nr] -= 1
     return False
 
 

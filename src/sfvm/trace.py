@@ -11,7 +11,8 @@ become runnable once it exists.
 
 Any event may carry "dt_ns", which advances the global clock before
 the event is processed.  Time is data here, not wall clock, so runs
-are reproducible.
+are reproducible.  The clock is 64 bits wide, so the sum of every
+dt_ns stays below 2**64, and a uid is 32 bits wide.
 
 `EVENTS` below gives each event kind its fields and `FIELDS` each field
 its type.  A `load` carries a hex program blob or a policy spec (a dict
@@ -61,8 +62,10 @@ def _is_hex(value) -> bool:
 # field name -> (the test its value passes, what a value failing it is
 # told); a field has this one type in every event that carries it
 FIELDS = {
-    **dict.fromkeys(("tid", "task", "nr", "addr", "install", "target", "uid",
+    **dict.fromkeys(("tid", "task", "nr", "addr", "install", "target",
                      "value_u64"), (_is_int, "must be an integer")),
+    "uid": (lambda v: _is_int(v) and 0 <= v < 1 << 32,
+            "must be an integer in [0, 2**32)"),
     "dt_ns": (lambda v: _is_int(v) and v >= 0,
               "must be a non-negative integer"),
     **dict.fromkeys(("handle", "id"), (lambda v: type(v) in (int, str),
@@ -134,6 +137,7 @@ def _check_event(raw: dict, line: int) -> TraceEvent:
 def parse_trace(text: str) -> Trace:
     """Parse and statically validate a JSON-lines trace."""
     events = []
+    clock = 0       # every schedule ends at this sum: the u64 clock holds it
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -143,6 +147,10 @@ def parse_trace(text: str) -> Trace:
         except json.JSONDecodeError as exc:
             raise TraceError(f"line {line_no}: bad JSON ({exc.msg})") from None
         events.append(_check_event(raw, line_no))
+        clock += events[-1].dt_ns
+        if clock >= 1 << 64:
+            raise TraceError(f"line {line_no}: dt_ns takes the clock to "
+                             f"2**64 ns or past it")
 
     setup = []
     queues: dict[int, list] = {}

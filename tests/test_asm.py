@@ -243,3 +243,95 @@ def test_encodings_of_generators_and_fuzz_corpus_are_pinned():
     for _ in range(1000):
         digest.update(encode_program(assemble(fuzz_source(rng))))
     assert digest.hexdigest() == ENCODING_DIGEST
+
+
+# -- malformed and edge-case texts ------------------------------------------
+
+# odd lines spliced into a text: names the assembler must refuse
+_ODD_LINES = ("call no_such_helper", "ld_imm64 r1, map:nope", "ja nowhere",
+              "jeq r0, 0, missing", "map m bogus 8 8 4", "frob r0, 1",
+              "section seccomp", "x: y: mov r0, 0", ": exit", "exit ;", "#")
+# operand kind -> (the tokens of that kind, odd tokens to put in their place)
+_REPLACEMENTS = {
+    "reg": (lambda t: t[0] == "r" and t[1:].isdigit(), ("r11", "r007", "r99")),
+    "number": (lambda t: t.lstrip("-")[:1].isdigit(),
+               (str(1 << 64), str(-(1 << 63) - 1), str(1 << 63), "0x8000",
+                "-32769", "32767", "0x1_0000_0000_0000_0000", "1e3")),
+    "name": (lambda t: t[:1].isalpha() and not t[1:].isdigit(),
+             ("nowhere", "map:nope", "no_such_helper")),
+}
+
+
+def _mutant(rng: random.Random, text: str) -> str:
+    """`text` with one seeded mutation: a token dropped, duplicated,
+    swapped or replaced, a line dropped, doubled or added, or a stray
+    `:`, `;` or `#`."""
+    lines = text.splitlines()
+    at = rng.choice([i for i, line in enumerate(lines) if line.strip()])
+    tokens = lines[at].replace(",", " , ").split()
+    kind = rng.choice(("drop", "dup", "swap", "reg", "number", "mnemonic",
+                       "name", "line", "stray"))
+    if kind == "drop":
+        del tokens[rng.randrange(len(tokens))]
+    elif kind == "dup":
+        i = rng.randrange(len(tokens))
+        tokens.insert(i, tokens[i])
+    elif kind == "swap":
+        i, j = rng.randrange(len(tokens)), rng.randrange(len(tokens))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    elif kind in _REPLACEMENTS:
+        is_kind, odd = _REPLACEMENTS[kind]
+        spots = [i for i, t in enumerate(tokens[1:], 1) if is_kind(t)]
+        new = rng.choice(odd)
+        if spots:
+            tokens[rng.choice(spots)] = new
+        else:
+            tokens.append(new)
+    elif kind == "mnemonic":
+        tokens[0] = rng.choice(("frob", tokens[0].upper(), tokens[0] + "x",
+                                "map", "section"))
+    elif kind == "line":
+        how = rng.randrange(3)
+        if how == 0:
+            del lines[at]
+        else:
+            lines.insert(at, lines[at] if how == 1 else rng.choice(_ODD_LINES))
+        return "\n".join(lines) + "\n"
+    else:
+        line = lines[at]
+        pos = rng.randrange(len(line) + 1)
+        lines[at] = line[:pos] + rng.choice(":;#") + line[pos:]
+        return "\n".join(lines) + "\n"
+    lines[at] = "    " + " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def malformed_corpus() -> list:
+    """Seeded mutants of every generator's disassembly and of the first
+    100 of criterion 5's fuzz sources."""
+    bases = [disassemble(program) for program in every_generator()]
+    fuzz = random.Random(31337)     # criterion 5's seed
+    bases += [fuzz_source(fuzz) for _ in range(100)]
+    rng = random.Random(0xA5E)
+    return [_mutant(rng, text) for text in bases for _ in range(12)]
+
+
+# sha256 over each malformed_corpus() text's encoding, or its error's
+# line and message, computed before the assembler's table-driven rewrite
+MALFORMED_DIGEST = \
+    "d915336ed36986aaf02f31095a458ea01cf9e88470ec697fb7eff06f5c4822da"
+
+
+def test_malformed_corpus_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    corpus = malformed_corpus()
+    errors = 0
+    for text in corpus:
+        try:
+            outcome = b"ok " + encode_program(assemble(text))
+        except AsmError as exc:
+            errors += 1
+            outcome = f"error {exc.line} {exc}".encode()
+        digest.update(outcome + b"\n")
+    assert 0.3 < errors / len(corpus) < 0.9
+    assert digest.hexdigest() == MALFORMED_DIGEST

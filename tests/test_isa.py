@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import struct
 
 import pytest
@@ -14,6 +15,10 @@ from sfvm.isa import (
     CTX_FIELDS,
     CTX_SIZE,
     FilterProgram,
+    I16_MAX,
+    I16_MIN,
+    I64_MAX,
+    I64_MIN,
     Instruction,
     MapDecl,
     MAX_MAP_BYTES,
@@ -26,6 +31,8 @@ from sfvm.isa import (
     decode_program,
     encode_program,
 )
+
+from .helpers import every_generator
 
 U64 = (1 << 64) - 1
 
@@ -129,6 +136,63 @@ def test_instruction_field_validation():
         Instruction(Opcode.JA, offset=1 << 15)
     with pytest.raises(ValueError):
         Instruction(Opcode.MOV_IMM, imm=1 << 63)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"dst": 11}, "register index out of range (r0..r10)"),
+    ({"src": -1}, "register index out of range (r0..r10)"),
+    ({"offset": I16_MAX + 1}, "offset does not fit in i16"),
+    ({"offset": I16_MIN - 1}, "offset does not fit in i16"),
+    ({"imm": I64_MAX + 1}, "immediate does not fit in i64"),
+    ({"imm": I64_MIN - 1}, "immediate does not fit in i64"),
+])
+def test_instruction_range_checks(fields, message):
+    edge = {name: value - 1 if value > 0 else value + 1
+            for name, value in fields.items()}
+    Instruction(Opcode.MOV_IMM, **edge)     # the last value that fits
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Instruction(Opcode.MOV_IMM, **fields)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Instruction(Opcode.MOV_IMM)._replace(**fields)
+
+
+@pytest.mark.parametrize("byte", [2, 3])      # dst, src
+def test_decode_applies_the_register_check(byte):
+    raw = bytearray(encode_program(FilterProgram(
+        instructions=(Instruction(Opcode.EXIT),))))
+    raw[-16 + byte] = 11
+    with pytest.raises(ProgramFormatError,
+                       match=r"^register index out of range \(r0\.\.r10\)$"):
+        decode_program(bytes(raw))
+
+
+def test_the_wire_holds_exactly_the_checked_offsets_and_immediates():
+    """The encoded offset is an i16 and the immediate an i64, so the
+    other two checks pass on everything decodable: their edges decode
+    unchanged, and one past them cannot be encoded."""
+    edges = tuple(Instruction(Opcode.JEQ_IMM, offset=off, imm=imm)
+                  for off in (I16_MIN, I16_MAX) for imm in (I64_MIN, I64_MAX))
+    raw = encode_program(FilterProgram(instructions=edges))
+    assert decode_program(raw).instructions == edges
+    with pytest.raises(struct.error):
+        struct.pack("<HBBhHq", 0, 0, 0, I16_MAX + 1, 0, 0)
+    with pytest.raises(struct.error):
+        struct.pack("<HBBhHq", 0, 0, 0, 0, 0, I64_MAX + 1)
+
+
+def test_instructions_from_every_path_are_equal_and_hash_alike():
+    for program in every_generator():
+        built = program.instructions
+        decoded = decode_program(encode_program(program)).instructions
+        direct = tuple(Instruction(*ins) for ins in built)
+        named = tuple(Instruction(**ins._asdict()) for ins in built)
+        assert built == decoded == direct == named
+        assert [hash(i) for i in built] == [hash(i) for i in decoded] \
+            == [hash(i) for i in direct]
+        assert {type(i) for i in built + decoded} == {Instruction}
+    assert Instruction(Opcode.EXIT) == Instruction(Opcode.EXIT, 0, 0, 0, 0)
+    assert hash(Instruction(Opcode.JA, offset=-1)) \
+        == hash((Opcode.JA, 0, 0, -1, 0))
 
 
 def test_map_decl_validation():

@@ -77,15 +77,15 @@ def test_unknown_mode_and_check_are_rejected():
 # -- the overlap judgment -----------------------------------------------------
 
 
-def dec(nr, action="allow", marker=False):
-    entry = {"kind": "decision", "task": 1, "nr": nr, "action": action}
+def dec(nr, action="allow", marker=False, task=1):
+    entry = {"kind": "decision", "task": task, "nr": nr, "action": action}
     if marker:
         entry["marker"] = True
     return entry
 
 
-def ex(nr):
-    return {"kind": "exit", "task": 1, "nr": nr}
+def ex(nr, task=1):
+    return {"kind": "exit", "task": task, "nr": nr}
 
 
 def test_overlap_detects_interleaved_windows():
@@ -112,6 +112,30 @@ def test_denied_entries_open_no_window():
 def test_markers_open_no_window():
     assert not decision_windows_overlap(
         [dec(1), dec(2, marker=True), ex(1)], (1, 2))
+
+
+def test_a_markers_exit_closes_no_other_window():
+    # task 1's marker exits right after its decision; task 2's nr 10
+    # stays open when task 3 enters nr 11
+    assert decision_windows_overlap(
+        [dec(10, task=2), dec(10, marker=True), ex(10), dec(11, task=3)],
+        (10, 11))
+
+
+def test_no_overlap_counts_schedules_past_an_allowed_marker():
+    trace = [{"event": "spawn", "tid": 1},
+             {"event": "spawn", "task": 1, "tid": 2},
+             {"event": "spawn", "task": 1, "tid": 3},
+             {"event": "syscall_enter", "task": 2, "nr": 10},
+             {"event": "phase_marker", "task": 1, "nr": 10},
+             {"event": "syscall_enter", "task": 3, "nr": 11},
+             {"event": "syscall_exit", "task": 3},
+             {"event": "syscall_exit", "task": 2}]
+    result = run_scenario({"name": "marker", "mode": "explore",
+                           "trace": trace, "checks": [
+                               {"check": "no_overlap", "pair": [10, 11]}]})
+    assert result.metrics["schedules"] == 45
+    assert result.checks[0].detail == "28 overlapping"
 
 
 def test_unrelated_syscalls_are_ignored():

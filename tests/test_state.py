@@ -120,6 +120,21 @@ def fields_of(root):
     return out, reached
 
 
+def test_a_copy_shares_every_program_and_keys_alike():
+    sim = world()
+    twin = deepcopy(sim)
+    assert twin.state_key() == sim.state_key()
+
+    def programs(s):
+        return [*(inst.program for task in s.engine.tasks.values()
+                  for inst in task.chain),
+                *(handle.program for handle in s.engine.handles.values())]
+
+    assert len(programs(sim)) >= 3
+    assert all(a is b for a, b in zip(programs(sim), programs(twin),
+                                      strict=True))
+
+
 def test_every_declared_class_lists_exactly_its_attributes():
     found, reached = fields_of(world())
     objects = {id(obj): obj for obj, _, _ in found}

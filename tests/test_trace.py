@@ -111,6 +111,10 @@ def test_dt_ns_is_preserved():
      "line 2: policy must be an object"),
     ('{"event": "spawn", "task": 1, "tid": 2, "uid": "root"}',
      "line 2: uid must be an integer"),
+    ('{"event": "spawn", "task": 1, "tid": 2, "uid": -1}',
+     r"line 2: uid must be an integer in \[0, 2\*\*32\)"),
+    ('{"event": "spawn", "task": 1, "tid": 2, "uid": 4294967296}',
+     r"line 2: uid must be an integer in \[0, 2\*\*32\)"),
     ('{"event": "spawn", "task": 1, "tid": 2, "nnp": "false"}',
      "line 2: nnp must be true or false"),
     ('{"event": "spawn", "task": 1, "tid": 2, "dumpable": "false"}',
@@ -126,6 +130,18 @@ def test_dt_ns_is_preserved():
 def test_event_validation(line, fragment):
     with pytest.raises(TraceError, match=fragment):
         parse_trace('{"event": "spawn", "tid": 1}\n' + line)
+
+
+def test_the_clock_must_stay_below_two_to_the_64():
+    head = '{"event": "spawn", "tid": 1, "uid": 4294967295}\n'
+    enter = '{"event": "syscall_enter", "task": 1, "nr": 0, "dt_ns": %d}\n'
+    exit_ = '{"event": "syscall_exit", "task": 1, "dt_ns": %d}\n'
+    trace = parse_trace(head + enter % (2 ** 63) + exit_ % (2 ** 63 - 1))
+    assert sum(ev.dt_ns for ev in trace.events) == 2 ** 64 - 1
+    with pytest.raises(TraceError, match=r"^line 3: dt_ns takes the clock"):
+        parse_trace(head + enter % (2 ** 63) + exit_ % (2 ** 63))
+    with pytest.raises(TraceError, match=r"^line 2: dt_ns takes the clock"):
+        parse_trace(head + enter % (2 ** 64))
 
 
 def test_every_field_trace_runs_clean():
