@@ -82,13 +82,12 @@ class ResolvedAction:
     def from_raw(cls, raw: int) -> "ResolvedAction":
         raw &= 0xFFFFFFFF
         kind = _KIND_BY_ACTION_BITS.get(raw & _ACTION_MASK)
-        if kind is None:
-            # unrecognized action values are treated as the harshest kill,
-            # mirroring how the kernel handles bogus filter returns
-            return cls(ActionKind.KILL_PROCESS)
         if kind is ActionKind.ERRNO:
             return cls(kind, errno=raw & _DATA_MASK)
-        return cls(kind)
+        # unrecognized action values are treated as the harshest kill,
+        # mirroring how the kernel handles bogus filter returns; the
+        # kinds without data are the shared constants below
+        return _WITHOUT_DATA.get(kind, KILL_PROCESS)
 
 
 ALLOW = ResolvedAction(ActionKind.ALLOW)
@@ -96,6 +95,8 @@ LOG = ResolvedAction(ActionKind.LOG)
 TRAP = ResolvedAction(ActionKind.TRAP)
 KILL_THREAD = ResolvedAction(ActionKind.KILL_THREAD)
 KILL_PROCESS = ResolvedAction(ActionKind.KILL_PROCESS)
+_WITHOUT_DATA = {action.kind: action
+                 for action in (ALLOW, LOG, TRAP, KILL_THREAD, KILL_PROCESS)}
 
 
 def errno_action(code: int) -> ResolvedAction:

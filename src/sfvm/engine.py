@@ -19,11 +19,11 @@ then runs every installed filter in installation order and combines the
 votes into the most restrictive verdict.  Each filter runs in a fresh
 interpreter thread unless its verdict for this syscall number is
 memoized, like the kernel's seccomp action cache: a run that read
-nothing but `nr` and called no helper stores its outcome on the program
-(`FilterProgram.verdicts`), and later syscalls with that number reuse
-it, logging the same steps, helper calls and raw action the run
-produced.  A filter that faults votes the configured bad-filter action
-instead.  Denials clean up immediately (in-flight marks, snapshot) and
+nothing but `nr` and called no helper stores its outcome, and the action
+it resolves to, on the program (`FilterProgram.verdicts`), and later
+syscalls with that number reuse both, logging the same steps, helper
+calls and raw action the run produced.  A filter that faults votes the
+configured bad-filter action instead.  Denials clean up immediately (in-flight marks, snapshot) and
 the matching exit event from the application is consumed as a no-op,
 since the syscall it would have paired with never ran.
 
@@ -385,8 +385,8 @@ class Engine:
             inst = pending.chain[pending.index]
             verdicts = inst.program.verdicts
             thread = pending.thread
-            out = verdicts.get(nr) if thread is None else None
-            if out is None:
+            memo = verdicts.get(nr) if thread is None else None
+            if memo is None:
                 if thread is None:
                     thread = pending.thread = VmThread(
                         inst.program, inst.maps, pending.ctx)
@@ -395,10 +395,13 @@ class Engine:
                 if status == "blocked":
                     return ("blocked", thread.block)
                 out = thread.outcome
+                action = ResolvedAction.from_raw(out.raw_action)
                 if thread.pure:
-                    verdicts[nr] = out
-            action = (self.config.bad_filter_action if out.faulted
-                      else ResolvedAction.from_raw(out.raw_action))
+                    verdicts[nr] = (out, action)
+            else:
+                out, action = memo
+            if out.faulted:     # the engine's to decide, not the memo's
+                action = self.config.bad_filter_action
             pending.actions.append(action)
             pending.votes.append({
                 "install": pending.index,

@@ -23,7 +23,6 @@ wire format stays unambiguous.
 
 from __future__ import annotations
 
-import operator
 import re
 import struct
 from collections import namedtuple
@@ -174,29 +173,40 @@ RESERVED = {op: _reserved(op, kinds)
             for ops, kinds in INSNS.values() for op in ops}
 
 
-# mnemonic -> semantics, shared by the verifier's abstract step and the
-# interpreter's handler build.  ALU results are 64-bit words and shifts
-# use the low 6 bits; conditions compare words as unsigned.
-ALU_OPS = {
-    "mov": lambda a, b: b & U64_MASK,
-    "add": lambda a, b: (a + b) & U64_MASK,
-    "sub": lambda a, b: (a - b) & U64_MASK,
-    "mul": lambda a, b: (a * b) & U64_MASK,
-    "and": lambda a, b: a & b & U64_MASK,
-    "or": lambda a, b: (a | b) & U64_MASK,
-    "xor": lambda a, b: (a ^ b) & U64_MASK,
-    "lsh": lambda a, b: (a << (b & 63)) & U64_MASK,
-    "rsh": lambda a, b: (a & U64_MASK) >> (b & 63),
+# mnemonic -> semantics, written once as a Python expression over the
+# operands a and b and the word mask M.  ALU results are 64-bit words and
+# shifts use the low 6 bits; conditions compare words as unsigned.  The
+# verifier's abstract step and the interpreter's checked handlers call
+# the functions `ALU_OPS`/`COND_OPS` compiled from them; the
+# interpreter's fused blocks inline the text (see `vm`).
+ALU_EXPRS = {
+    "mov": "b & M",
+    "add": "(a + b) & M",
+    "sub": "(a - b) & M",
+    "mul": "(a * b) & M",
+    "and": "a & b & M",
+    "or": "(a | b) & M",
+    "xor": "(a ^ b) & M",
+    "lsh": "(a << (b & 63)) & M",
+    "rsh": "(a & M) >> (b & 63)",
 }
-COND_OPS = {
-    "jeq": operator.eq,
-    "jne": operator.ne,
-    "jgt": operator.gt,
-    "jge": operator.ge,
-    "jlt": operator.lt,
-    "jle": operator.le,
-    "jset": lambda a, b: (a & b) != 0,
+COND_EXPRS = {
+    "jeq": "a == b",
+    "jne": "a != b",
+    "jgt": "a > b",
+    "jge": "a >= b",
+    "jlt": "a < b",
+    "jle": "a <= b",
+    "jset": "(a & b) != 0",
 }
+
+
+def _semantics(expr: str):
+    return eval(f"lambda a, b: {expr}", {"M": U64_MASK})
+
+
+ALU_OPS = {name: _semantics(expr) for name, expr in ALU_EXPRS.items()}
+COND_OPS = {name: _semantics(expr) for name, expr in COND_EXPRS.items()}
 
 
 # opcode -> mnemonic, for the verifier's and the interpreter's dispatch
@@ -318,15 +328,20 @@ class SyscallContext:
 
     def field(self, offset: int) -> int:
         """Value of the whole field at `offset`, zero-extended to u64."""
-        if offset == 0:
-            return self.nr & 0xFFFFFFFF
-        if offset == 4:
-            return self.arch & 0xFFFFFFFF
-        if offset == 8:
-            return self.calling_address & U64_MASK
-        if offset in (16, 24, 32, 40, 48, 56):
-            return self.args[(offset - 16) // 8] & U64_MASK
-        raise ValueError(f"no context field starts at offset {offset}")
+        load = _CTX_LOADERS.get(offset)
+        if load is None:
+            raise ValueError(f"no context field starts at offset {offset}")
+        return load(self)
+
+
+# offset -> the field that starts there as an expression over a context
+# c, zero-extended to u64: `SyscallContext.field` and the interpreter's
+# fused blocks both derive from it
+CTX_LOADS = {0: "c.nr & 0xFFFFFFFF", 4: "c.arch & 0xFFFFFFFF",
+             8: "c.calling_address & M",
+             **{16 + 8 * i: f"c.args[{i}] & M" for i in range(6)}}
+_CTX_LOADERS = {off: eval(f"lambda c: {expr}", {"M": U64_MASK})
+                for off, expr in CTX_LOADS.items()}
 
 
 class Instruction(namedtuple("Instruction", "opcode dst src offset imm")):
@@ -402,11 +417,13 @@ class FilterProgram:
     """A filter: instructions plus the maps it references.
 
     `verified` is set by the verifier and `load_userns` by the engine at
-    load time; both start unset.  `compiled` caches the interpreter's
-    per-pc handler table, built from `instructions` on first run.
-    `verdicts` memoizes the engine's outcome per syscall number for runs
-    that read nothing but `nr` (see `vm.VmThread.pure`); every copy made
-    with `replace` starts with an empty one.  Once loaded a program is
+    load time; both start unset.  `compiled` points at the interpreter's
+    lowering of `instructions` (fused blocks at block entries, per-pc
+    handlers elsewhere), made on first run and shared by every program
+    with equal instructions (see `vm`).  `verdicts` memoizes the engine's
+    (outcome, resolved action) per syscall number for runs that read
+    nothing but `nr` (see `vm.VmThread.pure`); every copy made with
+    `replace` starts with an empty one.  Once loaded a program is
     immutable (both caches are functions of it): copies share it.
     """
 
@@ -415,7 +432,7 @@ class FilterProgram:
     map_refs: tuple = ()
     verified: bool = False
     load_userns: int | None = None
-    compiled: tuple | None = field(default=None, init=False, repr=False,
+    compiled: list | None = field(default=None, init=False, repr=False,
                                    compare=False)
     verdicts: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
@@ -437,6 +454,12 @@ class FilterProgram:
 
 _HEADER = struct.Struct("<4sHHII")
 _INSN = struct.Struct("<HBBhHq")
+# wire opcode -> Opcode, and per opcode (position in an unpacked _INSN
+# record, name) of each field `RESERVED` holds to zero
+_OPCODES = {int(op): op for op in Opcode}
+_RECORD_AT = {"dst": 1, "src": 2, "offset": 3, "pad": 4, "imm": 5}
+_RESERVED_AT = {op: tuple((_RECORD_AT[name], name) for name in names)
+                for op, names in RESERVED.items()}
 _FLAG_SLEEPABLE = 1
 
 
@@ -535,24 +558,26 @@ def _decode(raw: bytes, depth: int) -> FilterProgram:
             raise ProgramFormatError(f"duplicate map {name!r}")
         decls.append(decl)
     insns = []
-    for i in range(n_insns):
-        opcode, dst, src, off, pad, imm = rd.unpack(_INSN)
-        try:
-            opcode = Opcode(opcode)
-        except ValueError:
+    # every whole record present is checked in order before a missing
+    # one is reported, as reading them one at a time would
+    whole = min(n_insns, (len(raw) - rd.pos) // _INSN.size)
+    for i, record in enumerate(_INSN.iter_unpack(rd.take(whole * _INSN.size))):
+        opcode = _OPCODES.get(record[0])
+        if opcode is None:
             raise ProgramFormatError(
-                f"instruction {i}: unknown opcode 0x{opcode:x}"
-            ) from None
+                f"instruction {i}: unknown opcode 0x{record[0]:x}")
+        _, dst, src, off, _, imm = record
         insns.append(Instruction(opcode, dst, src, off, imm))
-        fields = {"dst": dst, "src": src, "offset": off, "pad": pad, "imm": imm}
-        for name in RESERVED[opcode]:
-            if fields[name]:
+        for at, name in _RESERVED_AT[opcode]:
+            if record[at]:
                 raise ProgramFormatError(f"instruction {i}: {MNEMONICS[opcode]}"
                                          f" uses reserved field {name}")
-        if opcode == Opcode.LD_IMM64 and src and (
+        if opcode is Opcode.LD_IMM64 and src and (
                 src != LD_IMM64_MAP_REF or not 0 <= imm < len(decls)):
             raise ProgramFormatError(
                 f"instruction {i}: ld_imm64 src {src} imm {imm} names no map")
+    if whole < n_insns:
+        raise ProgramFormatError("truncated program file")
     if rd.pos != len(raw):
         raise ProgramFormatError("trailing bytes after program body")
     return FilterProgram(

@@ -33,7 +33,7 @@ import random
 from copy import deepcopy
 
 from .engine import Engine, EngineConfig, EngineError
-from .isa import AUDIT_ARCH_X86_64, SyscallContext, decode_program
+from .isa import AUDIT_ARCH_X86_64, U64_MASK, SyscallContext, decode_program
 from .policies import build_program
 from .snapshot import DescriptorTable
 from .state import stateful
@@ -194,8 +194,11 @@ class Simulator:
             self._consume(tid)
 
     def _apply_clock(self, ev):
+        # a restore may have set any u64 clock: time saturates there,
+        # so it stays a u64 and never moves back
         if ev.dt_ns:
-            self.engine.clock_ns += ev.dt_ns
+            self.engine.clock_ns = min(self.engine.clock_ns + ev.dt_ns,
+                                       U64_MASK)
 
     def _consume(self, tid: int):
         self.pos[tid] += 1

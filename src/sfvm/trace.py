@@ -12,7 +12,9 @@ become runnable once it exists.
 Any event may carry "dt_ns", which advances the global clock before
 the event is processed.  Time is data here, not wall clock, so runs
 are reproducible.  The clock is 64 bits wide, so the sum of every
-dt_ns stays below 2**64, and a uid is 32 bits wide.
+dt_ns stays below 2**64, and a uid is 32 bits wide.  A restore may set
+the clock to any u64 a checkpoint recorded; later dt_ns then saturate it
+at 2**64-1 rather than carry it past.
 
 `EVENTS` below gives each event kind its fields and `FIELDS` each field
 its type.  A `load` carries a hex program blob or a policy spec (a dict

@@ -45,6 +45,7 @@ from sfvm.sim import MAX_EXPLORE_STEPS, Simulator, explore_interleavings
 from sfvm.snapshot import DescriptorTable
 from sfvm.trace import parse_trace
 from sfvm.usermem import UserMemory
+from sfvm import vm
 from sfvm.verifier import verify
 from sfvm.vm import RuntimeEnv, VmThread
 
@@ -471,6 +472,31 @@ def soundness_faults(rng: random.Random, program, runs: int) -> list:
                 and thread.tail_depth > 0):
             faults.append(thread.outcome.fault_reason)
     return faults
+
+
+# -- the interpreter's two lowerings --------------------------------------------
+
+def programs_within(program) -> list:
+    """`program` and every handoff target its map declarations hold."""
+    out = [program]
+    for decl in program.map_refs:
+        for target in decl.initial_programs.values():
+            out += programs_within(target)
+    return out
+
+
+def per_pc_lowering(program) -> tuple:
+    """`program`'s per-pc handlers alone: the checked reference path,
+    without fused blocks."""
+    return tuple(vm._lower(pc, ins)
+                 for pc, ins in enumerate(program.instructions))
+
+
+def lower_all(program, per_pc: bool):
+    """Run `program`, and every handoff target it declares, on the per-pc
+    handlers alone, or (by default) on the shared fused lowering."""
+    for p in programs_within(program):
+        p.compiled = per_pc_lowering(p) if per_pc else None
 
 
 def same_verdict(a, b) -> bool:

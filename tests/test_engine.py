@@ -911,7 +911,8 @@ def test_restored_forged_program_replays_its_fault():
         record = probe(eng, tid, ctx(1))
         assert record["votes"][0]["faulted"]
         assert (record["action"], record["errno"]) == ("errno", 99)
-    assert program.verdicts[1].faulted
+    out, _ = program.verdicts[1]
+    assert out.faulted
     assert probe(eng, tid, ctx(2, 0))["errno"] == 99
     assert probe(eng, tid, ctx(2, 5))["action"] == "allow"
     assert probe(eng, tid, ctx(0))["action"] == "allow"

@@ -357,3 +357,68 @@ def test_decode_rejects_unknown_opcode():
     raw[-16] = 0x99   # clobber the opcode byte of the only instruction
     with pytest.raises(ProgramFormatError):
         decode_program(bytes(raw))
+
+
+# -- a pinned corpus of corrupted blobs ---------------------------------------
+
+def _corrupt(rng: random.Random, blob: bytes, n_insns: int) -> bytes:
+    """`blob` with one seeded corruption: a truncation, an unknown opcode,
+    an out-of-range register, a reserved field set, or a bad map
+    reference in an `ld_imm64` (instruction records are the last
+    16 * n_insns bytes)."""
+    raw = bytearray(blob)
+    kind = rng.choice(("truncate", "opcode", "register", "reserved", "map"))
+    if kind == "truncate":
+        return bytes(raw[:rng.randrange(len(raw))])
+    at = len(raw) - 16 * (n_insns - rng.randrange(n_insns))
+    if kind == "opcode":
+        struct.pack_into("<H", raw, at, rng.choice(
+            [0, 0x13, 0x24, 0x3E, 0x43, 0x7E, 0xFF, 0x140, 0xFFFF]))
+    elif kind == "register":
+        raw[at + rng.choice((2, 3))] = rng.randint(11, 255)
+    elif kind == "reserved":
+        field_at, fmt = rng.choice(((2, "<B"), (3, "<B"), (4, "<h"),
+                                    (6, "<H"), (8, "<q")))
+        struct.pack_into(fmt, raw, at + field_at, rng.choice((1, -1, 7))
+                         if fmt in ("<h", "<q") else rng.randint(1, 10))
+    else:
+        struct.pack_into("<H", raw, at, Opcode.LD_IMM64)
+        raw[at + 3] = rng.choice((1, 1, 2, 255))
+        struct.pack_into("<q", raw, at + 8, rng.choice((-1, 0, 1, 2, 9)))
+    return bytes(raw)
+
+
+def corrupted_corpus() -> list:
+    """Seeded corruptions of every generator's blob and of the first 50 of
+    criterion 5's fuzz programs."""
+    from sfvm.asm import assemble
+
+    from .helpers import fuzz_source
+    programs = every_generator()
+    fuzz = random.Random(31337)     # criterion 5's seed
+    programs += [assemble(fuzz_source(fuzz)) for _ in range(50)]
+    rng = random.Random(0xB10B)
+    return [_corrupt(rng, encode_program(p), len(p.instructions))
+            for p in programs for _ in range(20)]
+
+
+# sha256 over each corrupted_corpus() blob's outcome: the re-encoded
+# program, or the error's message; computed before the decoder's opcode
+# and reserved-field tables
+CORRUPTED_DIGEST = \
+    "a4c272ea3a08a37aaec146d3752273339307b0491e3ac7e213ee02f991fc9253"
+
+
+def test_corrupted_blob_outcomes_are_pinned():
+    import hashlib
+    digest = hashlib.sha256()
+    errors = 0
+    for blob in corrupted_corpus():
+        try:
+            outcome = b"ok " + encode_program(decode_program(blob))
+        except ProgramFormatError as exc:
+            errors += 1
+            outcome = f"error {exc}".encode()
+        digest.update(outcome + b"\n")
+    assert errors > 0.6 * len(corrupted_corpus())
+    assert digest.hexdigest() == CORRUPTED_DIGEST

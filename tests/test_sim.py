@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from sfvm.asm import assemble
+from sfvm.engine import Engine
 from sfvm.isa import encode_program
 from sfvm.scenarios import bundled_scenario_names, load_bundled_scenario
 from sfvm.sim import (
@@ -363,6 +364,26 @@ def test_checkpoint_restore_within_a_run():
     sim = run_trace(events, schedule=[1, 1, 1, 2, 2])
     assert "c1" in sim.checkpoints
     assert decisions(sim.entries, task=2)[0]["action"] == "kill_process"
+
+
+def test_clock_saturates_after_a_restore_at_the_top():
+    # a checkpoint made at clock 2**64-1, restored by an admin task: a
+    # later dt_ns would carry the clock past 2**64 and make the next
+    # checkpoint unpackable
+    eng = Engine()
+    eng.clock_ns = 2**64 - 1
+    blob = eng.checkpoint(eng.spawn(caps=["CAP_SYS_ADMIN"]))
+    events = [
+        {"event": "spawn", "tid": 1, "caps": ["CAP_SYS_ADMIN"]},
+        {"event": "restore", "task": 1, "blob_hex": blob.hex()},
+        {"event": "syscall_enter", "task": 1, "nr": 39, "dt_ns": 10},
+        {"event": "syscall_exit", "task": 1},
+        {"event": "checkpoint", "task": 1, "id": "c"},
+    ]
+    sim = run_trace(events)
+    assert decisions(sim.entries)[0]["clock"] == 2**64 - 1
+    assert not [e for e in sim.entries if e["kind"] == "error"]
+    assert "c" in sim.checkpoints
 
 
 def test_restore_with_unknown_id_is_an_error():

@@ -577,6 +577,7 @@ def test_unreached_bad_instructions_cost_nothing():
 def test_handler_table_is_built_once_and_shared():
     import copy
     prog = build("section seccomp\n    mov r0, 1\n    exit\n")
+    vm._LOWERINGS.pop(prog.instructions, None)
     assert prog.compiled is None
     thread = VmThread(prog, [], ctx(0))
     clone = copy.deepcopy(thread)
@@ -586,3 +587,150 @@ def test_handler_table_is_built_once_and_shared():
     clone.run(RuntimeEnv())
     assert clone.program is prog and prog.compiled is table
     assert clone.outcome == thread.outcome
+
+
+# one lowering, two declarations: an 8-byte-key array, or a 16-byte-key
+# hash whose lookup reads an unwritten slot; read by a sleepable copy
+SHARED_BODY = (
+    "    mov r2, 0\n"
+    "    st_map r10, r2, -16\n"
+    "    mov r2, r10\n"
+    "    add r2, -16\n"
+    "    ld_imm64 r1, map:m\n"
+    "    call map_lookup_elem\n"
+    "    jeq r0, 0, miss\n"
+    "    ld_map r0, r0, 0\n"
+    "    exit\n"
+    "miss:\n"
+    "    mov r0, 3\n"
+    "    exit\n")
+
+
+def _per_pc_outcome(prog, maps):
+    from .helpers import lower_all
+    lower_all(prog, per_pc=True)
+    try:
+        return run(prog, maps=maps)
+    finally:
+        lower_all(prog, per_pc=False)
+
+
+def test_equal_instructions_share_one_lowering():
+    array = build("section seccomp\nmap m array 8 8 1\n" + SHARED_BODY)
+    hashed = assemble("section seccomp\nmap m hash 16 8 2\n" + SHARED_BODY)
+    hashed.verified = True      # the key's second slot is never written
+    sleepy = assemble("section seccomp-sleepable\nmap m array 8 8 1\n"
+                      + SHARED_BODY)
+    sleepy.verified = True
+    assert array.instructions == hashed.instructions == sleepy.instructions
+    outcomes = []
+    for prog in (array, hashed, sleepy):
+        maps = [PolicyMap(d) for d in prog.map_refs]
+        if prog is array:
+            maps[0].update(bytes(8), (41).to_bytes(8, "little"))
+        fused = run(prog, maps=maps)
+        assert fused == _per_pc_outcome(prog, maps)
+        outcomes.append(fused)
+    assert array.compiled is hashed.compiled is sleepy.compiled
+    assert outcomes[0].raw_action == 41 and not outcomes[0].faulted
+    assert outcomes[1].fault_reason == "read of uninitialized stack slot"
+    other = build("section seccomp\nmap m array 8 8 1\n"
+                  + SHARED_BODY.replace("mov r0, 3", "mov r0, 4"))
+    run(other)
+    assert other.compiled is not array.compiled
+
+
+def test_the_least_recently_used_lowering_is_evicted(monkeypatch):
+    monkeypatch.setattr(vm, "_LOWERINGS", {})
+    monkeypatch.setattr(vm, "LOWERINGS_KEPT", 3)
+    progs = [build(f"section seccomp\n    mov r0, {i}\n    exit\n")
+             for i in range(4)]
+    for prog in progs[:3]:
+        run(prog)
+    run(build("section seccomp\n    mov r0, 0\n    exit\n"))  # 0 is used
+    run(progs[3])
+    assert list(vm._LOWERINGS) == [progs[i].instructions for i in (2, 0, 3)]
+    fresh = build("section seccomp\n    mov r0, 1\n    exit\n")
+    run(fresh)
+    assert fresh.compiled is not progs[1].compiled
+    assert list(vm._LOWERINGS) == [progs[i].instructions for i in (0, 3, 1)]
+
+
+def test_every_generator_instruction_runs_fused():
+    # a generator change that falls back to per-pc dispatch fails here;
+    # calls other than a lookup the block sees whole go through handlers
+    from .helpers import every_generator, programs_within
+    for prog in every_generator():
+        for p in programs_within(prog):
+            fused = vm.fused_pcs(p.instructions)
+            unfused = [pc for pc, ins in enumerate(p.instructions)
+                       if pc not in fused
+                       and ins.opcode not in (Opcode.CALL, Opcode.TAIL_CALL)]
+            assert unfused == [], (p, unfused)
+
+
+# programs for the paths a fused block takes at run time, each run with a
+# forged "verified" flag on both lowerings: the reason must be the same
+BLOCK_EDGES = {
+    # r2 reaches the next block as a pointer the block places at run time
+    "unwritten-slot-past-a-jump": ("mov r2, r10\nadd r2, -8\nja 0\n"
+                                   "ld_map r0, r2, 0\nexit",
+                                   "read of uninitialized stack slot"),
+    "written-slot-past-a-jump": ("mov r2, r10\nadd r2, -8\nmov r3, 9\n"
+                                 "ja 0\nst_map r2, r3, 0\nja 0\n"
+                                 "ld_map r0, r2, 0\nexit", None),
+    "misaligned-past-a-jump": ("mov r2, r10\nadd r2, -12\nja 0\n"
+                               "mov r3, 1\nst_map r2, r3, 0\nmov r0, 0\n"
+                               "exit", "not 8-byte aligned"),
+    "pointer-from-offset-register": ("mov r3, -8\nmov r2, r10\n"
+                                     "add r2, r3\nmov r4, 5\n"
+                                     "st_map r2, r4, 0\nld_map r0, r2, 0\n"
+                                     "exit", None),
+    "lookup-on-a-program-array": ("map m prog_array 8 8 1\nmov r2, 0\n"
+                                  "st_map r10, r2, -8\nmov r2, r10\n"
+                                  "add r2, -8\nld_imm64 r1, map:m\n"
+                                  "call map_lookup_elem\nmov r0, 0\nexit",
+                                  "kind not accepted here"),
+    "lookup-past-the-frame": ("map m hash 16 8 1\nmov r2, 0\n"
+                              "st_map r10, r2, -8\nmov r2, r10\n"
+                              "add r2, -8\nld_imm64 r1, map:m\n"
+                              "call map_lookup_elem\nmov r0, 0\nexit",
+                              "memory access out of bounds"),
+    "wide-key-lookup": ("map m hash 16 8 1\nmov r2, 7\n"
+                        "st_map r10, r2, -16\nst_map r10, r2, -8\n"
+                        "mov r2, r10\nadd r2, -16\nmov r3, r10\n"
+                        "add r3, -8\nmov r4, 0\nld_imm64 r1, map:m\n"
+                        "call map_update_elem\nmov r2, r10\nadd r2, -16\n"
+                        "ld_imm64 r1, map:m\ncall map_lookup_elem\n"
+                        "jeq r0, 0, 1\nld_map r0, r0, 0\nexit", None),
+    "null-then-load": ("map m hash 8 8 1\nmov r2, 0\nst_map r10, r2, -8\n"
+                       "mov r2, r10\nadd r2, -8\nld_imm64 r1, map:m\n"
+                       "call map_lookup_elem\njne r0, 0, 1\n"
+                       "ld_map r0, r0, 0\nexit",
+                       "r0: expected a memory pointer"),
+    "context-copy": ("mov r6, r1\nmov r0, 0\nexit", None),
+    "context-compare": ("mov r6, r1\njeq r6, 0, 0\nmov r0, 0\nexit",
+                        "comparison on non-scalar operands"),
+    "frame-null-check": ("jne r10, 0, 1\nmov r0, 1\nmov r0, 2\nexit", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_EDGES))
+def test_fused_blocks_take_each_path_like_the_handlers(name):
+    body, reason = BLOCK_EDGES[name]
+    prog = assemble("section seccomp\n" + body + "\n")
+    prog.verified = True
+    fused = run(prog)
+    assert fused == _per_pc_outcome(prog, [PolicyMap(d)
+                                            for d in prog.map_refs])
+    assert fused.faulted == (reason is not None)
+    assert reason is None or reason in fused.fault_reason
+
+
+def test_fused_and_per_pc_lowerings_agree_on_a_seeded_corpus():
+    # a fixed slice of `python -m tests.fuzz_lowering`
+    from . import fuzz_lowering
+    found, seen = fuzz_lowering.run_corpus(1, 1000)
+    assert found == []
+    assert seen["WaitBlock"] and seen["FaultServiceBlock"]
+    assert seen["handoff"] and seen["fault"]
