@@ -10,11 +10,11 @@ from .engine import Credentials, Engine, EngineConfig, EngineError
 from .isa import (FilterProgram, Instruction, MapDecl, MapKind,
                   SyscallContext, decode_program, encode_program)
 from .maps import PolicyMap
-from .policies import (PhaseProfile, build_program, gen_allow_all,
-                       gen_allowlist, gen_count_limit, gen_denylist,
-                       gen_flow_integrity, gen_phase_baseline,
-                       gen_rate_limit, gen_serialization, gen_temporal,
-                       gen_validation_cache, load_profiles)
+from .policies import (GENERATORS, PhaseProfile, PolicySpecError,
+                       build_program, gen_allow_all, gen_allowlist,
+                       gen_count_limit, gen_denylist, gen_flow_integrity,
+                       gen_phase_baseline, gen_rate_limit, gen_serialization,
+                       gen_temporal, gen_validation_cache, load_profiles)
 from .reporting import attack_surface_report, render_table
 from .scenarios import run_bundled, run_scenario
 from .sim import Simulator, explore_interleavings, log_digest
@@ -34,7 +34,8 @@ __all__ = [
     "FilterProgram", "Instruction", "MapDecl", "MapKind",
     "SyscallContext", "decode_program", "encode_program",
     "PolicyMap",
-    "PhaseProfile", "build_program", "gen_allow_all", "gen_allowlist",
+    "GENERATORS", "PhaseProfile", "PolicySpecError", "build_program",
+    "gen_allow_all", "gen_allowlist",
     "gen_count_limit", "gen_denylist", "gen_flow_integrity",
     "gen_phase_baseline", "gen_rate_limit", "gen_serialization",
     "gen_temporal", "gen_validation_cache", "load_profiles",

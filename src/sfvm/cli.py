@@ -16,6 +16,7 @@ import sys
 from .asm import AsmError, assemble, disassemble
 from .engine import EngineConfig
 from .isa import PROGRAM_MAGIC, decode_program, encode_program
+from .policies import describe_generators, load_profiles
 from .reporting import attack_surface_report, render_table
 from .sim import ExplorationLimit, MAX_EXPLORE_STEPS, Simulator, \
     explore_interleavings, log_digest
@@ -141,8 +142,8 @@ def cmd_explore(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    from .scenarios import bundled_scenario_names, load_scenario, \
-        run_bundled, run_scenario
+    from .scenarios import ScenarioError, bundled_scenario_names, \
+        load_scenario, run_bundled, run_scenario
     config = _engine_config(args)
     descriptors = _descriptors(args)
     if args.all:
@@ -152,8 +153,12 @@ def cmd_scenario(args) -> int:
         print("error: give a scenario name/path or --all", file=sys.stderr)
         return 2
     elif os.path.exists(args.name):
-        results = [run_scenario(load_scenario(args.name), config,
-                                descriptors)]
+        try:
+            results = [run_scenario(load_scenario(args.name), config,
+                                    descriptors)]
+        except (ScenarioError, TraceError, json.JSONDecodeError) as exc:
+            print(f"error: {args.name}: {exc}", file=sys.stderr)
+            return 2
     else:
         try:
             results = [run_bundled(args.name, config, descriptors)]
@@ -175,8 +180,11 @@ def cmd_scenario(args) -> int:
 def cmd_report(args) -> int:
     profiles = None
     if args.profiles:
-        from .policies import load_profiles
-        profiles = load_profiles(args.profiles)
+        try:
+            profiles = load_profiles(args.profiles)
+        except (OSError, ValueError) as exc:
+            print(f"error: {args.profiles}: {exc}", file=sys.stderr)
+            return 2
     report = attack_surface_report(profiles)
     if args.json:
         print(json.dumps(report, indent=2))
@@ -200,7 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("run", help="run a trace under one schedule")
+    p = sub.add_parser(
+        "run", help="run a trace under one schedule",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog='a load event\'s "policy" is {"generator": NAME, FIELD: '
+               'VALUE, ...}:\n' + describe_generators())
     p.add_argument("trace")
     p.add_argument("--schedule",
                    help="seed:<n> or a comma-separated task id list")

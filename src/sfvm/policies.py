@@ -7,29 +7,18 @@ generators honest (everything goes through the same assembler and
 checker as hand-written filters) and makes `--dump-asm` style
 debugging trivial.
 
-Families:
-
-  allow_all          two instructions, the do-nothing baseline
-  allowlist          allow a set of syscall numbers (linear chain,
-                     balanced tree, or hash lookup)
-  denylist           block a set, allow the rest (linear or hash)
-  count_limit        budget N calls of one syscall, optionally only
-                     when an argument matches
-  rate_limit         token bucket per syscall; token fractions are
-                     held in nanotokens so refill needs no division
-  temporal           two-phase allowlist driven by a marker syscall
-  flow_integrity     state machine over syscall transitions, with
-                     optional per-call-site origin pinning
-  serialization      stall a syscall while a partner is in flight
-  validation_cache   per-syscall argument checks, dispatched through
-                     a program array, with an optional decision cache
-
 Set-membership maps carry one entry per member with value 1; code
 only ever tests hit or miss.
+
+`GENERATORS` at the end gives each family its function, a one-line
+summary and its spec fields; `build_program` turns a JSON spec into a
+program through it.  The families and their fields:
+
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, replace
 
@@ -41,8 +30,8 @@ from .actions import (
     RET_LOG,
     RET_TRAP,
 )
-from .asm import assemble
-from .isa import FilterProgram
+from .asm import AsmError, assemble
+from .isa import I64_MAX, I64_MIN, FilterProgram
 
 SWEEP_DOMAIN = range(0, 451)
 # capacity of the hash denylist's map; fixed, not sized to the set, so the
@@ -61,17 +50,37 @@ _ACTION_WORDS = {
 
 
 def parse_action(spec) -> int:
-    """"allow", "kill_process", "errno:13", or a raw integer."""
-    if isinstance(spec, int):
+    """"allow", "kill_process", "errno:13", or a raw u32 action word."""
+    if type(spec) is int:
+        if not 0 <= spec <= 0xFFFFFFFF:
+            raise ValueError(f"raw action {spec:#x} does not fit in u32")
         return spec
-    if spec in _ACTION_WORDS:
-        return _ACTION_WORDS[spec]
-    if isinstance(spec, str) and spec.startswith("errno:"):
-        code = int(spec.split(":", 1)[1], 0)
-        if not 0 <= code <= 0xFFF:
-            raise ValueError(f"errno out of range in {spec!r}")
-        return RET_ERRNO | code
+    if type(spec) is str:
+        if spec in _ACTION_WORDS:
+            return _ACTION_WORDS[spec]
+        if spec.startswith("errno:"):
+            try:
+                code = int(spec[len("errno:"):], 0)
+            except ValueError:
+                raise ValueError(f"bad errno in {spec!r}") from None
+            if not 0 <= code <= 0xFFF:
+                raise ValueError(f"errno out of range in {spec!r}")
+            return RET_ERRNO | code
     raise ValueError(f"unknown action spec {spec!r}")
+
+
+def _is_int(value) -> bool:
+    return type(value) is int and I64_MIN <= value <= I64_MAX
+
+
+def _is_list(value) -> bool:
+    return type(value) in (list, tuple)
+
+
+def _is_ints(value) -> bool:
+    # the loops over the elements run in C: a spec's sets can be long
+    return (_is_list(value) and set(map(type, value)) <= {int}
+            and (not value or I64_MIN <= min(value) and max(value) <= I64_MAX))
 
 
 def _u64(value: int) -> bytes:
@@ -234,6 +243,9 @@ def gen_rate_limit(nr: int, rate_per_sec: int, capacity: int,
     if rate_per_sec <= 0 or capacity <= 0:
         raise ValueError("rate and capacity must be positive")
     cap_nano = capacity * NANOS_PER_TOKEN
+    if cap_nano >= 1 << 64:
+        raise ValueError(f"a capacity of {capacity} tokens overflows the "
+                         f"bucket's 64-bit nanotokens")
     text = (f"section seccomp\n"
             f"map bucket array 8 24 1\n"
             f"    ld_ctx r2, 0\n"
@@ -303,22 +315,53 @@ class PhaseProfile:
         union = self.union_size
         return (union - len(self.s_init)) / union * 100.0
 
-    @staticmethod
-    def _expand(ranges):
-        out = set()
-        for start, stop in ranges:
-            out.update(range(start, stop))
-        return frozenset(out)
-
     @classmethod
-    def from_json(cls, name: str, raw: dict) -> "PhaseProfile":
+    def from_json(cls, name: str, raw) -> "PhaseProfile":
+        """A profile from its JSON object: "init" and "serv" each list
+        [start, stop) ranges of syscall numbers, "marker" is the number
+        that announces the switch, and "name" may be given too."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"profile {name!r} must be an object")
+        for key in raw:
+            if key not in _PROFILE_KEYS:
+                raise ValueError(f"profile {name!r} has unknown key {key!r}")
+        for key in ("init", "serv", "marker"):
+            if key not in raw:
+                raise ValueError(f"profile {name!r} is missing {key!r}")
+        if not isinstance(raw.get("name", ""), str):
+            raise ValueError(f"profile {name!r}: name must be a string")
+        if not _is_int(raw["marker"]):
+            raise ValueError(f"profile {name!r}: marker must be an integer")
         return cls(name=name,
-                   s_init=cls._expand(raw["init"]),
-                   s_serv=cls._expand(raw["serv"]),
+                   s_init=_expand_ranges(name, "init", raw["init"]),
+                   s_serv=_expand_ranges(name, "serv", raw["serv"]),
                    marker_nr=raw["marker"])
 
 
+_PROFILE_KEYS = frozenset({"name", "init", "serv", "marker"})
+# syscall numbers in a profile lie in [0, PROFILE_NR_LIMIT): all of them
+# just fit one hash map of MAX_MAP_BYTES, and the bound keeps a malformed
+# range from expanding into a huge set
+PROFILE_NR_LIMIT = 1 << 16
+
+
+def _expand_ranges(name: str, key: str, ranges) -> frozenset:
+    if not _is_list(ranges) or not all(
+            _is_ints(pair) and len(pair) == 2
+            and 0 <= pair[0] <= pair[1] <= PROFILE_NR_LIMIT
+            for pair in ranges):
+        raise ValueError(f"profile {name!r}: {key} must be a list of "
+                         f"[start, stop] pairs with 0 <= start <= stop <= "
+                         f"{PROFILE_NR_LIMIT}")
+    out = set()
+    for start, stop in ranges:
+        out.update(range(start, stop))
+    return frozenset(out)
+
+
 def load_profiles(path=None) -> dict[str, PhaseProfile]:
+    """The bundled profiles, or those of the JSON file at `path`: an
+    object of profile name -> profile object."""
     if path is None:
         from importlib.resources import files
         text = (files("sfvm") / "data" / "profiles.json").read_text()
@@ -326,6 +369,8 @@ def load_profiles(path=None) -> dict[str, PhaseProfile]:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise ValueError("profiles must be a JSON object of name -> profile")
     return {name: PhaseProfile.from_json(name, entry)
             for name, entry in raw.items()}
 
@@ -404,6 +449,8 @@ def gen_flow_integrity(syscalls, transitions, origins=None,
 
     trans_entries = {}
     for prev, cur in transitions:
+        if prev is not None and prev not in code:
+            raise ValueError(f"transition from ungoverned syscall {prev}")
         prev_code = 0 if prev is None else code[prev]
         if cur not in code:
             raise ValueError(f"transition to ungoverned syscall {cur}")
@@ -586,53 +633,200 @@ def gen_validation_cache(rules: dict, cached: bool = True, deny="errno:1",
                    programs={"handlers": handlers})
 
 
-# -- trace-facing constructor ---------------------------------------------
+# -- the spec table ---------------------------------------------------------
+
+class PolicySpecError(ValueError):
+    """A generator spec that `build_program` cannot turn into a program.
+    The message names the generator and, when one field is at fault, the
+    field."""
+
+
+# Kinds of a spec field's value.  Each names what a value of it must be.
+INT = "an integer (i64)"
+INTS = "a list of integers (i64)"
+STR = "a string"
+FLAG = "true or false"
+ACTION = "an action"
+PROFILE = "a bundled profile name or a profile object"
+TRANSITIONS = "a list of [from or null, to] integer pairs"
+NR_INTS = "an object {decimal: [integers]}"
+NR_NR_INTS = "an object {decimal: {decimal: [integers]}}"
+REQUIRED, OPTIONAL = True, False
+
+
+def _checked(test, kind):
+    def convert(value):
+        if not test(value):
+            raise ValueError(f"must be {kind}")
+        return value
+    return convert
+
+
+def _action(value):
+    parse_action(value)             # raises naming the value
+    return value
+
+
+def _profile(value) -> PhaseProfile:
+    if isinstance(value, str):
+        profiles = load_profiles()
+        if value not in profiles:
+            raise ValueError(f"no bundled profile named {value!r}")
+        return profiles[value]
+    if isinstance(value, dict):
+        return PhaseProfile.from_json(value.get("name", "inline"), value)
+    raise ValueError(f"must be {PROFILE}")
+
+
+def _decimal_keys(convert_item, kind):
+    """A converter of objects keyed by decimal numbers: the keys become
+    integers, and each item goes through `convert_item`."""
+    def convert(value):
+        if not isinstance(value, dict):
+            raise ValueError(f"must be {kind}")
+        out = {}
+        for key, item in value.items():
+            # at most 18 digits, so the number is in the i64 range
+            if not (isinstance(key, str) and key.isascii()
+                    and key.isdigit() and len(key) <= 18):
+                raise ValueError(f"key {key!r} is not a decimal number")
+            try:
+                out[int(key)] = convert_item(item)
+            except ValueError as exc:
+                raise ValueError(f"key {key!r}: {exc}") from None
+        return out
+    return convert
+
+
+def _is_transition(pair) -> bool:
+    return (_is_list(pair) and len(pair) == 2 and _is_int(pair[1])
+            and (pair[0] is None or _is_int(pair[0])))
+
+
+_ints = _checked(_is_ints, INTS)
+_nr_ints = _decimal_keys(_ints, NR_INTS)
+# kind -> the converter that checks a field's value and returns the
+# generator's argument; a bad value raises ValueError saying why
+_CONVERT = {
+    INT: _checked(_is_int, INT),
+    INTS: _ints,
+    STR: _checked(lambda v: isinstance(v, str), STR),
+    FLAG: _checked(lambda v: type(v) is bool, FLAG),
+    ACTION: _action,
+    PROFILE: _profile,
+    TRANSITIONS: _checked(
+        lambda v: _is_list(v) and all(map(_is_transition, v)), TRANSITIONS),
+    NR_INTS: _nr_ints,
+    NR_NR_INTS: _decimal_keys(_nr_ints, NR_NR_INTS),
+}
+
+# generator -> (its function, a one-line summary, its fields); a field
+# maps to (the function's parameter, the kind of its value, whether the
+# spec must give it).  An optional field left out keeps the parameter's
+# default, which only the function's signature states.
+GENERATORS = {
+    "allow_all": (
+        gen_allow_all, "allow everything in two instructions: the baseline",
+        {}),
+    "allowlist": (
+        gen_allowlist, "allow a set of numbers (linear, tree or hash)",
+        {"allowed": ("allowed", INTS, REQUIRED),
+         "layout": ("layout", STR, OPTIONAL),
+         "deny": ("deny", ACTION, OPTIONAL)}),
+    "denylist": (
+        gen_denylist, "deny a set of numbers, allow the rest (linear or hash)",
+        {"denied": ("denied", INTS, REQUIRED),
+         "layout": ("layout", STR, OPTIONAL),
+         "deny": ("deny", ACTION, OPTIONAL)}),
+    "count_limit": (
+        gen_count_limit,
+        "budget N calls of a number, or of one argument value",
+        {"nr": ("nr", INT, REQUIRED),
+         "max": ("max_count", INT, REQUIRED),
+         "arg_index": ("arg_index", INT, OPTIONAL),
+         "arg_value": ("arg_value", INT, OPTIONAL),
+         "deny": ("deny", ACTION, OPTIONAL)}),
+    "rate_limit": (
+        gen_rate_limit, "token bucket for one number, held in nanotokens",
+        {"nr": ("nr", INT, REQUIRED),
+         "rate": ("rate_per_sec", INT, REQUIRED),
+         "capacity": ("capacity", INT, REQUIRED),
+         "deny": ("deny", ACTION, OPTIONAL)}),
+    "temporal": (
+        gen_temporal, "two-phase allowlist switched by a marker syscall",
+        {"profile": ("profile", PROFILE, REQUIRED),
+         "deny": ("deny", ACTION, OPTIONAL)}),
+    "flow_integrity": (
+        gen_flow_integrity,
+        "state machine over syscall order, optional call-site pins",
+        {"syscalls": ("syscalls", INTS, REQUIRED),
+         "transitions": ("transitions", TRANSITIONS, REQUIRED),
+         "origins": ("origins", NR_INTS, OPTIONAL),
+         "deny": ("deny", ACTION, OPTIONAL)}),
+    "serialization": (
+        gen_serialization, "stall a syscall while a partner is in flight",
+        {"pairs": ("pairs", NR_INTS, REQUIRED)}),
+    "validation_cache": (
+        gen_validation_cache,
+        "argument checks per syscall behind a program array",
+        {"rules": ("rules", NR_NR_INTS, REQUIRED),
+         "cached": ("cached", FLAG, OPTIONAL),
+         "deny": ("deny", ACTION, OPTIONAL),
+         "default": ("default", ACTION, OPTIONAL)}),
+}
+
 
 def build_program(spec: dict) -> FilterProgram:
-    """Build a policy from a JSON-friendly generator spec."""
-    spec = dict(spec)
-    kind = spec.pop("generator", None)
-    if kind == "allow_all":
-        return gen_allow_all()
-    if kind == "allowlist":
-        return gen_allowlist(spec["allowed"],
-                             layout=spec.get("layout", "linear"),
-                             deny=spec.get("deny", "errno:1"))
-    if kind == "denylist":
-        return gen_denylist(spec["denied"],
-                            layout=spec.get("layout", "linear"),
-                            deny=spec.get("deny", "errno:1"))
-    if kind == "count_limit":
-        return gen_count_limit(spec["nr"], spec["max"],
-                               arg_index=spec.get("arg_index"),
-                               arg_value=spec.get("arg_value"),
-                               deny=spec.get("deny", "errno:1"))
-    if kind == "rate_limit":
-        return gen_rate_limit(spec["nr"], spec["rate"], spec["capacity"],
-                              deny=spec.get("deny", "errno:11"))
-    if kind == "temporal":
-        profile = spec["profile"]
-        if isinstance(profile, str):
-            profile = load_profiles()[profile]
-        else:
-            profile = PhaseProfile.from_json(profile.get("name", "inline"),
-                                             profile)
-        return gen_temporal(profile, deny=spec.get("deny", "errno:1"))
-    if kind == "flow_integrity":
-        transitions = [(None if p is None else int(p), int(c))
-                       for p, c in spec["transitions"]]
-        origins = {int(nr): addrs
-                   for nr, addrs in spec.get("origins", {}).items()}
-        return gen_flow_integrity(spec["syscalls"], transitions,
-                                  origins=origins or None,
-                                  deny=spec.get("deny", "kill_process"))
-    if kind == "serialization":
-        return gen_serialization({int(nr): ps
-                                  for nr, ps in spec["pairs"].items()})
-    if kind == "validation_cache":
-        rules = {int(nr): {int(a): vals for a, vals in argmap.items()}
-                 for nr, argmap in spec["rules"].items()}
-        return gen_validation_cache(rules, cached=spec.get("cached", True),
-                                    deny=spec.get("deny", "errno:1"),
-                                    default=spec.get("default", "allow"))
-    raise ValueError(f"unknown policy generator {kind!r}")
+    """Build a policy from a JSON-friendly generator spec: one pass over
+    its fields against `GENERATORS`, then the generator with its own
+    checks.  Whatever cannot be built raises `PolicySpecError`."""
+    if not isinstance(spec, dict):
+        raise PolicySpecError(f"a policy spec must be an object, "
+                              f"not {type(spec).__name__}")
+    name = spec.get("generator")
+    if not isinstance(name, str) or name not in GENERATORS:
+        raise PolicySpecError(f"unknown policy generator {name!r}")
+    gen, _, fields = GENERATORS[name]
+    kwargs = {}
+    for key, value in spec.items():
+        if key == "generator":
+            continue
+        if key not in fields:
+            raise PolicySpecError(f"{name}: unknown field {key!r}")
+        param, kind, _ = fields[key]
+        try:
+            kwargs[param] = _CONVERT[kind](value)
+        except ValueError as exc:
+            raise PolicySpecError(f"{name}: field {key!r}: {exc}") from None
+    for key, (_, _, required) in fields.items():
+        if required and key not in spec:
+            raise PolicySpecError(f"{name}: missing field {key!r}")
+    try:
+        return gen(**kwargs)
+    except AsmError as exc:
+        raise PolicySpecError(f"{name}: the generated program does not "
+                              f"assemble ({exc})") from None
+    except ValueError as exc:
+        raise PolicySpecError(f"{name}: {exc}") from None
+
+
+def describe_generators() -> str:
+    """Each generator of `GENERATORS` with its summary and its fields, one
+    a line; an optional field shows its parameter's default."""
+    out = []
+    for name, (gen, summary, fields) in GENERATORS.items():
+        out.append(f"  {name:<18} {summary}\n")
+        params = inspect.signature(gen).parameters
+        for key, (param, kind, required) in fields.items():
+            default = params[param].default
+            if not required:
+                kind += (", optional" if default is None
+                         else f", default {json.dumps(default)}")
+            out.append(f"      {key:<14} {kind}\n")
+    out.append('  an action is "allow", "log", "trap", "kill_thread", '
+               '"kill_process",\n  "errno:N" or a raw u32 action word\n')
+    return "".join(out)
+
+
+if __doc__:
+    __doc__ += describe_generators()

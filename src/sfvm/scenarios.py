@@ -25,6 +25,10 @@ from .snapshot import DescriptorTable
 from .trace import Trace, parse_trace
 
 
+class ScenarioError(ValueError):
+    """A scenario spec that cannot be run as written."""
+
+
 @dataclass
 class CheckResult:
     description: str
@@ -124,7 +128,7 @@ def _eval_run_check(check: dict, entries) -> CheckResult:
         return CheckResult(
             f"{check['action']} count for nr {check.get('nr')}",
             ok, f"{hits} occurrences")
-    raise ValueError(f"unknown run check {kind!r}")
+    raise ScenarioError(f"unknown run check {kind!r}")
 
 
 def _eval_explore_check(check: dict, runs, stripped_runs) -> CheckResult:
@@ -149,14 +153,30 @@ def _eval_explore_check(check: dict, runs, stripped_runs) -> CheckResult:
         want = check["count"]
         return CheckResult(f"exploration finds {want} schedules",
                            len(runs) == want, f"found {len(runs)}")
-    raise ValueError(f"unknown explore check {kind!r}")
+    raise ScenarioError(f"unknown explore check {kind!r}")
 
 
 def run_scenario(spec: dict, config: EngineConfig | None = None,
                  descriptors: DescriptorTable | None = None) -> ScenarioResult:
+    """Run a scenario spec; a spec that cannot run raises ScenarioError,
+    and a trace that does not parse raises TraceError."""
+    if not isinstance(spec, dict):
+        raise ScenarioError("a scenario must be a JSON object")
+    for key in ("name", "trace"):
+        if key not in spec:
+            raise ScenarioError(f"scenario is missing {key!r}")
     name = spec["name"]
     mode = spec.get("mode", "run")
+    if mode not in ("run", "explore"):
+        raise ScenarioError(f"scenario {name}: unknown mode {mode!r}")
     events = spec["trace"]
+    if not isinstance(events, list):
+        raise ScenarioError(f"scenario {name}: trace must be a list")
+    wanted = spec.get("checks", [])
+    if not isinstance(wanted, list) or not all(
+            isinstance(c, dict) and "check" in c for c in wanted):
+        raise ScenarioError(f"scenario {name}: checks must be a list of "
+                            f"objects that name their check")
     checks = []
     metrics: dict = {}
 
@@ -165,15 +185,15 @@ def run_scenario(spec: dict, config: EngineConfig | None = None,
                         descriptors=descriptors,
                         seed=spec.get("seed", 0)).run()
         metrics = sim.metrics()
-        for check in spec.get("checks", []):
+        for check in wanted:
             checks.append(_eval_run_check(check, sim.entries))
-    elif mode == "explore":
+    else:
         max_steps = spec.get("max_steps", MAX_EXPLORE_STEPS)
         runs = explore_interleavings(_trace_from_spec(events), config=config,
                                      descriptors=descriptors,
                                      max_steps=max_steps)
         needs_stripped = any(c["check"] == "overlap_without_policy"
-                             for c in spec.get("checks", []))
+                             for c in wanted)
         stripped_runs = []
         if needs_stripped:
             stripped_runs = explore_interleavings(
@@ -181,10 +201,8 @@ def run_scenario(spec: dict, config: EngineConfig | None = None,
                 descriptors=descriptors, max_steps=max_steps)
         metrics = {"schedules": len(runs),
                    "stripped_schedules": len(stripped_runs)}
-        for check in spec.get("checks", []):
+        for check in wanted:
             checks.append(_eval_explore_check(check, runs, stripped_runs))
-    else:
-        raise ValueError(f"scenario {name}: unknown mode {mode!r}")
 
     return ScenarioResult(name=name, title=spec.get("title", name),
                           passed=all(c.passed for c in checks),

@@ -237,9 +237,8 @@ class Simulator:
                 program = decode_program(bytes.fromhex(ev["program_hex"]))
             else:
                 program = build_program(ev["policy"])
-        # ProgramFormatError is a ValueError; a bad generator spec raises
-        # whatever the generator's first use of the bad value raises
-        except (ValueError, TypeError, LookupError, AttributeError) as exc:
+        # a ProgramFormatError or a PolicySpecError
+        except ValueError as exc:
             raise EngineError(f"cannot load: {exc!r}") from None
         handle = self.engine.load(tid, program)
         self.handle_ids[(tid, ev["handle"])] = handle

@@ -1,14 +1,17 @@
 """Hand tools shared by the test modules: context builders, one-call
-policy attachment, a small trace runner, program generators, and a
-reference explorer with a corpus of small races to check it against."""
+policy attachment, a small trace runner, program generators, a
+reference explorer with a corpus of small races to check it against, and
+a corpus of generator specs."""
 
 from __future__ import annotations
 
 import json
 import random
+import sys
 from copy import deepcopy
 from dataclasses import replace
 from importlib.resources import files
+from pathlib import Path
 
 from sfvm.asm import assemble, disassemble
 from sfvm.engine import Engine, EngineConfig
@@ -41,6 +44,7 @@ from sfvm.policies import (
     gen_validation_cache,
     load_profiles,
 )
+from sfvm.scenarios import bundled_scenario_names, load_bundled_scenario
 from sfvm.sim import MAX_EXPLORE_STEPS, Simulator, explore_interleavings
 from sfvm.snapshot import DescriptorTable
 from sfvm.trace import parse_trace
@@ -742,3 +746,63 @@ def every_field_trace() -> list:
         {"event": "syscall_exit", "task": 2},
     ]
 
+
+# -- generator specs ----------------------------------------------------------
+
+BENCH_DIR = str(Path(__file__).resolve().parent.parent / "bench")
+# the specs that tests/test_policies.py and demos/02_stateful_policies.py
+# build, one or two of each generator
+TEST_SPECS = [
+    {"generator": "allow_all"},
+    {"generator": "allowlist", "allowed": [1, 2], "layout": "tree"},
+    {"generator": "denylist", "denied": [3]},
+    {"generator": "count_limit", "nr": 7, "max": 2},
+    {"generator": "rate_limit", "nr": 7, "rate": 1, "capacity": 1},
+    {"generator": "temporal", "profile": "redis"},
+    {"generator": "temporal",
+     "profile": {"init": [[0, 3]], "serv": [[2, 4]], "marker": 9}},
+    {"generator": "flow_integrity", "syscalls": [10, 20],
+     "transitions": [[None, 10], [10, 20]]},
+    {"generator": "serialization", "pairs": {"42": [77]}},
+    {"generator": "validation_cache",
+     "rules": {"7": {"0": [1]}}, "cached": False},
+    {"generator": "count_limit", "nr": 250, "max": 3, "deny": "errno:1"},
+    {"generator": "rate_limit", "nr": 42, "rate": 2, "capacity": 2,
+     "deny": "errno:11"},
+]
+
+
+def specs_within(value) -> list:
+    """Every generator spec nested anywhere in `value`, in order."""
+    if isinstance(value, dict):
+        if "generator" in value:
+            return [value]
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [spec for item in value for spec in specs_within(item)]
+    return []
+
+
+def spec_corpus() -> list:
+    """The valid generator specs of the bundled scenarios, `TEST_SPECS`,
+    the exploration corpus, `every_field_trace` and the benchmark's
+    workload inputs at seeds 1 and 1009, in that order."""
+    out = specs_within([load_bundled_scenario(name)
+                        for name in bundled_scenario_names()])
+    out += TEST_SPECS
+    out += specs_within([race_trace(random.Random(seed))[0]
+                         for seed in range(60)])
+    out += specs_within(every_field_trace())
+    sys.path.insert(0, BENCH_DIR)
+    try:
+        import workloads
+        for seed in (1, 1009):
+            rng = random.Random(seed)
+            out += specs_within([
+                workloads.stateless_inputs(seed, False),
+                workloads.stateful_inputs(seed, False),
+                workloads.load_inputs(seed, False),
+                [workloads.family_race(rng, i) for i in range(16)]])
+    finally:
+        sys.path.remove(BENCH_DIR)
+    return out

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from sfvm.cli import main
+from sfvm.cli import build_parser, main
 from sfvm.isa import PROGRAM_MAGIC
+from sfvm.policies import GENERATORS
 
 from .helpers import trace_text
 
@@ -157,6 +158,62 @@ def test_scenario_from_file(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert main(["scenario", str(path)]) == 0
     assert "[PASS] local" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"trace": [{"event": "warp"}]}, "line 1: unknown event kind 'warp'"),
+    ({"checks": [{"check": "faster"}]}, "unknown run check 'faster'"),
+    ({"mode": "replay"}, "unknown mode 'replay'"),
+    ({"name": None}, "missing 'name'"),
+    ({"trace": None}, "missing 'trace'"),
+])
+def test_a_malformed_scenario_file_is_exit_2(tmp_path, capsys, change,
+                                             message):
+    spec = {"name": "local", "mode": "run",
+            "trace": [{"event": "spawn", "tid": 1, "nnp": True}],
+            "checks": [{"check": "allowed", "task": 1, "nr": 2}], **change}
+    spec = {key: value for key, value in spec.items() if value is not None}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("profiles,message", [
+    ({"app": {"init": [[0, 3]], "serv": [[2, 4]]}}, "missing 'marker'"),
+    ({"app": {"init": 5, "serv": [], "marker": 9}}, "init must be"),
+    ({"app": {"init": [], "serv": [], "marker": 9, "x": 1}},
+     "unknown key 'x'"),
+    ([1], "JSON object"),
+])
+def test_report_with_malformed_profiles_is_exit_2(tmp_path, capsys,
+                                                  profiles, message):
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps(profiles))
+    assert main(["report", "attack-surface", "--profiles", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_report_with_a_profiles_file(tmp_path, capsys):
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps({"app": {"init": [[0, 3]], "serv": [[2, 6]],
+                                        "marker": 9}}))
+    assert main(["report", "attack-surface", "--profiles", str(path),
+                 "--json"]) == 0
+    assert "app" in capsys.readouterr().out
+
+
+def test_run_help_lists_every_generator_and_field(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--help"])
+    out = capsys.readouterr().out
+    for name, (_, summary, fields) in GENERATORS.items():
+        assert f"  {name:<18} {summary}\n" in out
+        for key in fields:
+            assert f"      {key:<14} " in out, (name, key)
+    assert 'deny           an action, default "errno:1"' in out
 
 
 def test_report_table_and_json(capsys):

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import inspect
+import json
+import re
+
 import pytest
 
 from sfvm.actions import RET_ALLOW, RET_ERRNO, RET_KILL_PROCESS
 from sfvm.engine import Engine
-from sfvm.isa import MapKind
+from sfvm.isa import MapKind, encode_program
 from sfvm.policies import (
+    GENERATORS,
+    PROFILE_NR_LIMIT,
     SENTINEL,
     PhaseProfile,
+    PolicySpecError,
     build_program,
     gen_allow_all,
     gen_allowlist,
@@ -25,7 +33,8 @@ from sfvm.policies import (
     parse_action,
 )
 
-from .helpers import attach, ctx, probe
+from . import fuzz_specs
+from .helpers import TEST_SPECS, attach, ctx, probe, spec_corpus
 
 
 def fresh(program):
@@ -49,11 +58,14 @@ def test_parse_action_forms():
     assert parse_action("errno:13") == RET_ERRNO | 13
     assert parse_action("errno:0x16") == RET_ERRNO | 22
     assert parse_action(0x30000) == 0x30000
+    assert parse_action(0) == 0 and parse_action(0xFFFFFFFF) == 0xFFFFFFFF
 
 
-@pytest.mark.parametrize("spec", ["errno:9999", "maybe", None, "errno:x"])
+@pytest.mark.parametrize("spec", ["errno:9999", "maybe", None, "errno:x",
+                                  2 ** 40, 0x17fff0000, -1, True])
 def test_parse_action_rejects_junk(spec):
-    with pytest.raises(ValueError):
+    named = f"{spec:#x}" if type(spec) is int else repr(spec)
+    with pytest.raises(ValueError, match=re.escape(named)):
         parse_action(spec)
 
 
@@ -94,6 +106,15 @@ def test_denylist_blocks_members_only():
     for layout in ("linear", "hash"):
         got = sweep(gen_denylist({2, 9}, layout=layout), range(0, 12))
         assert [n for n, a in got.items() if a == "errno"] == [2, 9]
+
+
+def test_denylist_deny_beyond_u32_is_refused_not_allowed():
+    # 0x17fff0000 would keep only its low 32 bits at exit: RET_ALLOW
+    spec = {"generator": "denylist", "denied": [59], "deny": 0x17fff0000}
+    with pytest.raises(PolicySpecError, match="denylist: field 'deny'"):
+        build_program(spec)
+    got = sweep(build_program({**spec, "deny": "kill_process"}), [58, 59])
+    assert got == {58: "allow", 59: "kill_process"}
 
 
 def test_hash_denylist_text_is_independent_of_the_set():
@@ -161,6 +182,8 @@ def test_rate_limit_validation():
         gen_rate_limit(7, 0, 1)
     with pytest.raises(ValueError, match="positive"):
         gen_rate_limit(7, 1, 0)
+    with pytest.raises(ValueError, match="overflows"):
+        gen_rate_limit(7, 1, 2 ** 64 // 10 ** 9 + 1)
 
 
 # -- two-phase ---------------------------------------------------------------
@@ -193,6 +216,49 @@ def test_profile_arithmetic():
     assert SMALL.union_size == 4
     assert SMALL.common_size == 1
     assert SMALL.reduction_pct == pytest.approx(25.0)
+
+
+@pytest.mark.parametrize("raw,message", [
+    (5, "must be an object"),
+    ({"init": [[0, 3]], "serv": [[2, 4]]}, "missing 'marker'"),
+    ({"serv": [[2, 4]], "marker": 9}, "missing 'init'"),
+    ({"init": [[0, 3]], "serv": [[2, 4]], "marker": 9, "mark": 1},
+     "unknown key 'mark'"),
+    ({"init": [[0, 3]], "serv": [[2, 4]], "marker": "9"},
+     "marker must be an integer"),
+    ({"init": [[0, 3]], "serv": [[2, 4]], "marker": True},
+     "marker must be an integer"),
+    ({"init": [[0, 3]], "serv": [[2, 4]], "marker": 9, "name": 1},
+     "name must be a string"),
+    ({"init": [0, 3], "serv": [[2, 4]], "marker": 9}, "init must be"),
+    ({"init": [[0, 3, 5]], "serv": [[2, 4]], "marker": 9}, "init must be"),
+    ({"init": [[0, 3]], "serv": [[4, 2]], "marker": 9}, "serv must be"),
+    ({"init": [[0, 3]], "serv": [[-1, 2]], "marker": 9}, "serv must be"),
+    ({"init": [[0, PROFILE_NR_LIMIT + 1]], "serv": [], "marker": 9},
+     "init must be"),
+    ({"init": [["0", 3]], "serv": [], "marker": 9}, "init must be"),
+])
+def test_profile_from_json_checks_its_object(raw, message):
+    with pytest.raises(ValueError, match=message):
+        PhaseProfile.from_json("p", raw)
+
+
+def test_profile_from_json_reads_ranges_as_half_open():
+    profile = PhaseProfile.from_json(
+        "p", {"name": "q", "init": [[0, 3], [5, 6]], "serv": [[3, 3]],
+              "marker": 9})
+    assert (profile.name, profile.s_init, profile.s_serv,
+            profile.marker_nr) == ("p", {0, 1, 2, 5}, frozenset(), 9)
+
+
+def test_load_profiles_refuses_malformed_files(tmp_path):
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps([1, 2]))
+    with pytest.raises(ValueError, match="JSON object"):
+        load_profiles(path)
+    path.write_text(json.dumps({"app": {"init": [], "serv": []}}))
+    with pytest.raises(ValueError, match="profile 'app' is missing 'marker'"):
+        load_profiles(path)
 
 
 def test_bundled_profiles_load():
@@ -253,6 +319,8 @@ def test_flow_integrity_validation():
         gen_flow_integrity([10], [(None, 99)])
     with pytest.raises(ValueError, match="ungoverned"):
         gen_flow_integrity([10], [(None, 10)], origins={99: [1]})
+    with pytest.raises(ValueError, match="from ungoverned syscall 99"):
+        gen_flow_integrity([10], [(99, 10)])
 
 
 # -- serialization ----------------------------------------------------------
@@ -349,26 +417,128 @@ def test_validation_rejects_empty_rules():
 
 
 def test_build_program_dispatches():
-    specs = [
-        {"generator": "allow_all"},
-        {"generator": "allowlist", "allowed": [1, 2], "layout": "tree"},
-        {"generator": "denylist", "denied": [3]},
-        {"generator": "count_limit", "nr": 7, "max": 2},
-        {"generator": "rate_limit", "nr": 7, "rate": 1, "capacity": 1},
-        {"generator": "temporal", "profile": "redis"},
-        {"generator": "temporal",
-         "profile": {"init": [[0, 3]], "serv": [[2, 4]], "marker": 9}},
-        {"generator": "flow_integrity", "syscalls": [10, 20],
-         "transitions": [[None, 10], [10, 20]]},
-        {"generator": "serialization", "pairs": {"42": [77]}},
-        {"generator": "validation_cache",
-         "rules": {"7": {"0": [1]}}, "cached": False},
-    ]
-    for spec in specs:
+    for spec in TEST_SPECS:
         eng, tid = fresh(build_program(spec))
         probe(eng, tid, ctx(0))
 
 
 def test_build_program_rejects_unknown_generators():
-    with pytest.raises(ValueError, match="unknown policy generator"):
+    with pytest.raises(PolicySpecError, match="unknown policy generator"):
         build_program({"generator": "firewall"})
+
+
+# sha256 over the sha256 of each program's encoding, in corpus order, as
+# the generators built them before `GENERATORS` drove `build_program`
+SPEC_CORPUS_SIZE = 134
+SPEC_CORPUS_DIGEST = \
+    "56b1004a39b39641d0233a81892e7b2711baeaf3d5c526c4adf730015e29e1f4"
+
+
+def test_spec_corpus_builds_the_pinned_programs():
+    corpus = spec_corpus()
+    digest = hashlib.sha256()
+    for spec in corpus:
+        digest.update(hashlib.sha256(
+            encode_program(build_program(spec))).digest())
+    assert (len(corpus), digest.hexdigest()) == \
+        (SPEC_CORPUS_SIZE, SPEC_CORPUS_DIGEST)
+
+
+def test_every_generator_field_names_a_parameter():
+    for name, (gen, summary, fields) in GENERATORS.items():
+        params = inspect.signature(gen).parameters
+        assert summary and len(summary) <= 58, name
+        for key, (param, kind, required) in fields.items():
+            assert param in params, (name, key)
+            # a required field has no default to fall back on
+            assert required == (params[param].default is
+                                inspect.Parameter.empty), (name, key)
+        # every parameter is reachable from a spec
+        assert {param for param, _, _ in fields.values()} == set(params)
+
+
+def test_full_specs_cover_every_field_and_build():
+    assert list(fuzz_specs.FULL_SPECS) == list(GENERATORS)
+    for name, spec in fuzz_specs.FULL_SPECS.items():
+        assert set(spec) == {"generator", *GENERATORS[name][2]}, name
+        assert fuzz_specs.crash(spec) is None, name
+
+
+@pytest.mark.parametrize("spec,message", [
+    ([], "a policy spec must be an object, not list"),
+    ({}, "unknown policy generator None"),
+    ({"generator": ["allowlist"]},
+     r"unknown policy generator \['allowlist'\]"),
+    ({"generator": "allowlist", "allowed": [1], "layuot": "tree"},
+     "allowlist: unknown field 'layuot'"),
+    ({"generator": "count_limit", "nr": 1},
+     "count_limit: missing field 'max'"),
+    ({"generator": "allowlist", "allowed": ["3"]},
+     "allowlist: field 'allowed': must be a list of integers"),
+    ({"generator": "allowlist", "allowed": [True]},
+     "allowlist: field 'allowed': must be"),
+    ({"generator": "allowlist", "allowed": [2 ** 63]},
+     "allowlist: field 'allowed': must be"),
+    ({"generator": "allowlist", "allowed": [1], "layout": 5},
+     "allowlist: field 'layout': must be a string"),
+    ({"generator": "allowlist", "allowed": [1], "layout": "btree"},
+     "allowlist: unknown allowlist layout 'btree'"),
+    ({"generator": "denylist", "denied": [59], "deny": True},
+     "denylist: field 'deny': unknown action spec True"),
+    ({"generator": "denylist", "denied": [59], "deny": 2 ** 40},
+     "denylist: field 'deny': raw action 0x10000000000"),
+    ({"generator": "count_limit", "nr": 1, "max": 2.0},
+     "count_limit: field 'max': must be an integer"),
+    ({"generator": "count_limit", "nr": 1, "max": 2, "arg_index": 0},
+     "count_limit: arg_index and arg_value go together"),
+    ({"generator": "rate_limit", "nr": 1, "rate": 1, "capacity": 2 ** 62},
+     "rate_limit: a capacity of"),
+    ({"generator": "temporal", "profile": 5},
+     "temporal: field 'profile': must be a bundled profile name"),
+    ({"generator": "temporal", "profile": "nope"},
+     "temporal: field 'profile': no bundled profile named 'nope'"),
+    ({"generator": "temporal", "profile": {"init": [], "serv": []}},
+     "temporal: field 'profile': profile 'inline' is missing 'marker'"),
+    ({"generator": "flow_integrity", "syscalls": [1], "transitions": [[1]]},
+     "flow_integrity: field 'transitions': must be"),
+    ({"generator": "flow_integrity", "syscalls": [1],
+      "transitions": [[None, 1]], "origins": {"x": [1]}},
+     "flow_integrity: field 'origins': key 'x' is not a decimal number"),
+    ({"generator": "flow_integrity", "syscalls": [1],
+      "transitions": [[2, 1]]},
+     "flow_integrity: transition from ungoverned syscall 2"),
+    ({"generator": "serialization", "pairs": {"-1": [2]}},
+     "serialization: field 'pairs': key '-1' is not a decimal number"),
+    ({"generator": "serialization", "pairs": {"1": 2}},
+     "serialization: field 'pairs': key '1': must be a list of integers"),
+    ({"generator": "validation_cache", "rules": {"7": {"0": [1]}},
+      "cached": "no"},
+     "validation_cache: field 'cached': must be true or false"),
+    ({"generator": "validation_cache", "rules": {"7": {"0": ["1"]}}},
+     "validation_cache: field 'rules': key '7': key '0': must be"),
+    ({"generator": "validation_cache", "rules": {"7": [1]}},
+     "validation_cache: field 'rules': key '7': must be an object"),
+    ({"generator": "validation_cache", "rules": {}},
+     "validation_cache: no rules given"),
+    ({"generator": "allowlist", "allowed": list(range(33000))},
+     "allowlist: the generated program does not assemble"),
+])
+def test_build_program_names_the_generator_and_field(spec, message):
+    with pytest.raises(PolicySpecError, match=message):
+        build_program(spec)
+
+
+def test_a_spec_defaults_as_its_generator_does():
+    # a field left out takes the default of the generator's signature
+    assert encode_program(build_program({"generator": "rate_limit", "nr": 2,
+                                         "rate": 3, "capacity": 4})) == \
+        encode_program(gen_rate_limit(2, 3, 4))
+    assert encode_program(build_program(
+        {"generator": "flow_integrity", "syscalls": [1],
+         "transitions": [[None, 1]], "origins": {}})) == \
+        encode_program(gen_flow_integrity([1], [(None, 1)]))
+
+
+def test_malformed_specs_are_refused_or_verify():
+    # a fixed slice of `python -m tests.fuzz_specs`
+    assert fuzz_specs.main(["--seed", "1", "--specs", "2000"]) == 0

@@ -280,12 +280,21 @@ def test_engine_errors_become_log_entries():
 @pytest.mark.parametrize("source,error", [
     ({"program_hex": "00"}, "ProgramFormatError('truncated program file')"),
     ({"policy": {"generator": "nope"}},
-     """ValueError("unknown policy generator 'nope'")"""),
+     """PolicySpecError("unknown policy generator 'nope'")"""),
     ({"policy": {"generator": "allowlist", "allowed": 5}},
-     """TypeError("'int' object is not iterable")"""),
+     """PolicySpecError("allowlist: field 'allowed': must be a list of """
+     """integers (i64)")"""),
     ({"policy": {"generator": "temporal", "profile": 5}},
-     """AttributeError("'int' object has no attribute 'get'")"""),
-    ({"policy": {"generator": "count_limit", "nr": 1}}, "KeyError('max')"),
+     """PolicySpecError("temporal: field 'profile': must be a bundled """
+     """profile name or a profile object")"""),
+    ({"policy": {"generator": "count_limit", "nr": 1}},
+     """PolicySpecError("count_limit: missing field 'max'")"""),
+    ({"policy": {"generator": "allowlist", "allowed": [1], "layuot": "tree"}},
+     """PolicySpecError("allowlist: unknown field 'layuot'")"""),
+    ({"policy": {"generator": "denylist", "denied": [59],
+                 "deny": 0x17fff0000}},
+     """PolicySpecError("denylist: field 'deny': raw action 0x17fff0000 """
+     """does not fit in u32")"""),
 ])
 def test_a_load_that_cannot_be_carried_out_is_an_error_entry(source, error):
     events = [
