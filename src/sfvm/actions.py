@@ -10,7 +10,7 @@ earliest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 RET_KILL_PROCESS = 0x80000000
@@ -51,43 +51,48 @@ _RAW_BY_KIND = {
     ActionKind.LOG: RET_LOG,
     ActionKind.ALLOW: RET_ALLOW,
 }
-_KIND_BY_ACTION_BITS = {raw: kind for kind, raw in _RAW_BY_KIND.items()}
 
 
 @dataclass(frozen=True)
 class ResolvedAction:
+    """A verdict.  What the engine and `resolve` read of it (the log
+    `name`, `precedence`, `raw` and `executes`) is worked out once, when
+    it is built, so they never touch the enum."""
     kind: ActionKind
     errno: int = 0
+    name: str = field(init=False, repr=False, compare=False)
+    precedence: int = field(init=False, repr=False, compare=False)
+    raw: int = field(init=False, repr=False, compare=False)
+    # whether the syscall goes on to run under this verdict
+    executes: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind is not ActionKind.ERRNO and self.errno:
             raise ValueError("only ERRNO carries an errno")
         if not 0 <= self.errno <= 0xFFFF:
             raise ValueError("errno must fit in 16 bits")
-
-    @property
-    def raw(self) -> int:
-        return _RAW_BY_KIND[self.kind] | self.errno
-
-    @property
-    def precedence(self) -> int:
-        return PRECEDENCE[self.kind]
-
-    @property
-    def executes(self) -> bool:
-        """Whether the syscall goes on to run under this verdict."""
-        return self.kind in (ActionKind.ALLOW, ActionKind.LOG)
+        derived = {"name": self.kind.value,
+                   "precedence": PRECEDENCE[self.kind],
+                   "raw": _RAW_BY_KIND[self.kind] | self.errno,
+                   "executes": self.kind in (ActionKind.ALLOW, ActionKind.LOG)}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_raw(cls, raw: int) -> "ResolvedAction":
+        """The shared action of a raw filter return: ERRNO actions are
+        interned by their errno, at most 2**16 of them."""
         raw &= 0xFFFFFFFF
-        kind = _KIND_BY_ACTION_BITS.get(raw & _ACTION_MASK)
-        if kind is ActionKind.ERRNO:
-            return cls(kind, errno=raw & _DATA_MASK)
+        bits = raw & _ACTION_MASK
+        if bits == RET_ERRNO:
+            errno = raw & _DATA_MASK
+            action = _ERRNOS.get(errno)
+            if action is None:
+                action = _ERRNOS[errno] = cls(ActionKind.ERRNO, errno)
+            return action
         # unrecognized action values are treated as the harshest kill,
-        # mirroring how the kernel handles bogus filter returns; the
-        # kinds without data are the shared constants below
-        return _WITHOUT_DATA.get(kind, KILL_PROCESS)
+        # mirroring how the kernel handles bogus filter returns
+        return _WITHOUT_DATA.get(bits, KILL_PROCESS)
 
 
 ALLOW = ResolvedAction(ActionKind.ALLOW)
@@ -95,8 +100,10 @@ LOG = ResolvedAction(ActionKind.LOG)
 TRAP = ResolvedAction(ActionKind.TRAP)
 KILL_THREAD = ResolvedAction(ActionKind.KILL_THREAD)
 KILL_PROCESS = ResolvedAction(ActionKind.KILL_PROCESS)
-_WITHOUT_DATA = {action.kind: action
+# action bits -> the shared constant of each kind without data
+_WITHOUT_DATA = {action.raw: action
                  for action in (ALLOW, LOG, TRAP, KILL_THREAD, KILL_PROCESS)}
+_ERRNOS: dict[int, ResolvedAction] = {}     # errno -> its interned action
 
 
 def errno_action(code: int) -> ResolvedAction:

@@ -108,7 +108,7 @@ class LoadedHandle:
 
 
 @stateful(shared="ctx", owned="snapshot thread", aliased="chain",
-          value="index votes actions registered executing")
+          value="index votes actions steps helper_calls registered executing")
 @dataclass
 class PendingSyscall:
     ctx: SyscallContext
@@ -118,6 +118,8 @@ class PendingSyscall:
     thread: VmThread | None = None
     votes: list = field(default_factory=list)
     actions: list = field(default_factory=list)
+    steps: int = 0              # the sums over `votes`
+    helper_calls: int = 0
     registered: set = field(default_factory=set)
     executing: bool = False
 
@@ -358,17 +360,6 @@ class Engine:
         snap = self.snapshotter.snapshot(t.address_space, tid, ctx)
         t.pending = PendingSyscall(ctx, snap, list(t.chain))
 
-    def _env_for(self, t: Task, inst: Installation) -> RuntimeEnv:
-        return RuntimeEnv(
-            clock_ns=self.clock_ns,
-            usermem=t.address_space,
-            snapshot=t.pending.snapshot,
-            user_access_allowed=self._user_access_allowed(t, inst),
-            leader_tid=t.tgid,
-            in_flight=self.in_flight,
-            registered=t.pending.registered,
-        )
-
     def resume_syscall(self, tid: int):
         """Run filters until a decision or a block.
 
@@ -381,6 +372,7 @@ class Engine:
         if pending is None or pending.executing:
             raise EngineError(f"task {tid} has no undecided syscall")
         nr = pending.ctx.nr
+        env = None      # one for every filter this call runs
         while pending.index < len(pending.chain):
             inst = pending.chain[pending.index]
             verdicts = inst.program.verdicts
@@ -390,8 +382,16 @@ class Engine:
                 if thread is None:
                     thread = pending.thread = VmThread(
                         inst.program, inst.maps, pending.ctx)
+                if env is None:
+                    env = RuntimeEnv(clock_ns=self.clock_ns,
+                                     usermem=t.address_space,
+                                     snapshot=pending.snapshot,
+                                     leader_tid=t.tgid,
+                                     in_flight=self.in_flight,
+                                     registered=pending.registered)
+                env.user_access_allowed = self._user_access_allowed(t, inst)
                 thread.block = None
-                status = thread.run(self._env_for(t, inst))
+                status = thread.run(env)
                 if status == "blocked":
                     return ("blocked", thread.block)
                 out = thread.outcome
@@ -405,13 +405,15 @@ class Engine:
             pending.actions.append(action)
             pending.votes.append({
                 "install": pending.index,
-                "action": action.kind.value,
+                "action": action.name,
                 "errno": action.errno,
                 "raw": out.raw_action,
                 "steps": out.steps_executed,
                 "helper_calls": out.helper_calls,
                 "faulted": out.faulted,
             })
+            pending.steps += out.steps_executed
+            pending.helper_calls += out.helper_calls
             pending.thread = None
             pending.index += 1
         return ("decision", self._finish_enter(t))
@@ -422,12 +424,12 @@ class Engine:
         record = {
             "task": t.tid,
             "nr": pending.ctx.nr,
-            "action": decision.kind.value,
+            "action": decision.name,
             "errno": decision.errno,
             "raw": decision.raw,
             "votes": list(pending.votes),
-            "steps": sum(v["steps"] for v in pending.votes),
-            "helper_calls": sum(v["helper_calls"] for v in pending.votes),
+            "steps": pending.steps,
+            "helper_calls": pending.helper_calls,
         }
         if decision.executes:
             pending.executing = True
@@ -435,9 +437,9 @@ class Engine:
         self._abandon_pending(t)
         t.denied_enter = True
         killed = []
-        if decision.kind.value == "kill_thread":
+        if decision.name == "kill_thread":
             killed = self.kill_task(t.tid)
-        elif decision.kind.value == "kill_process":
+        elif decision.name == "kill_process":
             killed = self.kill_process(t.tgid)
         if killed:
             record["killed"] = killed

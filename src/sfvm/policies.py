@@ -361,13 +361,23 @@ def _expand_ranges(name: str, key: str, ranges) -> frozenset:
 
 def load_profiles(path=None) -> dict[str, PhaseProfile]:
     """The bundled profiles, or those of the JSON file at `path`: an
-    object of profile name -> profile object."""
+    object of profile name -> profile object.  The bundled file is parsed
+    once per process; each call gets its own dict of the same profiles."""
+    global _BUNDLED
     if path is None:
-        from importlib.resources import files
-        text = (files("sfvm") / "data" / "profiles.json").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        if _BUNDLED is None:
+            from importlib.resources import files
+            _BUNDLED = _parse_profiles(
+                (files("sfvm") / "data" / "profiles.json").read_text())
+        return dict(_BUNDLED)
+    with open(path, encoding="utf-8") as fh:
+        return _parse_profiles(fh.read())
+
+
+_BUNDLED: dict | None = None
+
+
+def _parse_profiles(text: str) -> dict[str, PhaseProfile]:
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError("profiles must be a JSON object of name -> profile")
@@ -521,12 +531,17 @@ SENTINEL = 0xFFFFFFFFFFFFFFFF
 def gen_serialization(pairs: dict) -> FilterProgram:
     """Hold a syscall at the door while a partner syscall is in
     flight anywhere in the system.  Up to two partners per syscall;
-    unused slots hold an all-ones sentinel.  Never denies."""
+    unused slots hold an all-ones sentinel, so no partner may be that
+    u64 (-1).  Never denies."""
     entries = {}
     for nr, partners in pairs.items():
         partners = list(partners)
         if not 1 <= len(partners) <= 2:
             raise ValueError(f"syscall {nr}: need one or two partners")
+        for partner in partners:
+            if partner & SENTINEL == SENTINEL:
+                raise ValueError(f"syscall {nr}: partner {partner} is the "
+                                 f"empty-slot sentinel {SENTINEL:#x}")
         while len(partners) < 2:
             partners.append(SENTINEL)
         entries[_u64(int(nr))] = _u64(partners[0]) + _u64(partners[1])

@@ -100,6 +100,16 @@ def _decision_actions(entries, task=None, nr=None):
     return out
 
 
+# check kind -> the fields a check of that kind must give
+_REQUIRED_FIELDS = {
+    "decision_sequence": ("actions",),
+    "action_count": ("action",),
+    "no_overlap": ("pair",),
+    "overlap_without_policy": ("pair",),
+    "schedule_count": ("count",),
+}
+
+
 def _eval_run_check(check: dict, entries) -> CheckResult:
     kind = check["check"]
     if kind == "decision_sequence":
@@ -177,6 +187,13 @@ def run_scenario(spec: dict, config: EngineConfig | None = None,
             isinstance(c, dict) and "check" in c for c in wanted):
         raise ScenarioError(f"scenario {name}: checks must be a list of "
                             f"objects that name their check")
+    for check in wanted:
+        kind = check["check"]
+        # an unknown kind, even an unhashable one, fails when it is run
+        for key in _REQUIRED_FIELDS.get(kind, ()) if type(kind) is str else ():
+            if key not in check:
+                raise ScenarioError(f"scenario {name}: check {kind!r} is "
+                                    f"missing its field {key!r}")
     checks = []
     metrics: dict = {}
 

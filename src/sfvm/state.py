@@ -16,7 +16,8 @@ declares every instance field once (`stateful`), with a role:
 
 Inside a field the walks know builtin containers, bytearrays and
 declared classes; anything else is an immutable leaf.  Dicts are walked
-in key order, so the numbering is canonical.
+in key order, so the numbering is canonical.  A declared class is
+immutable when it is a frozen dataclass or a `Record`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,52 @@ _MUTABLE: set[type] = {bytearray}   # classes whose identity is state
 _LEAVES = frozenset({int, str, bytes, bool, float, type(None)})
 _REF = object()                     # tags a first-appearance number
 _ALIAS = {SHARED: None, VALUE: False, OWNED: False, ALIASED: True}
+
+
+class Record:
+    """An immutable record of the fields named in `__slots__`, built by a
+    plain positional constructor (defaults from the class keyword
+    `defaults`).  As with a frozen dataclass, two records are equal when
+    their classes are the same and their fields equal, the hash is the
+    fields' hash, and assigning a field raises `FrozenInstanceError`; but
+    building one stores each field straight into its slot."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, defaults=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names, defaults = cls.__slots__, defaults or {}
+        env = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
+        env.update((f"_default_{n}", v) for n, v in defaults.items())
+        params = ", ".join(f"{n}=_default_{n}" if n in defaults else n
+                           for n in names)
+        exec(f"def __init__(self, {params}):\n"
+             + "".join(f"    _set_{n}(self, {n})\n" for n in names)
+             + "def _values(self):\n"
+             + f"    return ({''.join(f'self.{n}, ' for n in names)})\n", env)
+        cls.__init__, cls._values = env["__init__"], env["_values"]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field "
+                                              f"{name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{n}={v!r}" for n, v in zip(self.__slots__, self._values())) + ")"
 
 
 def _copy(v, memo):
@@ -109,8 +156,10 @@ def stateful(*, shared="", value="", owned="", aliased="", untracked=None):
             (SHARED, VALUE, OWNED, ALIASED), (shared, value, owned, aliased))
             for name in names.split()}
         roles.update(untracked or {})
-        if dataclasses.is_dataclass(cls):
-            have = {f.name for f in dataclasses.fields(cls)}
+        record = issubclass(cls, Record)
+        if dataclasses.is_dataclass(cls) or record:
+            have = set(cls.__slots__ if record else
+                       (f.name for f in dataclasses.fields(cls)))
             if have != set(roles):
                 raise TypeError(f"{cls.__name__}: declared fields "
                                 f"{sorted(roles)} but has {sorted(have)}")
@@ -118,7 +167,7 @@ def stateful(*, shared="", value="", owned="", aliased="", untracked=None):
         _KEYED[cls] = tuple((name, _ALIAS[role])
                             for name, role in roles.items() if role in _ALIAS)
         params = getattr(cls, "__dataclass_params__", None)
-        if not getattr(params, "frozen", False):
+        if not (record or getattr(params, "frozen", False)):
             _MUTABLE.add(cls)
         copiers = tuple((name, (lambda v, memo: v) if role == SHARED else
                          _copy if role in _ALIAS else lambda v, memo: copy(v))

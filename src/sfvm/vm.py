@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
 
 from . import maps as m
 from .isa import (
@@ -100,7 +99,7 @@ from .isa import (
     TAIL_CALL_PROTO,
     U64_MASK,
 )
-from .state import stateful
+from .state import Record, stateful
 
 MAX_TAIL_CALLS = 32
 STEP_LIMIT = 1_000_000
@@ -114,36 +113,27 @@ class VmFault(Exception):
 
 
 @stateful(aliased="map")
-@dataclass(frozen=True)
-class MapRef:
-    map: object
+class MapRef(Record):
+    __slots__ = ("map",)
 
 
 @stateful(aliased="buf", value="off")
-@dataclass(frozen=True)
-class MemPtr:
+class MemPtr(Record):
     """Pointer into a stack frame or a live map value."""
-    buf: bytearray
-    off: int
+    __slots__ = ("buf", "off")
 
 
-@dataclass(frozen=True)
-class WaitBlock:
-    target_nr: int
+class WaitBlock(Record):
+    __slots__ = ("target_nr",)
 
 
-@dataclass(frozen=True)
-class FaultServiceBlock:
-    marker: tuple  # (addr, size)
+class FaultServiceBlock(Record):
+    __slots__ = ("marker",)     # (addr, size)
 
 
-@dataclass(frozen=True)
-class VmOutcome:
-    raw_action: int
-    steps_executed: int
-    helper_calls: int
-    faulted: bool = False
-    fault_reason: str = ""
+class VmOutcome(Record, defaults={"faulted": False, "fault_reason": ""}):
+    __slots__ = ("raw_action", "steps_executed", "helper_calls", "faulted",
+                 "fault_reason")
 
 
 @stateful(value="counts")

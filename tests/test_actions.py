@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from sfvm import actions
 from sfvm.actions import (
     ALLOW,
     ActionKind,
@@ -135,3 +136,79 @@ def test_errno_ties_depend_only_on_order_of_maxima(codes):
 
 def test_precedence_map_covers_every_kind():
     assert set(PRECEDENCE) == set(ActionKind)
+
+
+# -- shared actions -------------------------------------------------------------
+
+RAW_BITS = {ActionKind.KILL_PROCESS: RET_KILL_PROCESS,
+            ActionKind.KILL_THREAD: RET_KILL_THREAD,
+            ActionKind.TRAP: RET_TRAP, ActionKind.ERRNO: RET_ERRNO,
+            ActionKind.LOG: RET_LOG, ActionKind.ALLOW: RET_ALLOW}
+
+
+def fresh_action(raw: int) -> ResolvedAction:
+    """The action a raw filter return means, built anew from the enum."""
+    raw &= 0xFFFFFFFF
+    kind = {bits: kind for kind, bits in RAW_BITS.items()}.get(
+        raw & 0xFFFF0000, ActionKind.KILL_PROCESS)
+    return ResolvedAction(kind, raw & 0xFFFF if kind is ActionKind.ERRNO
+                          else 0)
+
+
+def raw_corpus():
+    rng = random.Random(0x5EC0)
+    yield from (rng.getrandbits(32) for _ in range(10_000))
+    for bits in RAW_BITS.values():
+        yield from (bits, bits | 1, bits | 0xFFFF)
+    yield from (0x00010000, 0x7FFE0000, 0xFFFF0000, 0x80010000, 0xFFFFFFFF,
+                (1 << 40) | RET_ERRNO | 7, -1)
+
+
+def test_from_raw_agrees_with_a_fresh_action_field_by_field():
+    for raw in raw_corpus():
+        got, want = ResolvedAction.from_raw(raw), fresh_action(raw)
+        assert (got.kind, got.errno) == (want.kind, want.errno), hex(raw)
+        assert (got.name, got.precedence, got.raw, got.executes) == \
+            (want.name, want.precedence, want.raw, want.executes), hex(raw)
+        kind = got.kind
+        assert got.name == kind.value
+        assert got.precedence == PRECEDENCE[kind]
+        assert got.raw == RAW_BITS[kind] | got.errno
+        assert got.executes == (kind in (ActionKind.ALLOW, ActionKind.LOG))
+
+
+def test_from_raw_returns_shared_actions():
+    for action in (ALLOW, LOG, TRAP, KILL_THREAD, KILL_PROCESS):
+        assert ResolvedAction.from_raw(action.raw | 0x1234) is action
+    assert ResolvedAction.from_raw(RET_ERRNO | 0) is \
+        ResolvedAction.from_raw(RET_ERRNO | 0)
+    assert ResolvedAction.from_raw(RET_ERRNO | 0xFFFF) is \
+        ResolvedAction.from_raw((1 << 33) | RET_ERRNO | 0xFFFF)
+    assert ResolvedAction.from_raw(0x12340000) is KILL_PROCESS
+
+
+def test_the_intern_table_holds_only_errnos():
+    for raw in raw_corpus():
+        ResolvedAction.from_raw(raw)
+    table = actions._ERRNOS
+    assert 0 in table and 0xFFFF in table
+    assert len(table) <= 1 << 16
+    for errno, action in table.items():
+        assert type(errno) is int and 0 <= errno <= 0xFFFF
+        assert action == errno_action(errno)
+    before = dict(table)
+    for raw in (0x00010000, 0x7FFE0000, 0xFFFF0000, RET_ALLOW | 5):
+        ResolvedAction.from_raw(raw)
+    assert table == before
+
+
+def test_derived_fields_are_not_part_of_equality_or_construction():
+    assert errno_action(3) == ResolvedAction.from_raw(RET_ERRNO | 3)
+    assert hash(errno_action(3)) == hash(ResolvedAction.from_raw(
+        RET_ERRNO | 3))
+    assert repr(errno_action(3)) == \
+        "ResolvedAction(kind=<ActionKind.ERRNO: 'errno'>, errno=3)"
+    with pytest.raises(TypeError):
+        ResolvedAction(ActionKind.ALLOW, 0, "allow")
+    with pytest.raises(AttributeError):
+        ALLOW.precedence = 9

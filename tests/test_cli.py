@@ -166,6 +166,8 @@ def test_scenario_from_file(tmp_path, capsys):
     ({"mode": "replay"}, "unknown mode 'replay'"),
     ({"name": None}, "missing 'name'"),
     ({"trace": None}, "missing 'trace'"),
+    ({"checks": [{"check": "action_count", "nr": 1}]},
+     "check 'action_count' is missing its field 'action'"),
 ])
 def test_a_malformed_scenario_file_is_exit_2(tmp_path, capsys, change,
                                              message):

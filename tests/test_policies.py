@@ -271,6 +271,26 @@ def test_bundled_profiles_load():
         assert 0 < profile.reduction_pct < 100
 
 
+def test_bundled_profiles_are_parsed_once(monkeypatch):
+    first = load_profiles()
+    monkeypatch.setattr(PhaseProfile, "from_json", None)    # no parse
+    again = load_profiles()
+    assert again is not first and again == first
+    assert all(again[name] is first[name] for name in first)
+    again.clear()       # a caller's own dict
+    assert load_profiles() == first
+
+
+def test_a_profiles_file_is_read_on_every_call(tmp_path):
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps({"app": {"init": [[0, 2]], "serv": [],
+                                        "marker": 9}}))
+    assert load_profiles(path)["app"].s_init == {0, 1}
+    path.write_text(json.dumps({"app": {"init": [[0, 3]], "serv": [],
+                                        "marker": 9}}))
+    assert load_profiles(path)["app"].s_init == {0, 1, 2}
+
+
 # -- transition policies --------------------------------------------------
 
 
@@ -351,6 +371,12 @@ def test_serialization_validation():
         gen_serialization({1: []})
     with pytest.raises(ValueError, match="partners"):
         gen_serialization({1: [2, 3, 4]})
+    # a partner that is the sentinel as a u64 would mean "no partner"
+    for partner in (-1, SENTINEL, 2 ** 65 - 1):
+        with pytest.raises(ValueError, match=f"syscall 1: partner {partner} "
+                                             f"is the empty-slot sentinel"):
+            gen_serialization({1: [2, partner]})
+    gen_serialization({1: [-2, SENTINEL - 1]})     # its neighbours are not
 
 
 # -- dispatched validation ----------------------------------------------------
@@ -522,6 +548,8 @@ def test_full_specs_cover_every_field_and_build():
      "validation_cache: no rules given"),
     ({"generator": "allowlist", "allowed": list(range(33000))},
      "allowlist: the generated program does not assemble"),
+    ({"generator": "serialization", "pairs": {"1": [-1]}},
+     "serialization: syscall 1: partner -1 is the empty-slot sentinel"),
 ])
 def test_build_program_names_the_generator_and_field(spec, message):
     with pytest.raises(PolicySpecError, match=message):

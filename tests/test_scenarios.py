@@ -7,6 +7,7 @@ import copy
 import pytest
 
 from sfvm.scenarios import (
+    ScenarioError,
     bundled_scenario_names,
     decision_windows_overlap,
     load_bundled_scenario,
@@ -71,6 +72,31 @@ def test_unknown_mode_and_check_are_rejected():
             "trace": [{"event": "spawn", "tid": 1}],
             "checks": [{"check": "entropy"}]}
     with pytest.raises(ValueError, match="unknown run check"):
+        run_scenario(spec)
+    spec["checks"] = [{"check": ["entropy"]}]      # not even hashable
+    with pytest.raises(ValueError, match="unknown run check"):
+        run_scenario(spec)
+
+
+@pytest.mark.parametrize("mode,check,field", [
+    ("run", {"check": "decision_sequence", "task": 1}, "actions"),
+    ("run", {"check": "action_count", "nr": 1}, "action"),
+    ("explore", {"check": "no_overlap"}, "pair"),
+    ("explore", {"check": "overlap_without_policy"}, "pair"),
+    ("explore", {"check": "schedule_count"}, "count"),
+])
+def test_a_check_missing_its_field_is_refused_before_the_run(
+        monkeypatch, mode, check, field):
+    def never(*args, **kwargs):
+        raise AssertionError("the scenario ran")
+    monkeypatch.setattr("sfvm.scenarios.Simulator", never)
+    monkeypatch.setattr("sfvm.scenarios.explore_interleavings", never)
+    spec = {"name": "x", "mode": mode,
+            "trace": [{"event": "spawn", "tid": 1}],
+            "checks": [check]}
+    with pytest.raises(ScenarioError,
+                       match=f"scenario x: check '{check['check']}' is "
+                             f"missing its field '{field}'"):
         run_scenario(spec)
 
 

@@ -18,10 +18,10 @@ from sfvm.isa import FilterProgram
 from sfvm.maps import PolicyMap
 from sfvm.sim import Simulator
 from sfvm.snapshot import ArgSnapshot
-from sfvm.state import ALIASED, OWNED, SHARED, VALUE, stateful
+from sfvm.state import ALIASED, OWNED, SHARED, VALUE, Record, stateful
 from sfvm.trace import parse_trace
 from sfvm.usermem import UserMemory
-from sfvm.vm import InFlightTable, VmThread
+from sfvm.vm import InFlightTable, MapRef, MemPtr, VmThread
 
 from .helpers import bundled_descriptors, trace_text
 from .test_sim import DISPATCH_TO_LAST_ARG, attach_events, hexprog
@@ -161,6 +161,24 @@ def test_a_dataclass_field_without_a_role_is_refused():
         class Grown:
             tid: int
             extra: int
+
+
+def test_a_record_field_without_a_role_is_refused():
+    with pytest.raises(TypeError, match="declared fields"):
+        @stateful(value="tid")
+        class Grown(Record):
+            __slots__ = ("tid", "extra")
+
+
+def test_records_are_immutable_state_as_frozen_dataclasses_are():
+    # keyed by value, never numbered by identity
+    assert {MemPtr, MapRef}.isdisjoint(state._MUTABLE)
+    assert {VmThread, PolicyMap, bytearray} <= state._MUTABLE
+    stack = bytearray(16)
+    ptrs = [MemPtr(stack, 8), MemPtr(stack, 8)]
+    # the two pointers are keyed alike, the buffer they share numbered
+    assert state._key(ptrs, {}, True) == (
+        (MemPtr, 8, (state._REF, 0, bytes(16))), (MemPtr, 8, (state._REF, 0)))
 
 
 def _change(obj, name):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -734,3 +737,75 @@ def test_fused_and_per_pc_lowerings_agree_on_a_seeded_corpus():
     assert found == []
     assert seen["WaitBlock"] and seen["FaultServiceBlock"]
     assert seen["handoff"] and seen["fault"]
+
+
+# -- records --------------------------------------------------------------------
+
+
+def _as_dataclass(cls):
+    """The frozen dataclass each record replaced, with the same fields."""
+    return dataclasses.make_dataclass(cls.__name__, cls.__slots__,
+                                      frozen=True)
+
+
+RECORD_SAMPLES = {
+    vm.WaitBlock: [(77,), (78,)],
+    vm.FaultServiceBlock: [((0x1000, 8),), ((0x1000, 16),)],
+    vm.VmOutcome: [(ALLOW, 3, 1, False, ""), (0, 3, 1, True, "boom"),
+                   (ALLOW, 4, 1, False, "")],
+    vm.MapRef: [("m",), ("n",)],
+    vm.MemPtr: [(bytearray(b"ab"), 0), (bytearray(b"ab"), 8),
+                (bytearray(b"ac"), 0)],
+}
+
+
+@pytest.mark.parametrize("cls", RECORD_SAMPLES, ids=lambda c: c.__name__)
+def test_records_compare_hash_and_print_like_frozen_dataclasses(cls):
+    old = _as_dataclass(cls)
+    samples = RECORD_SAMPLES[cls]
+    for a in samples:
+        for b in samples:
+            # equal field values, not identity: new buffers of equal bytes
+            copy_b = tuple(bytearray(v) if type(v) is bytearray else v
+                           for v in b)
+            assert (cls(*a) == cls(*copy_b)) == (old(*a) == old(*copy_b))
+            assert (cls(*a) != cls(*b)) == (old(*a) != old(*b))
+        rec = cls(*a)
+        assert repr(rec) == repr(old(*a))
+        assert rec != a and rec != old(*a)
+        try:
+            want = hash(old(*a))
+        except TypeError:       # a MemPtr over a bytearray
+            with pytest.raises(TypeError):
+                hash(rec)
+        else:
+            assert hash(rec) == want
+        for name in cls.__slots__:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(rec, name)
+        with pytest.raises(AttributeError):
+            rec.other = 0
+        assert not hasattr(rec, "__dict__")
+
+
+def test_records_take_their_fields_by_position_or_name():
+    out = vm.VmOutcome(ALLOW, 3, 1)
+    assert (out.faulted, out.fault_reason) == (False, "")
+    assert out == vm.VmOutcome(raw_action=ALLOW, steps_executed=3,
+                               helper_calls=1, faulted=False)
+    assert vm.WaitBlock(target_nr=77) == WaitBlock(77)
+    with pytest.raises(TypeError):
+        vm.MemPtr(bytearray(8))
+
+
+def test_record_copies_keep_their_values():
+    block = WaitBlock(77)
+    assert copy.copy(block) == block and copy.deepcopy(block) == block
+    assert pickle.loads(pickle.dumps(block)) == block
+    stack = bytearray(range(8))
+    ptr = vm.MemPtr(stack, 8)
+    # declared state: a copy points into the copy of what it aliases
+    stack2, ptr2 = copy.deepcopy((stack, ptr))
+    assert ptr2 == ptr and ptr2.buf is stack2 and stack2 is not stack
