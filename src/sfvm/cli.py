@@ -97,12 +97,21 @@ def cmd_run(args) -> int:
         return 1
     seed, schedule = 0, None
     if args.schedule:
-        seed, schedule = _parse_schedule(args.schedule)
+        try:
+            seed, schedule = _parse_schedule(args.schedule)
+        except ValueError as exc:
+            print(f"error: --schedule {args.schedule}: {exc}",
+                  file=sys.stderr)
+            return 2
         seed = seed or 0
     sim = Simulator(trace, config=_engine_config(args),
                     descriptors=_descriptors(args), seed=seed,
                     schedule=schedule)
-    sim.run()
+    try:
+        sim.run()
+    except TraceError as exc:       # it picks a task that cannot run
+        print(f"error: --schedule {args.schedule}: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps({"log": sim.entries, "metrics": sim.metrics()},
                          indent=2))
@@ -156,7 +165,8 @@ def cmd_scenario(args) -> int:
         try:
             results = [run_scenario(load_scenario(args.name), config,
                                     descriptors)]
-        except (ScenarioError, TraceError, json.JSONDecodeError) as exc:
+        except (ScenarioError, TraceError, ExplorationLimit,
+                json.JSONDecodeError) as exc:
             print(f"error: {args.name}: {exc}", file=sys.stderr)
             return 2
     else:

@@ -6,23 +6,22 @@ a list of checks.  Modes:
   run       single scheduled run (seeded); checks look at its log
   explore   every interleaving; checks quantify over all schedules
 
-The interesting explore check is `no_overlap`: across every schedule,
-two syscall numbers are never simultaneously between an allowed entry
-and its exit.  Its counterpart `overlap_without_policy` re-runs the
-same exploration with every loaded policy swapped for allow-all and
-demands that at least one schedule does overlap, proving the window
-exists and the policy is what closes it.
+`CHECKS` gives each check kind its mode, its fields and its judge,
+`SCENARIO` the keys of a scenario, and `FIELDS` the type of each check
+field and scenario key.  `run_scenario` refuses a spec that breaks them
+before anything runs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .engine import EngineConfig
 from .sim import MAX_EXPLORE_STEPS, Simulator, explore_interleavings
 from .snapshot import DescriptorTable
-from .trace import Trace, parse_trace
+from .trace import Trace, _is_int, parse_trace
 
 
 class ScenarioError(ValueError):
@@ -87,7 +86,9 @@ def decision_windows_overlap(entries, pair) -> bool:
     return False
 
 
-def _decision_actions(entries, task=None, nr=None):
+def _decision_actions(entries, check: dict) -> list:
+    """The actions decided for the check's task and nr, in log order."""
+    task, nr = check.get("task"), check.get("nr")
     out = []
     for entry in entries:
         if entry.get("kind") != "decision":
@@ -100,127 +101,177 @@ def _decision_actions(entries, task=None, nr=None):
     return out
 
 
-# check kind -> the fields a check of that kind must give
-_REQUIRED_FIELDS = {
-    "decision_sequence": ("actions",),
-    "action_count": ("action",),
-    "no_overlap": ("pair",),
-    "overlap_without_policy": ("pair",),
-    "schedule_count": ("count",),
+def _decision_sequence(check: dict, got: list) -> CheckResult:
+    want = check["actions"]
+    return CheckResult(
+        f"decisions for task {check.get('task')} nr {check.get('nr')} "
+        f"are {want}", got == want, f"got {got}")
+
+
+def _denied(check: dict, got: list) -> CheckResult:
+    return CheckResult(
+        f"task {check.get('task')} nr {check.get('nr')} denied "
+        f"at least once", any(a not in ("allow", "log") for a in got),
+        f"actions {got}")
+
+
+def _allowed(check: dict, got: list) -> CheckResult:
+    return CheckResult(
+        f"task {check.get('task')} nr {check.get('nr')} always allowed",
+        bool(got) and all(a in ("allow", "log") for a in got),
+        f"actions {got}")
+
+
+def _action_count(check: dict, got: list) -> CheckResult:
+    hits = got.count(check["action"])
+    ok = check.get("min", 1) <= hits <= check.get("max", 10 ** 9)
+    return CheckResult(f"{check['action']} count for nr {check.get('nr')}",
+                       ok, f"{hits} occurrences")
+
+
+def _no_overlap(check: dict, runs: list) -> CheckResult:
+    a, b = check["pair"]
+    bad = sum(decision_windows_overlap(entries, (a, b)) for _, entries in runs)
+    return CheckResult(
+        f"syscalls {a} and {b} never overlap in any of "
+        f"{len(runs)} schedules", bad == 0, f"{bad} overlapping")
+
+
+def _overlap_without_policy(check: dict, runs: list) -> CheckResult:
+    """`_no_overlap`'s counterpart: some schedule without the policy
+    overlaps, so the window exists and the policy is what closes it."""
+    a, b = check["pair"]
+    hits = sum(decision_windows_overlap(entries, (a, b))
+               for _, entries in runs)
+    need = check.get("min_schedules", 1)
+    return CheckResult(
+        f"without the policy, syscalls {a} and {b} overlap "
+        f"in at least {need} schedule(s)", hits >= need,
+        f"{hits} of {len(runs)} schedules overlap")
+
+
+def _schedule_count(check: dict, runs: list) -> CheckResult:
+    return CheckResult(f"exploration finds {check['count']} schedules",
+                       len(runs) == check["count"], f"found {len(runs)}")
+
+
+class Check(NamedTuple):
+    """A check kind: the scenario mode it belongs to, the fields it must
+    and may give besides "check", and its judge.  A run judge gets the
+    actions decided for the check's task and nr, an explore judge every
+    schedule, or with `stripped` every schedule without the policies."""
+    mode: str
+    required: str
+    optional: str
+    judge: Callable
+    stripped: bool = False
+
+
+CHECKS = {
+    "decision_sequence": Check("run", "actions", "task nr",
+                               _decision_sequence),
+    "denied": Check("run", "", "task nr", _denied),
+    "allowed": Check("run", "", "task nr", _allowed),
+    "action_count": Check("run", "action", "task nr min max", _action_count),
+    "no_overlap": Check("explore", "pair", "", _no_overlap),
+    "overlap_without_policy": Check("explore", "pair", "min_schedules",
+                                    _overlap_without_policy, stripped=True),
+    "schedule_count": Check("explore", "count", "", _schedule_count),
+}
+
+# the keys a scenario requires, and the others it may carry
+SCENARIO = ("name trace", "title description mode seed max_steps checks")
+
+
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+# check field or scenario key -> (the test its value passes, what a value
+# failing it is told); a name has this one type wherever it appears
+FIELDS = {
+    **dict.fromkeys(("task", "nr", "count", "min", "max", "min_schedules",
+                     "seed", "max_steps"),
+                    (_is_int, "{key} must be an integer")),
+    **dict.fromkeys(("action", "name", "title", "description"),
+                    (_is_str, "{key} must be a string")),
+    "actions": (lambda v: type(v) is list and all(map(_is_str, v)),
+                "{key} must be a list of strings"),
+    "pair": (lambda v: type(v) is list and len(v) == 2
+             and all(map(_is_int, v)), "{key} must be two integers"),
+    "mode": (lambda v: v in ("run", "explore"), "unknown mode {value!r}"),
+    "trace": (lambda v: type(v) is list, "{key} must be a list"),
+    "checks": (lambda v: type(v) is list and all(
+        type(c) is dict and "check" in c for c in v),
+        "{key} must be a list of objects that name their check"),
 }
 
 
-def _eval_run_check(check: dict, entries) -> CheckResult:
-    kind = check["check"]
-    if kind == "decision_sequence":
-        got = _decision_actions(entries, check.get("task"), check.get("nr"))
-        want = check["actions"]
-        return CheckResult(
-            f"decisions for task {check.get('task')} nr {check.get('nr')} "
-            f"are {want}",
-            got == want, f"got {got}")
-    if kind == "denied":
-        got = _decision_actions(entries, check.get("task"), check.get("nr"))
-        hit = [a for a in got if a not in ("allow", "log")]
-        return CheckResult(
-            f"task {check.get('task')} nr {check.get('nr')} denied "
-            f"at least once", bool(hit), f"actions {got}")
-    if kind == "allowed":
-        got = _decision_actions(entries, check.get("task"), check.get("nr"))
-        return CheckResult(
-            f"task {check.get('task')} nr {check.get('nr')} always allowed",
-            bool(got) and all(a in ("allow", "log") for a in got),
-            f"actions {got}")
-    if kind == "action_count":
-        got = _decision_actions(entries, check.get("task"), check.get("nr"))
-        hits = sum(1 for a in got if a == check["action"])
-        ok = hits >= check.get("min", 1) and hits <= check.get("max", 10 ** 9)
-        return CheckResult(
-            f"{check['action']} count for nr {check.get('nr')}",
-            ok, f"{hits} occurrences")
-    raise ScenarioError(f"unknown run check {kind!r}")
+def _check_fields(where: str, obj: dict, names: str) -> None:
+    """Refuse a key of `obj` outside `names` or one whose value fails
+    its `FIELDS` test."""
+    names = names.split()
+    for key, value in obj.items():
+        if key not in names:
+            raise ScenarioError(f"{where}: unknown field {key!r}")
+        test, told = FIELDS[key]
+        if not test(value):
+            raise ScenarioError(
+                f"{where}: {told.format(key=key, value=value)}")
 
 
-def _eval_explore_check(check: dict, runs, stripped_runs) -> CheckResult:
-    kind = check["check"]
-    if kind == "no_overlap":
-        pair = tuple(check["pair"])
-        bad = sum(1 for _, entries in runs
-                  if decision_windows_overlap(entries, pair))
-        return CheckResult(
-            f"syscalls {pair[0]} and {pair[1]} never overlap in any of "
-            f"{len(runs)} schedules", bad == 0, f"{bad} overlapping")
-    if kind == "overlap_without_policy":
-        pair = tuple(check["pair"])
-        hits = sum(1 for _, entries in stripped_runs
-                   if decision_windows_overlap(entries, pair))
-        need = check.get("min_schedules", 1)
-        return CheckResult(
-            f"without the policy, syscalls {pair[0]} and {pair[1]} overlap "
-            f"in at least {need} schedule(s)", hits >= need,
-            f"{hits} of {len(stripped_runs)} schedules overlap")
-    if kind == "schedule_count":
-        want = check["count"]
-        return CheckResult(f"exploration finds {want} schedules",
-                           len(runs) == want, f"found {len(runs)}")
-    raise ScenarioError(f"unknown explore check {kind!r}")
+def _check_spec(spec) -> None:
+    """Refuse a spec that breaks `SCENARIO`, `CHECKS` or `FIELDS`."""
+    if not isinstance(spec, dict):
+        raise ScenarioError("a scenario must be a JSON object")
+    for key in SCENARIO[0].split():
+        if key not in spec:
+            raise ScenarioError(f"scenario is missing {key!r}")
+    where = f"scenario {spec['name']}"
+    _check_fields(where, spec, " ".join(SCENARIO))
+    mode = spec.get("mode", "run")
+    for check in spec.get("checks", []):
+        kind = check["check"]
+        entry = CHECKS.get(kind) if type(kind) is str else None
+        if entry is None or entry.mode != mode:
+            raise ScenarioError(f"{where}: unknown {mode} check {kind!r}")
+        for key in entry.required.split():
+            if key not in check:
+                raise ScenarioError(f"{where}: check {kind!r} is missing "
+                                    f"its field {key!r}")
+        _check_fields(f"{where}: check {kind!r}",
+                      {k: v for k, v in check.items() if k != "check"},
+                      f"{entry.required} {entry.optional}")
 
 
 def run_scenario(spec: dict, config: EngineConfig | None = None,
                  descriptors: DescriptorTable | None = None) -> ScenarioResult:
-    """Run a scenario spec; a spec that cannot run raises ScenarioError,
-    and a trace that does not parse raises TraceError."""
-    if not isinstance(spec, dict):
-        raise ScenarioError("a scenario must be a JSON object")
-    for key in ("name", "trace"):
-        if key not in spec:
-            raise ScenarioError(f"scenario is missing {key!r}")
-    name = spec["name"]
-    mode = spec.get("mode", "run")
-    if mode not in ("run", "explore"):
-        raise ScenarioError(f"scenario {name}: unknown mode {mode!r}")
-    events = spec["trace"]
-    if not isinstance(events, list):
-        raise ScenarioError(f"scenario {name}: trace must be a list")
-    wanted = spec.get("checks", [])
-    if not isinstance(wanted, list) or not all(
-            isinstance(c, dict) and "check" in c for c in wanted):
-        raise ScenarioError(f"scenario {name}: checks must be a list of "
-                            f"objects that name their check")
-    for check in wanted:
-        kind = check["check"]
-        # an unknown kind, even an unhashable one, fails when it is run
-        for key in _REQUIRED_FIELDS.get(kind, ()) if type(kind) is str else ():
-            if key not in check:
-                raise ScenarioError(f"scenario {name}: check {kind!r} is "
-                                    f"missing its field {key!r}")
-    checks = []
-    metrics: dict = {}
-
-    if mode == "run":
+    """Run a scenario spec; a spec that cannot run raises ScenarioError
+    before anything runs, and a trace that does not parse raises
+    TraceError."""
+    _check_spec(spec)
+    name, events = spec["name"], spec["trace"]
+    wanted = [(CHECKS[c["check"]], c) for c in spec.get("checks", [])]
+    if spec.get("mode", "run") == "run":
         sim = Simulator(_trace_from_spec(events), config=config,
                         descriptors=descriptors,
                         seed=spec.get("seed", 0)).run()
         metrics = sim.metrics()
-        for check in wanted:
-            checks.append(_eval_run_check(check, sim.entries))
+        checks = [kind.judge(check, _decision_actions(sim.entries, check))
+                  for kind, check in wanted]
     else:
-        max_steps = spec.get("max_steps", MAX_EXPLORE_STEPS)
-        runs = explore_interleavings(_trace_from_spec(events), config=config,
-                                     descriptors=descriptors,
-                                     max_steps=max_steps)
-        needs_stripped = any(c["check"] == "overlap_without_policy"
-                             for c in wanted)
-        stripped_runs = []
-        if needs_stripped:
-            stripped_runs = explore_interleavings(
-                _trace_from_spec(_strip_policies(events)), config=config,
-                descriptors=descriptors, max_steps=max_steps)
+        def explore(events):
+            return explore_interleavings(
+                _trace_from_spec(events), config=config,
+                descriptors=descriptors,
+                max_steps=spec.get("max_steps", MAX_EXPLORE_STEPS))
+        runs = explore(events)
+        stripped = any(kind.stripped for kind, _ in wanted)
+        stripped_runs = explore(_strip_policies(events)) if stripped else []
         metrics = {"schedules": len(runs),
                    "stripped_schedules": len(stripped_runs)}
-        for check in wanted:
-            checks.append(_eval_explore_check(check, runs, stripped_runs))
-
+        checks = [kind.judge(check, stripped_runs if kind.stripped else runs)
+                  for kind, check in wanted]
     return ScenarioResult(name=name, title=spec.get("title", name),
                           passed=all(c.passed for c in checks),
                           checks=checks, metrics=metrics)

@@ -306,7 +306,7 @@ class Simulator:
         else:
             data = (ev["value_u64"] & (2 ** 64 - 1)).to_bytes(8, "little")
         mem = self.engine.task(tid).address_space
-        status = mem.write(ev["addr"], data, demand_map=True)
+        status = mem.write(ev["addr"], data)
         if status == WriteStatus.STALL:
             if first_attempt:
                 self.entries.append({"kind": "stall", "task": tid,

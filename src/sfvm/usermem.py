@@ -29,7 +29,6 @@ PAGE_SIZE = 4096
 class WriteStatus(Enum):
     OK = "ok"
     STALL = "stall"
-    FAULT = "fault"
     DENIED = "denied"
 
 
@@ -105,14 +104,11 @@ class UserMemory:
             out += page.data[off:off + chunk]
         return bytes(out)
 
-    def write(self, addr: int, data: bytes, demand_map=False) -> WriteStatus:
-        """Apply a store, or report why it cannot happen (atomically:
-        a refused multi-page store changes nothing)."""
+    def write(self, addr: int, data: bytes) -> WriteStatus:
+        """Apply a store, mapping the pages it touches that are not mapped
+        yet, or report why it cannot happen (atomically: a refused
+        multi-page store changes nothing, and maps nothing)."""
         bases = pages_spanning(addr, len(data))
-        for base in bases:
-            if base not in self._pages:
-                if not demand_map:
-                    return WriteStatus.FAULT
         for base in bases:
             page = self._pages.get(base)
             if page is not None and not (page.writable and page.may_write):

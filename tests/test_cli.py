@@ -110,6 +110,18 @@ def test_run_rejects_bad_traces(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schedule,message", [
+    ("seed:abc", "invalid literal"),
+    ("1,x", "invalid literal"),
+    ("3", "schedule picks task 3, which is not runnable"),
+])
+def test_run_with_a_bad_schedule_is_exit_2(trace_file, capsys, schedule,
+                                           message):
+    assert main(["run", trace_file, "--schedule", schedule]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --schedule {schedule}: ") and message in err
+
+
 def test_explore_counts_schedules(trace_file, capsys):
     assert main(["explore", trace_file]) == 0
     out = capsys.readouterr().out
@@ -168,6 +180,8 @@ def test_scenario_from_file(tmp_path, capsys):
     ({"trace": None}, "missing 'trace'"),
     ({"checks": [{"check": "action_count", "nr": 1}]},
      "check 'action_count' is missing its field 'action'"),
+    ({"mode": "explore", "max_steps": 3, "trace": TRACE,
+      "checks": [{"check": "schedule_count", "count": 1}]}, "capped at 3"),
 ])
 def test_a_malformed_scenario_file_is_exit_2(tmp_path, capsys, change,
                                              message):

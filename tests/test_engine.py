@@ -208,7 +208,7 @@ def test_fork_inherits_chain_and_shares_filter_state():
 def test_fork_copies_the_address_space():
     eng = Engine()
     parent = eng.spawn(nnp=True)
-    eng.task(parent).address_space.write(0x1000, b"orig", demand_map=True)
+    eng.task(parent).address_space.write(0x1000, b"orig")
     child = eng.spawn(parent=parent)
     eng.task(child).address_space.write(0x1000, b"mine")
     assert eng.task(parent).address_space.read(0x1000, 4) == b"orig"
@@ -219,7 +219,7 @@ def test_threads_share_the_address_space_and_tgid():
     leader = eng.spawn(nnp=True)
     peer = eng.spawn_thread(leader)
     assert eng.task(peer).tgid == leader
-    eng.task(peer).address_space.write(0x1000, b"ours", demand_map=True)
+    eng.task(peer).address_space.write(0x1000, b"ours")
     assert eng.task(leader).address_space.read(0x1000, 4) == b"ours"
 
 

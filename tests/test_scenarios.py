@@ -7,6 +7,8 @@ import copy
 import pytest
 
 from sfvm.scenarios import (
+    CHECKS,
+    SCENARIO,
     ScenarioError,
     bundled_scenario_names,
     decision_windows_overlap,
@@ -15,6 +17,7 @@ from sfvm.scenarios import (
     run_scenario,
 )
 
+from . import fuzz_scenarios
 from .helpers import bundled_descriptors
 
 EXPECTED = [
@@ -78,26 +81,101 @@ def test_unknown_mode_and_check_are_rejected():
         run_scenario(spec)
 
 
-@pytest.mark.parametrize("mode,check,field", [
-    ("run", {"check": "decision_sequence", "task": 1}, "actions"),
-    ("run", {"check": "action_count", "nr": 1}, "action"),
-    ("explore", {"check": "no_overlap"}, "pair"),
-    ("explore", {"check": "overlap_without_policy"}, "pair"),
-    ("explore", {"check": "schedule_count"}, "count"),
-])
-def test_a_check_missing_its_field_is_refused_before_the_run(
-        monkeypatch, mode, check, field):
+# (test id, scenario mode, keys put into the spec, what it is told)
+MALFORMED = [
+    ("decision_sequence-actions",
+     "run", {"checks": [{"check": "decision_sequence", "task": 1}]},
+     "check 'decision_sequence' is missing its field 'actions'"),
+    ("action_count-action",
+     "run", {"checks": [{"check": "action_count", "nr": 1}]},
+     "check 'action_count' is missing its field 'action'"),
+    ("no_overlap-pair",
+     "explore", {"checks": [{"check": "no_overlap"}]},
+     "check 'no_overlap' is missing its field 'pair'"),
+    ("overlap_without_policy-pair",
+     "explore", {"checks": [{"check": "overlap_without_policy"}]},
+     "check 'overlap_without_policy' is missing its field 'pair'"),
+    ("schedule_count-count",
+     "explore", {"checks": [{"check": "schedule_count"}]},
+     "check 'schedule_count' is missing its field 'count'"),
+    ("unknown-kind-after-valid",
+     "explore", {"checks": [{"check": "overlap_without_policy",
+                             "pair": [1, 2]}, {"check": "entropy"}]},
+     "unknown explore check 'entropy'"),
+    ("run-kind-in-explore",
+     "explore", {"checks": [{"check": "allowed", "task": 1}]},
+     "unknown explore check 'allowed'"),
+    ("min-string",
+     "run", {"checks": [{"check": "action_count", "action": "allow",
+                         "min": "1"}]},
+     "check 'action_count': min must be an integer"),
+    ("pair-integer",
+     "explore", {"checks": [{"check": "no_overlap", "pair": 5}]},
+     "check 'no_overlap': pair must be two integers"),
+    ("pair-one",
+     "explore", {"checks": [{"check": "no_overlap", "pair": [1]}]},
+     "check 'no_overlap': pair must be two integers"),
+    ("min_schedules-string",
+     "explore", {"checks": [{"check": "overlap_without_policy",
+                             "pair": [1, 2], "min_schedules": "x"}]},
+     "check 'overlap_without_policy': min_schedules must be an integer"),
+    ("count-string",
+     "explore", {"checks": [{"check": "schedule_count", "count": "3"}]},
+     "check 'schedule_count': count must be an integer"),
+    ("actions-string",
+     "run", {"checks": [{"check": "decision_sequence", "actions": "allow"}]},
+     "check 'decision_sequence': actions must be a list of strings"),
+    ("task-array",
+     "run", {"checks": [{"check": "allowed", "task": [1]}]},
+     "check 'allowed': task must be an integer"),
+    ("unknown-check-field",
+     "run", {"checks": [{"check": "denied", "why": "x"}]},
+     "check 'denied': unknown field 'why'"),
+    ("unknown-scenario-key",
+     "run", {"sed": 1}, "unknown field 'sed'"),
+    ("max_steps-string",
+     "explore", {"max_steps": "x"}, "max_steps must be an integer"),
+    ("max_steps-boolean",
+     "explore", {"max_steps": True}, "max_steps must be an integer"),
+    ("seed-string",
+     "run", {"seed": "x"}, "seed must be an integer"),
+    ("seed-number",
+     "run", {"seed": 1.5}, "seed must be an integer"),
+    ("title-integer",
+     "run", {"title": 5}, "title must be a string"),
+]
+
+
+@pytest.mark.parametrize("mode,change,message",
+                         [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_a_malformed_spec_is_refused_before_the_run(
+        monkeypatch, mode, change, message):
     def never(*args, **kwargs):
         raise AssertionError("the scenario ran")
     monkeypatch.setattr("sfvm.scenarios.Simulator", never)
     monkeypatch.setattr("sfvm.scenarios.explore_interleavings", never)
     spec = {"name": "x", "mode": mode,
-            "trace": [{"event": "spawn", "tid": 1}],
-            "checks": [check]}
-    with pytest.raises(ScenarioError,
-                       match=f"scenario x: check '{check['check']}' is "
-                             f"missing its field '{field}'"):
+            "trace": [{"event": "spawn", "tid": 1}], **change}
+    with pytest.raises(ScenarioError) as refused:
         run_scenario(spec)
+    assert str(refused.value) == f"scenario x: {message}"
+
+
+def test_the_fuzz_harness_starts_from_every_check_kind():
+    assert list(fuzz_scenarios.FULL_CHECKS) == list(CHECKS)
+    for kind, entry in CHECKS.items():
+        # every field and every key, so each is swapped and taken out
+        spec = fuzz_scenarios.full_spec(kind)
+        assert set(spec) == set(" ".join(SCENARIO).split())
+        assert set(spec["checks"][0]) == {
+            "check", *f"{entry.required} {entry.optional}".split()}
+        assert len(run_scenario(spec).checks) == 1, kind
+
+
+def test_fuzz_scenarios_finds_no_crash():
+    # one full pass of `python -m tests.fuzz_scenarios`
+    assert fuzz_scenarios.main(["--seed", "1"]) == 0
 
 
 # -- the overlap judgment -----------------------------------------------------

@@ -44,17 +44,19 @@ def test_read_write_round_trip():
 def test_unmapped_access():
     mem = UserMemory()
     assert mem.read(0x5000, 4) is None
-    assert mem.write(0x5000, b"\x01") == WriteStatus.FAULT
-    assert mem.write(0x5000, b"\x01", demand_map=True) == WriteStatus.OK
+    assert mem.write(0x5000, b"\x01") == WriteStatus.OK
     assert mem.read(0x5000, 1) == b"\x01"
 
 
 def test_cross_page_write_is_atomic():
     mem = UserMemory()
-    mem.map_region(0x1000, PAGE_SIZE)   # second page left unmapped
-    addr = 0x1000 + PAGE_SIZE - 2
-    assert mem.write(addr, b"abcd") == WriteStatus.FAULT
-    assert mem.read(addr, 2) == b"\x00\x00"   # nothing partial landed
+    mem.map_region(0x1000, PAGE_SIZE)
+    mem.map_region(0x2000, PAGE_SIZE, writable=False)
+    assert mem.write(0x2000 - 2, b"abcd") == WriteStatus.DENIED
+    assert mem.read(0x2000 - 2, 4) == bytes(4)   # nothing partial landed
+    # a refused store maps none of the pages it would have mapped
+    assert mem.write(0x3000 - 2, b"abcd") == WriteStatus.DENIED
+    assert mem.read(0x3000, 1) is None
 
 
 def test_readonly_page_denies_stores():
