@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 the operation ran but reported failure (a
-rejected program, a failing scenario), 2 bad usage or a refused
-exploration.  Program file arguments accept either the binary container
+rejected program, a failing scenario), 2 bad usage (a trace, schedule
+or scenario that cannot be run as written) or a refused exploration.  Program file arguments accept either the binary container
 or assembly text; the magic bytes decide which.
 """
 
@@ -94,7 +94,7 @@ def cmd_run(args) -> int:
         trace = load_trace(args.trace)
     except TraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     seed, schedule = 0, None
     if args.schedule:
         try:
@@ -127,7 +127,7 @@ def cmd_explore(args) -> int:
         trace = load_trace(args.trace)
     except TraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     try:
         runs = explore_interleavings(trace, config=_engine_config(args),
                                      descriptors=_descriptors(args),

@@ -7,8 +7,9 @@ a list of checks.  Modes:
   explore   every interleaving; checks quantify over all schedules
 
 `CHECKS` gives each check kind its mode, its fields and its judge,
-`SCENARIO` the keys of a scenario, and `FIELDS` the type of each check
-field and scenario key.  `run_scenario` refuses a spec that breaks them
+`SCENARIO` the keys of a scenario, `MODES` the key that only a scenario
+of that mode may carry, and `FIELDS` the type of each check field and
+scenario key.  `run_scenario` refuses a spec that breaks them
 before anything runs.
 """
 
@@ -180,7 +181,9 @@ CHECKS = {
 }
 
 # the keys a scenario requires, and the others it may carry
-SCENARIO = ("name trace", "title description mode seed max_steps checks")
+SCENARIO = ("name trace", "title description mode checks")
+# mode -> the key that only a scenario of that mode may carry
+MODES = {"run": "seed", "explore": "max_steps"}
 
 
 def _is_str(value) -> bool:
@@ -199,7 +202,7 @@ FIELDS = {
                 "{key} must be a list of strings"),
     "pair": (lambda v: type(v) is list and len(v) == 2
              and all(map(_is_int, v)), "{key} must be two integers"),
-    "mode": (lambda v: v in ("run", "explore"), "unknown mode {value!r}"),
+    "mode": (lambda v: _is_str(v) and v in MODES, "unknown mode {value!r}"),
     "trace": (lambda v: type(v) is list, "{key} must be a list"),
     "checks": (lambda v: type(v) is list and all(
         type(c) is dict and "check" in c for c in v),
@@ -228,8 +231,12 @@ def _check_spec(spec) -> None:
         if key not in spec:
             raise ScenarioError(f"scenario is missing {key!r}")
     where = f"scenario {spec['name']}"
-    _check_fields(where, spec, " ".join(SCENARIO))
+    _check_fields(where, spec, " ".join((*SCENARIO, *MODES.values())))
     mode = spec.get("mode", "run")
+    for other, key in MODES.items():
+        if other != mode and key in spec:
+            raise ScenarioError(f"{where}: {key!r} is for {other} "
+                                f"scenarios only")
     for check in spec.get("checks", []):
         kind = check["check"]
         entry = CHECKS.get(kind) if type(kind) is str else None

@@ -14,15 +14,17 @@ over canonical JSON is the run's identity; two runs agree iff their
 digests do.
 
 `explore_interleavings` enumerates every schedule.  It steps one
-simulator in place while a single task can run, and copies and
-fingerprints the world only at branch points, where two or more can:
-there the last runnable task steps the original and the others step
-copies.  Copy and fingerprint are derived from the field declarations
-(see `state`).  Futures are deduplicated by fingerprint: when two
-prefixes reach indistinguishable branch points, the suffix set is
-computed once and reused, preserving both schedule counts and
-per-schedule logs.  Exploration refuses traces above a step bound
-rather than silently running for hours.
+simulator in place while a single task can run, and copies the world
+only at branch points, where two or more can: there the last runnable
+task steps the original and the others step copies.  Futures are
+deduplicated by fingerprint: when two prefixes reach indistinguishable
+branch points, the suffix set is computed once and reused, preserving
+both schedule counts and per-schedule logs.  Only a branch point that a
+second schedule could reach is fingerprinted: one where two or more
+tasks have moved since the first branch point, which every schedule
+passes through.  Copy and fingerprint are generated per class from the
+field declarations (see `state`).  Exploration refuses traces above a
+step bound rather than silently running for hours.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from copy import deepcopy
 
 from .engine import Engine, EngineConfig, EngineError
 from .isa import AUDIT_ARCH_X86_64, U64_MASK, SyscallContext, decode_program
@@ -396,7 +397,11 @@ def explore_interleavings(trace: Trace, config: EngineConfig | None = None,
     A state where one task can run is stepped in place, neither copied
     nor keyed.  A branch point with k runnable tasks is keyed once and,
     unless the memo already holds its futures, copied k-1 times; its
-    last task steps the original.  Finished states are never keyed.
+    last task steps the original.  A branch point is keyed only after
+    two or more tasks have moved since the first branch point: while a
+    single task has moved, only one schedule leads there, so no other
+    can hit it in the memo, and it is copied without a key.  Finished
+    states are never keyed.
 
     Refuses traces whose scheduling depth exceeds `max_steps`: the
     schedule space is exponential and this is a verification aid, not
@@ -412,10 +417,13 @@ def explore_interleavings(trace: Trace, config: EngineConfig | None = None,
     base.rng = None     # exploration picks every task itself
     memo: dict = {}
 
-    def futures(sim: Simulator, first: int | None = None) -> list[tuple]:
+    def futures(sim: Simulator, first: int | None = None,
+                moved: frozenset = frozenset()) -> list[tuple]:
         # the ways on from `sim`, after `first` steps if given; `sim` is
         # stepped in place, since nothing reads a state again once it
-        # is keyed and its other children are copied
+        # is keyed and its other children are copied.  `moved` holds the
+        # tasks that stepped since the first branch point, until it
+        # holds two.
         mark, start = len(sim.schedule), len(sim.entries)
         if first is not None:
             sim.step(first)
@@ -427,14 +435,17 @@ def explore_interleavings(trace: Trace, config: EngineConfig | None = None,
             sim.finalize()
             return [(tuple(sim.schedule[mark:]), sim.entries[start:])]
         path, head = tuple(sim.schedule[mark:]), sim.entries[start:]
-        key = sim.state_key()
-        result = memo.get(key)
+        if first is not None and len(moved) < 2:
+            moved = moved.union(path)
+        key = sim.state_key() if len(moved) > 1 else None
+        result = memo.get(key)      # None is never a key there
         if result is None:
             result = []
             for tid in runnable:
-                child = sim if tid == runnable[-1] else deepcopy(sim)
-                result += futures(child, tid)
-            memo[key] = result
+                child = sim if tid == runnable[-1] else sim.__deepcopy__({})
+                result += futures(child, tid, moved)
+            if key is not None:
+                memo[key] = result
         return [(path + choices, head + tail) for choices, tail in result]
 
     prefix_entries = list(base.entries)

@@ -4,8 +4,9 @@ suite:
     PYTHONPATH=src python -m tests.fuzz_scenarios --seed 1 --specs 256
 
 Each spec is `full_spec(kind)` for a kind of `scenarios.CHECKS`: every
-scenario key, a tiny two-task `serialization` trace and one check of
-that kind giving every field (`FULL_CHECKS`), with one change: a check
+scenario key its mode allows, a tiny two-task `serialization` trace and
+one check of that kind giving every field (`FULL_CHECKS`), with one
+change: a check
 field or a scenario key given a value of some JSON type from
 `fuzz_trace.JSON_VALUES`, taken out, or an unknown field added.  Every
 such spec must be refused with a `ScenarioError` or a `TraceError`, hit
@@ -20,7 +21,7 @@ import random
 import sys
 from copy import deepcopy
 
-from sfvm.scenarios import CHECKS, ScenarioError, run_scenario
+from sfvm.scenarios import CHECKS, MODES, ScenarioError, run_scenario
 from sfvm.sim import ExplorationLimit
 from sfvm.trace import TraceError
 
@@ -52,32 +53,41 @@ FULL_CHECKS = {
 UNKNOWN = "sed"                     # a field no check or scenario has
 
 
+MODE_VALUES = {"seed": 1, "max_steps": 16}
+
+
 def full_spec(kind: str) -> dict:
+    mode = CHECKS[kind].mode
     return {"name": kind, "title": f"one {kind} check",
-            "description": "a fuzzing base", "mode": CHECKS[kind].mode,
-            "seed": 1, "max_steps": 16, "trace": deepcopy(TRACE),
+            "description": "a fuzzing base", "mode": mode,
+            MODES[mode]: MODE_VALUES[MODES[mode]], "trace": deepcopy(TRACE),
             "checks": [deepcopy(FULL_CHECKS[kind])]}
 
 
 def spec_swaps() -> list:
     """(kind, where, field, JSON type): every field of every full check
     and every JSON type, with where "check", and an unknown field per
-    check; then every scenario key and JSON type, with where "scenario"
-    and no kind (the rng picks one), and an unknown scenario key."""
+    check; then every scenario key of a run and an explore base and
+    every JSON type, with where "scenario" and no kind (the rng picks one
+    whose base has the key), and an unknown scenario key."""
     out = []
     for kind, check in FULL_CHECKS.items():
         out += [(kind, "check", key, json_type)
                 for key in check for json_type in JSON_VALUES]
         out.append((kind, "check", UNKNOWN, None))
+    keys = dict.fromkeys([*full_spec("allowed"), *full_spec("no_overlap")])
     out += [(None, "scenario", key, json_type)
-            for key in full_spec("allowed") for json_type in JSON_VALUES]
+            for key in keys for json_type in JSON_VALUES]
     out.append((None, "scenario", UNKNOWN, None))
     return out
 
 
 def swapped_spec(rng: random.Random, swap) -> dict:
     kind, where, key, json_type = swap
-    spec = full_spec(kind or rng.choice(list(FULL_CHECKS)))
+    if kind is None:
+        kind = rng.choice([k for k in FULL_CHECKS
+                           if json_type is None or key in full_spec(k)])
+    spec = full_spec(kind)
     target = spec["checks"][0] if where == "check" else spec
     if json_type == "absent":
         del target[key]

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import random
 import sys
-from copy import deepcopy
+from copy import copy, deepcopy
 from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
@@ -44,12 +44,16 @@ from sfvm.policies import (
     gen_validation_cache,
     load_profiles,
 )
-from sfvm.scenarios import bundled_scenario_names, load_bundled_scenario
+from sfvm.scenarios import (
+    _strip_policies,
+    bundled_scenario_names,
+    load_bundled_scenario,
+)
 from sfvm.sim import MAX_EXPLORE_STEPS, Simulator, explore_interleavings
 from sfvm.snapshot import DescriptorTable
 from sfvm.trace import parse_trace
 from sfvm.usermem import UserMemory
-from sfvm import vm
+from sfvm import state, vm
 from sfvm.verifier import verify
 from sfvm.vm import RuntimeEnv, VmThread
 
@@ -612,6 +616,132 @@ def reference_explore(trace, config=None, descriptors=None) -> list:
     base = Simulator(trace, config=config, descriptors=descriptors)
     return [(list(choices), base.entries + suffix)
             for choices, suffix in futures(base)]
+
+
+_LEAVES = frozenset({int, str, bytes, bool, float, type(None)})
+_ALIAS = {state.SHARED: None, state.VALUE: False, state.OWNED: False,
+          state.ALIASED: True}
+
+
+def _numbered(t) -> bool:
+    """Whether an object's identity is state: a bytearray, or an instance
+    of a declared class that is neither a `Record` nor frozen."""
+    if t is bytearray:
+        return True
+    params = getattr(t, "__dataclass_params__", None)
+    return t in state.DECLARED and not issubclass(t, state.Record) \
+        and not getattr(params, "frozen", False)
+
+
+def reference_copy(v, memo):
+    """A deep copy of `v` by the roles of `sfvm.state`, walked generically:
+    the reference that the copies `state.stateful` generates per class
+    must agree with."""
+    t = type(v)
+    if t in _LEAVES:
+        return v
+    done = memo.get(id(v))
+    if done is not None:
+        return done
+    if t is tuple:
+        return tuple([reference_copy(x, memo) for x in v])
+    if t is list:
+        out = [reference_copy(x, memo) for x in v]
+    elif t is dict:
+        out = {k: reference_copy(x, memo) for k, x in v.items()}
+    elif t is set or t is bytearray:
+        out = t(v)
+    elif t in state.DECLARED:
+        out = memo[id(v)] = object.__new__(t)
+        for name, role in state.DECLARED[t]:
+            value = getattr(v, name)
+            object.__setattr__(out, name, (
+                value if role == state.SHARED else
+                reference_copy(value, memo) if role in _ALIAS else
+                copy(value)))
+        return out
+    else:
+        return v
+    memo[id(v)] = out
+    return out
+
+
+def reference_key(v, seen, alias):
+    """The fingerprint of `v` by the roles of `sfvm.state`, walked
+    generically (`alias` None for a shared value, True for an aliased
+    one): the reference that the keys `state.stateful` generates per
+    class must equal, as tuples."""
+    t = type(v)
+    if t in _LEAVES:
+        return v
+    if alias is not None:
+        if t is tuple or t is list:
+            return tuple([reference_key(x, seen, alias) for x in v])
+        if t is dict:
+            return tuple([(k, reference_key(v[k], seen, alias))
+                          for k in state._sorted(v)])
+        if t is set:
+            return tuple(state._sorted(v))
+        if alias and _numbered(t):
+            n = seen.get(id(v))
+            if n is not None:
+                return (state._REF, n)
+            seen[id(v)] = n = len(seen)
+            return (state._REF, n, reference_key(v, seen, False))
+        if t is bytearray:
+            return bytes(v)
+        if t in state.DECLARED:
+            return (t, *[reference_key(getattr(v, name), seen, _ALIAS[role])
+                         for name, role in state.DECLARED[t]
+                         if role in _ALIAS])
+    return v if t.__hash__ is not None else id(v)
+
+
+RACES = 60      # the seeded races that exploration is checked on
+
+
+def explore_corpus() -> list:
+    """(name, events, config) of every exploration that the checks at
+    each branch point run on: each bundled explore scenario, with its
+    policies and without, and the first `RACES` races of `race_trace`."""
+    out = []
+    for name in bundled_scenario_names():
+        spec = load_bundled_scenario(name)
+        if spec.get("mode") == "explore":
+            out += [(name, spec["trace"], None),
+                    (f"{name}-stripped", _strip_policies(spec["trace"]), None)]
+    for seed in range(RACES):
+        events, config = race_trace(random.Random(seed))
+        out.append((f"race-{seed}", events, config))
+    return out
+
+
+def explore_branch_points(events, config, visit) -> tuple[dict, set]:
+    """Explore `events`, calling `visit(sim, state_key)` at each branch
+    point before any child steps (with the unspied `state_key`).  Returns
+    what each visit returned, by the schedule that led to its branch
+    point, and the schedules of the branch points that exploration
+    keyed."""
+    runnable, key = Simulator.runnable_tasks, Simulator.state_key
+    visits, keyed = {}, set()
+
+    def spied_runnable(sim):
+        got = runnable(sim)
+        if len(got) > 1:
+            visits[tuple(sim.schedule)] = visit(sim, key)
+        return got
+
+    def spied_key(sim):
+        keyed.add(tuple(sim.schedule))
+        return key(sim)
+
+    Simulator.runnable_tasks, Simulator.state_key = spied_runnable, spied_key
+    try:
+        explore_interleavings(parse_trace(trace_text(events)), config,
+                              bundled_descriptors())
+    finally:
+        Simulator.runnable_tasks, Simulator.state_key = runnable, key
+    return visits, keyed
 
 
 RACE_PAGE = 0x8000          # stored to by the corpus, and read by write(2)

@@ -106,8 +106,9 @@ def test_run_with_seed_and_schedule(trace_file, capsys):
 def test_run_rejects_bad_traces(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"event": "warp"}\n')
-    assert main(["run", str(path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    for command in ("run", "explore"):
+        assert main([command, str(path)]) == 2, command
+        assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("schedule,message", [

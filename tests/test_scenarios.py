@@ -8,6 +8,7 @@ import pytest
 
 from sfvm.scenarios import (
     CHECKS,
+    MODES,
     SCENARIO,
     ScenarioError,
     bundled_scenario_names,
@@ -141,6 +142,10 @@ MALFORMED = [
      "run", {"seed": "x"}, "seed must be an integer"),
     ("seed-number",
      "run", {"seed": 1.5}, "seed must be an integer"),
+    ("seed-in-explore",
+     "explore", {"seed": 1}, "'seed' is for run scenarios only"),
+    ("max_steps-in-run",
+     "run", {"max_steps": 16}, "'max_steps' is for explore scenarios only"),
     ("title-integer",
      "run", {"title": 5}, "title must be a string"),
 ]
@@ -167,7 +172,8 @@ def test_the_fuzz_harness_starts_from_every_check_kind():
     for kind, entry in CHECKS.items():
         # every field and every key, so each is swapped and taken out
         spec = fuzz_scenarios.full_spec(kind)
-        assert set(spec) == set(" ".join(SCENARIO).split())
+        assert set(spec) == {*" ".join(SCENARIO).split(),
+                             MODES[entry.mode]}
         assert set(spec["checks"][0]) == {
             "check", *f"{entry.required} {entry.optional}".split()}
         assert len(run_scenario(spec).checks) == 1, kind

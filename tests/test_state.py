@@ -23,7 +23,14 @@ from sfvm.trace import parse_trace
 from sfvm.usermem import UserMemory
 from sfvm.vm import InFlightTable, MapRef, MemPtr, VmThread
 
-from .helpers import bundled_descriptors, trace_text
+from .helpers import (
+    bundled_descriptors,
+    explore_branch_points,
+    explore_corpus,
+    reference_copy,
+    reference_key,
+    trace_text,
+)
 from .test_sim import DISPATCH_TO_LAST_ARG, attach_events, hexprog
 
 # syscall 1 parks in wait_syscall for 9 with a map-value pointer in r6
@@ -133,6 +140,44 @@ def test_a_copy_shares_every_program_and_keys_alike():
     assert len(programs(sim)) >= 3
     assert all(a is b for a, b in zip(programs(sim), programs(twin),
                                       strict=True))
+
+
+def agrees_with_the_reference(sim, key=Simulator.state_key):
+    """The generated key equals the reference walker's, and a generated
+    copy keys alike, as the reference copy does, and shares every shared
+    field and no mutable object besides (an untracked one is copied
+    shallowly)."""
+    want = reference_key(sim, {}, True)
+    assert key(sim) == want
+    twin = sim.__deepcopy__({})
+    assert reference_key(twin, {}, True) == want
+    assert reference_key(reference_copy(sim, {}), {}, True) == want
+    for (a, name, role), (b, twin_name, _) in zip(
+            fields_of(sim)[0], fields_of(twin)[0], strict=True):
+        assert name == twin_name
+        if role == SHARED:
+            assert getattr(b, name) is getattr(a, name), name
+        elif role in (VALUE, OWNED, ALIASED):
+            for x, y in zip(_inside(getattr(a, name)),
+                            _inside(getattr(b, name)), strict=True):
+                assert y is not x, name
+        else:
+            value = getattr(a, name)
+            assert getattr(b, name) is not value or _immutable(value), name
+    return True
+
+
+def test_the_world_keys_and_copies_as_the_reference_does():
+    assert agrees_with_the_reference(world())
+
+
+@pytest.mark.parametrize("name,events,config", explore_corpus(),
+                         ids=[name for name, _, _ in explore_corpus()])
+def test_every_branch_point_keys_and_copies_as_the_reference_does(
+        name, events, config):
+    checked, _ = explore_branch_points(events, config,
+                                       agrees_with_the_reference)
+    assert all(checked.values())
 
 
 def test_every_declared_class_lists_exactly_its_attributes():
