@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 the operation ran but reported failure (a
-rejected program, a failing scenario), 2 bad usage (a trace, schedule
-or scenario that cannot be run as written) or a refused exploration.  Program file arguments accept either the binary container
-or assembly text; the magic bytes decide which.
+rejected program, a failing scenario), 2 bad usage (a trace, schedule,
+scenario or descriptor table that cannot be used as written) or a
+refused exploration.  Program file arguments accept either the binary
+container or assembly text; the magic bytes decide which.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .policies import describe_generators, load_profiles
 from .reporting import attack_surface_report, render_table
 from .sim import ExplorationLimit, MAX_EXPLORE_STEPS, Simulator, \
     explore_interleavings, log_digest
-from .snapshot import MODES, DescriptorTable
+from .snapshot import MODES, DescriptorError, DescriptorTable
 from .trace import TraceError, load_trace
 from .verifier import verify
 
@@ -48,11 +49,10 @@ def _descriptors(args) -> DescriptorTable:
     path = getattr(args, "descriptors", None)
     if path:
         with open(path, encoding="utf-8") as fh:
-            return DescriptorTable.from_json(json.load(fh))
+            return DescriptorTable.from_json(fh.read())
     from importlib.resources import files
-    raw = json.loads((files("sfvm") / "data" /
-                      "descriptors.json").read_text())
-    return DescriptorTable.from_json(raw)
+    return DescriptorTable.from_json(
+        (files("sfvm") / "data" / "descriptors.json").read_text())
 
 
 def _parse_schedule(text: str):
@@ -261,7 +261,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DescriptorError as exc:  # only `_descriptors` raises it
+        print(f"error: --descriptors {args.descriptors}: {exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,8 +11,10 @@ Set-membership maps carry one entry per member with value 1; code
 only ever tests hit or miss.
 
 `GENERATORS` at the end gives each family its function, a one-line
-summary and its spec fields; `build_program` turns a JSON spec into a
-program through it.  The families and their fields:
+summary and the shape of its specs in the `vocab` vocabulary, of the
+types `FIELDS` gives; `build_program` turns a JSON spec into a program
+through it.  `PHASE_PROFILE` is the shape of a profile object.  The
+families and their fields:
 
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import inspect
 import json
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .actions import (
     RET_ALLOW,
@@ -30,8 +33,9 @@ from .actions import (
     RET_LOG,
     RET_TRAP,
 )
+from . import vocab
 from .asm import AsmError, assemble
-from .isa import I64_MAX, I64_MIN, FilterProgram
+from .isa import FilterProgram
 
 SWEEP_DOMAIN = range(0, 451)
 # capacity of the hash denylist's map; fixed, not sized to the set, so the
@@ -67,20 +71,6 @@ def parse_action(spec) -> int:
                 raise ValueError(f"errno out of range in {spec!r}")
             return RET_ERRNO | code
     raise ValueError(f"unknown action spec {spec!r}")
-
-
-def _is_int(value) -> bool:
-    return type(value) is int and I64_MIN <= value <= I64_MAX
-
-
-def _is_list(value) -> bool:
-    return type(value) in (list, tuple)
-
-
-def _is_ints(value) -> bool:
-    # the loops over the elements run in C: a spec's sets can be long
-    return (_is_list(value) and set(map(type, value)) <= {int}
-            and (not value or I64_MIN <= min(value) and max(value) <= I64_MAX))
 
 
 def _u64(value: int) -> bytes:
@@ -317,44 +307,42 @@ class PhaseProfile:
 
     @classmethod
     def from_json(cls, name: str, raw) -> "PhaseProfile":
-        """A profile from its JSON object: "init" and "serv" each list
-        [start, stop) ranges of syscall numbers, "marker" is the number
-        that announces the switch, and "name" may be given too."""
+        """A profile from its JSON object of shape `PHASE_PROFILE`: "init"
+        and "serv" each list [start, stop) ranges of syscall numbers,
+        "marker" is the number that announces the switch, and "name" may
+        be given too."""
         if not isinstance(raw, dict):
             raise ValueError(f"profile {name!r} must be an object")
-        for key in raw:
-            if key not in _PROFILE_KEYS:
-                raise ValueError(f"profile {name!r} has unknown key {key!r}")
-        for key in ("init", "serv", "marker"):
-            if key not in raw:
-                raise ValueError(f"profile {name!r} is missing {key!r}")
-        if not isinstance(raw.get("name", ""), str):
-            raise ValueError(f"profile {name!r}: name must be a string")
-        if not _is_int(raw["marker"]):
-            raise ValueError(f"profile {name!r}: marker must be an integer")
-        return cls(name=name,
-                   s_init=_expand_ranges(name, "init", raw["init"]),
-                   s_serv=_expand_ranges(name, "serv", raw["serv"]),
+        where = f"profile {name!r}"
+        vocab.check(raw, PHASE_PROFILE, where, ValueError)
+        return cls(name=name, s_init=_numbers(where, "init", raw["init"]),
+                   s_serv=_numbers(where, "serv", raw["serv"]),
                    marker_nr=raw["marker"])
 
 
-_PROFILE_KEYS = frozenset({"name", "init", "serv", "marker"})
 # syscall numbers in a profile lie in [0, PROFILE_NR_LIMIT): all of them
 # just fit one hash map of MAX_MAP_BYTES, and the bound keeps a malformed
 # range from expanding into a huge set
 PROFILE_NR_LIMIT = 1 << 16
+_RANGES = vocab.Type(
+    "a list of [start, stop] pairs",
+    lambda v: type(v) in (list, tuple) and all(
+        vocab.I64S.test(pair) and len(pair) == 2 for pair in v),
+    f"must be a list of [start, stop] pairs with 0 <= start <= stop <= "
+    f"{PROFILE_NR_LIMIT}")
+# the fields of a profile object, inline in a spec or in a profiles file
+PHASE_PROFILE = vocab.shape(
+    {"name": vocab.STR, "init": _RANGES, "serv": _RANGES,
+     "marker": vocab.Type("an integer", vocab.I64.test)},
+    "init serv marker", "name", unknown="{where} has unknown key {key!r}",
+    missing="{where} is missing {key!r}")
 
 
-def _expand_ranges(name: str, key: str, ranges) -> frozenset:
-    if not _is_list(ranges) or not all(
-            _is_ints(pair) and len(pair) == 2
-            and 0 <= pair[0] <= pair[1] <= PROFILE_NR_LIMIT
-            for pair in ranges):
-        raise ValueError(f"profile {name!r}: {key} must be a list of "
-                         f"[start, stop] pairs with 0 <= start <= stop <= "
-                         f"{PROFILE_NR_LIMIT}")
+def _numbers(where: str, key: str, ranges) -> frozenset:
     out = set()
     for start, stop in ranges:
+        if not 0 <= start <= stop <= PROFILE_NR_LIMIT:
+            raise ValueError(f"{where}: {key} {_RANGES.told}")
         out.update(range(start, stop))
     return frozenset(out)
 
@@ -452,7 +440,7 @@ def gen_flow_integrity(syscalls, transitions, origins=None,
     if n == 0:
         raise ValueError("flow integrity needs at least one syscall")
     code = {nr: i + 1 for i, nr in enumerate(syscalls)}
-    origins = origins or {}
+    origins = {int(nr): addrs for nr, addrs in (origins or {}).items()}
     for nr in origins:
         if nr not in code:
             raise ValueError(f"origin rule for ungoverned syscall {nr}")
@@ -534,7 +522,7 @@ def gen_serialization(pairs: dict) -> FilterProgram:
     unused slots hold an all-ones sentinel, so no partner may be that
     u64 (-1).  Never denies."""
     entries = {}
-    for nr, partners in pairs.items():
+    for nr, partners in {int(nr): p for nr, p in pairs.items()}.items():
         partners = list(partners)
         if not 1 <= len(partners) <= 2:
             raise ValueError(f"syscall {nr}: need one or two partners")
@@ -544,7 +532,7 @@ def gen_serialization(pairs: dict) -> FilterProgram:
                                  f"empty-slot sentinel {SENTINEL:#x}")
         while len(partners) < 2:
             partners.append(SENTINEL)
-        entries[_u64(int(nr))] = _u64(partners[0]) + _u64(partners[1])
+        entries[_u64(nr)] = _u64(partners[0]) + _u64(partners[1])
     text = (f"section seccomp\n"
             f"map partners hash 8 16 {max(len(entries), 1)}\n"
             f"    ld_ctx r6, 0\n"
@@ -623,7 +611,9 @@ def gen_validation_cache(rules: dict, cached: bool = True, deny="errno:1",
     syscalls get the `default` action.
     """
     deny_raw = parse_action(deny)
-    governed = sorted(int(nr) for nr in rules)
+    rules = {int(nr): {int(a): values for a, values in arg_rules.items()}
+             for nr, arg_rules in rules.items()}
+    governed = sorted(rules)
     if not governed:
         raise ValueError("no rules given")
     lines = ["section seccomp",
@@ -640,10 +630,8 @@ def gen_validation_cache(rules: dict, cached: bool = True, deny="errno:1",
                   # a populated slot never falls through; fail closed
                   f"    mov r0, {deny_raw:#x}",
                   "    exit"]
-    handlers = {}
-    for slot, nr in enumerate(governed):
-        arg_rules = {int(a): vals for a, vals in rules[nr].items()}
-        handlers[slot] = _check_program(nr, arg_rules, cached, deny_raw)
+    handlers = {slot: _check_program(nr, rules[nr], cached, deny_raw)
+                for slot, nr in enumerate(governed)}
     return _finish("\n".join(lines) + "\n",
                    programs={"handlers": handlers})
 
@@ -656,30 +644,40 @@ class PolicySpecError(ValueError):
     field."""
 
 
-# Kinds of a spec field's value.  Each names what a value of it must be.
-INT = "an integer (i64)"
-INTS = "a list of integers (i64)"
-STR = "a string"
-FLAG = "true or false"
-ACTION = "an action"
-PROFILE = "a bundled profile name or a profile object"
-TRANSITIONS = "a list of [from or null, to] integer pairs"
-NR_INTS = "an object {decimal: [integers]}"
-NR_NR_INTS = "an object {decimal: {decimal: [integers]}}"
-REQUIRED, OPTIONAL = True, False
+def _action_fault(value) -> str | None:
+    try:
+        parse_action(value)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
-def _checked(test, kind):
-    def convert(value):
-        if not test(value):
-            raise ValueError(f"must be {kind}")
-        return value
-    return convert
-
-
-def _action(value):
-    parse_action(value)             # raises naming the value
-    return value
+ACTION = vocab.Type("an action", lambda v: _action_fault(v) is None,
+                    _action_fault)
+PROFILE = vocab.Type("a bundled profile name or a profile object",
+                     lambda v: type(v) in (str, dict))
+NR_INTS = vocab.keyed("an object {decimal: [integers]}", vocab.I64S)
+# spec field -> its type; a field has this one type in every generator
+FIELDS = {
+    **dict.fromkeys(("nr", "max", "rate", "capacity", "arg_index",
+                     "arg_value"), vocab.I64),
+    **dict.fromkeys(("allowed", "denied", "syscalls"), vocab.I64S),
+    **dict.fromkeys(("generator", "layout"), vocab.STR),
+    **dict.fromkeys(("deny", "default"), ACTION),
+    "cached": vocab.BOOL,
+    "profile": PROFILE,
+    "transitions": vocab.Type(
+        "a list of [from or null, to] integer pairs",
+        lambda v: type(v) in (list, tuple) and all(
+            type(pair) in (list, tuple) and len(pair) == 2
+            and vocab.I64.test(pair[1])
+            and (pair[0] is None or vocab.I64.test(pair[0])) for pair in v)),
+    **dict.fromkeys(("origins", "pairs"), NR_INTS),
+    "rules": vocab.keyed("an object {decimal: {decimal: [integers]}}",
+                         NR_INTS),
+}
+# spec field -> the generator's parameter, where it is named otherwise
+PARAMS = {"max": "max_count", "rate": "rate_per_sec"}
 
 
 def _profile(value) -> PhaseProfile:
@@ -688,134 +686,77 @@ def _profile(value) -> PhaseProfile:
         if value not in profiles:
             raise ValueError(f"no bundled profile named {value!r}")
         return profiles[value]
-    if isinstance(value, dict):
-        return PhaseProfile.from_json(value.get("name", "inline"), value)
-    raise ValueError(f"must be {PROFILE}")
+    return PhaseProfile.from_json(value.get("name", "inline"), value)
 
 
-def _decimal_keys(convert_item, kind):
-    """A converter of objects keyed by decimal numbers: the keys become
-    integers, and each item goes through `convert_item`."""
-    def convert(value):
-        if not isinstance(value, dict):
-            raise ValueError(f"must be {kind}")
-        out = {}
-        for key, item in value.items():
-            # at most 18 digits, so the number is in the i64 range
-            if not (isinstance(key, str) and key.isascii()
-                    and key.isdigit() and len(key) <= 18):
-                raise ValueError(f"key {key!r} is not a decimal number")
-            try:
-                out[int(key)] = convert_item(item)
-            except ValueError as exc:
-                raise ValueError(f"key {key!r}: {exc}") from None
-        return out
-    return convert
+def _family(gen: Callable, summary: str, required: str = "",
+            optional: str = "") -> tuple:
+    return gen, summary, vocab.shape(FIELDS, f"generator {required}",
+                                     optional,
+                                     wrong="{where}: field {key!r}: {told}")
 
 
-def _is_transition(pair) -> bool:
-    return (_is_list(pair) and len(pair) == 2 and _is_int(pair[1])
-            and (pair[0] is None or _is_int(pair[0])))
-
-
-_ints = _checked(_is_ints, INTS)
-_nr_ints = _decimal_keys(_ints, NR_INTS)
-# kind -> the converter that checks a field's value and returns the
-# generator's argument; a bad value raises ValueError saying why
-_CONVERT = {
-    INT: _checked(_is_int, INT),
-    INTS: _ints,
-    STR: _checked(lambda v: isinstance(v, str), STR),
-    FLAG: _checked(lambda v: type(v) is bool, FLAG),
-    ACTION: _action,
-    PROFILE: _profile,
-    TRANSITIONS: _checked(
-        lambda v: _is_list(v) and all(map(_is_transition, v)), TRANSITIONS),
-    NR_INTS: _nr_ints,
-    NR_NR_INTS: _decimal_keys(_nr_ints, NR_NR_INTS),
-}
-
-# generator -> (its function, a one-line summary, its fields); a field
-# maps to (the function's parameter, the kind of its value, whether the
-# spec must give it).  An optional field left out keeps the parameter's
-# default, which only the function's signature states.
+# generator -> (its function, a one-line summary, the shape of its specs,
+# from the fields it requires and the others it may carry).  An optional
+# field left out keeps the parameter's default, which only the function's
+# signature states.
 GENERATORS = {
-    "allow_all": (
-        gen_allow_all, "allow everything in two instructions: the baseline",
-        {}),
-    "allowlist": (
+    "allow_all": _family(
+        gen_allow_all, "allow everything in two instructions: the baseline"),
+    "allowlist": _family(
         gen_allowlist, "allow a set of numbers (linear, tree or hash)",
-        {"allowed": ("allowed", INTS, REQUIRED),
-         "layout": ("layout", STR, OPTIONAL),
-         "deny": ("deny", ACTION, OPTIONAL)}),
-    "denylist": (
+        "allowed", "layout deny"),
+    "denylist": _family(
         gen_denylist, "deny a set of numbers, allow the rest (linear or hash)",
-        {"denied": ("denied", INTS, REQUIRED),
-         "layout": ("layout", STR, OPTIONAL),
-         "deny": ("deny", ACTION, OPTIONAL)}),
-    "count_limit": (
+        "denied", "layout deny"),
+    "count_limit": _family(
         gen_count_limit,
         "budget N calls of a number, or of one argument value",
-        {"nr": ("nr", INT, REQUIRED),
-         "max": ("max_count", INT, REQUIRED),
-         "arg_index": ("arg_index", INT, OPTIONAL),
-         "arg_value": ("arg_value", INT, OPTIONAL),
-         "deny": ("deny", ACTION, OPTIONAL)}),
-    "rate_limit": (
+        "nr max", "arg_index arg_value deny"),
+    "rate_limit": _family(
         gen_rate_limit, "token bucket for one number, held in nanotokens",
-        {"nr": ("nr", INT, REQUIRED),
-         "rate": ("rate_per_sec", INT, REQUIRED),
-         "capacity": ("capacity", INT, REQUIRED),
-         "deny": ("deny", ACTION, OPTIONAL)}),
-    "temporal": (
+        "nr rate capacity", "deny"),
+    "temporal": _family(
         gen_temporal, "two-phase allowlist switched by a marker syscall",
-        {"profile": ("profile", PROFILE, REQUIRED),
-         "deny": ("deny", ACTION, OPTIONAL)}),
-    "flow_integrity": (
+        "profile", "deny"),
+    "flow_integrity": _family(
         gen_flow_integrity,
         "state machine over syscall order, optional call-site pins",
-        {"syscalls": ("syscalls", INTS, REQUIRED),
-         "transitions": ("transitions", TRANSITIONS, REQUIRED),
-         "origins": ("origins", NR_INTS, OPTIONAL),
-         "deny": ("deny", ACTION, OPTIONAL)}),
-    "serialization": (
+        "syscalls transitions", "origins deny"),
+    "serialization": _family(
         gen_serialization, "stall a syscall while a partner is in flight",
-        {"pairs": ("pairs", NR_INTS, REQUIRED)}),
-    "validation_cache": (
+        "pairs"),
+    "validation_cache": _family(
         gen_validation_cache,
         "argument checks per syscall behind a program array",
-        {"rules": ("rules", NR_NR_INTS, REQUIRED),
-         "cached": ("cached", FLAG, OPTIONAL),
-         "deny": ("deny", ACTION, OPTIONAL),
-         "default": ("default", ACTION, OPTIONAL)}),
+        "rules", "cached deny default"),
 }
 
 
 def build_program(spec: dict) -> FilterProgram:
-    """Build a policy from a JSON-friendly generator spec: one pass over
-    its fields against `GENERATORS`, then the generator with its own
-    checks.  Whatever cannot be built raises `PolicySpecError`."""
+    """Build a policy from a JSON-friendly generator spec: its fields are
+    checked against its generator's shape in `GENERATORS`, then the
+    generator runs with its own checks.  Whatever cannot be built raises
+    `PolicySpecError`."""
     if not isinstance(spec, dict):
         raise PolicySpecError(f"a policy spec must be an object, "
                               f"not {type(spec).__name__}")
     name = spec.get("generator")
     if not isinstance(name, str) or name not in GENERATORS:
         raise PolicySpecError(f"unknown policy generator {name!r}")
-    gen, _, fields = GENERATORS[name]
+    gen, _, shape = GENERATORS[name]
+    vocab.check(spec, shape, name, PolicySpecError)
     kwargs = {}
     for key, value in spec.items():
         if key == "generator":
             continue
-        if key not in fields:
-            raise PolicySpecError(f"{name}: unknown field {key!r}")
-        param, kind, _ = fields[key]
-        try:
-            kwargs[param] = _CONVERT[kind](value)
-        except ValueError as exc:
-            raise PolicySpecError(f"{name}: field {key!r}: {exc}") from None
-    for key, (_, _, required) in fields.items():
-        if required and key not in spec:
-            raise PolicySpecError(f"{name}: missing field {key!r}")
+        if key == "profile":
+            try:
+                value = _profile(value)
+            except ValueError as exc:
+                raise PolicySpecError(f"{name}: field {key!r}: {exc}") \
+                    from None
+        kwargs[PARAMS.get(key, key)] = value
     try:
         return gen(**kwargs)
     except AsmError as exc:
@@ -829,15 +770,19 @@ def describe_generators() -> str:
     """Each generator of `GENERATORS` with its summary and its fields, one
     a line; an optional field shows its parameter's default."""
     out = []
-    for name, (gen, summary, fields) in GENERATORS.items():
+    for name, (gen, summary, shape) in GENERATORS.items():
         out.append(f"  {name:<18} {summary}\n")
         params = inspect.signature(gen).parameters
-        for key, (param, kind, required) in fields.items():
-            default = params[param].default
-            if not required:
-                kind += (", optional" if default is None
+        required = [key for key, in shape.required]
+        for key, kind in shape.types.items():
+            if key == "generator":
+                continue
+            text = kind.name
+            if key not in required:
+                default = params[PARAMS.get(key, key)].default
+                text += (", optional" if default is None
                          else f", default {json.dumps(default)}")
-            out.append(f"      {key:<14} {kind}\n")
+            out.append(f"      {key:<14} {text}\n")
     out.append('  an action is "allow", "log", "trap", "kill_thread", '
                '"kill_process",\n  "errno:N" or a raw u32 action word\n')
     return "".join(out)

@@ -6,11 +6,12 @@ a list of checks.  Modes:
   run       single scheduled run (seeded); checks look at its log
   explore   every interleaving; checks quantify over all schedules
 
-`CHECKS` gives each check kind its mode, its fields and its judge,
-`SCENARIO` the keys of a scenario, `MODES` the key that only a scenario
-of that mode may carry, and `FIELDS` the type of each check field and
-scenario key.  `run_scenario` refuses a spec that breaks them
-before anything runs.
+A scenario and each of its checks declare their fields in the `vocab`
+vocabulary: `FIELDS` gives each check field and scenario key its one
+type, `SCENARIO` the keys of a scenario, and `CHECKS` each check kind its
+mode, its fields and its judge.  `MODES` gives the key that only a
+scenario of that mode may carry.  `run_scenario` refuses a spec that
+breaks them before anything runs.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
+from . import vocab
 from .engine import EngineConfig
 from .sim import MAX_EXPLORE_STEPS, Simulator, explore_interleavings
 from .snapshot import DescriptorTable
-from .trace import Trace, _is_int, parse_trace
+from .trace import Trace, parse_trace
 
 
 class ScenarioError(ValueError):
@@ -156,83 +158,71 @@ def _schedule_count(check: dict, runs: list) -> CheckResult:
                        len(runs) == check["count"], f"found {len(runs)}")
 
 
+# check field or scenario key -> its type; a name has this one type
+# wherever it appears
+FIELDS = {
+    **dict.fromkeys(("task", "nr", "count", "min", "max", "min_schedules",
+                     "seed", "max_steps"), vocab.INT),
+    **dict.fromkeys(("check", "action", "name", "title", "description",
+                     "mode"), vocab.STR),
+    "actions": vocab.STRS,
+    "pair": vocab.Type("two integers", lambda v: type(v) is list
+                       and len(v) == 2 and all(type(n) is int for n in v)),
+    "trace": vocab.LIST,
+    "checks": vocab.Type("a list of objects that name their check",
+                         lambda v: type(v) is list and all(
+                             type(c) is dict and "check" in c for c in v)),
+}
+
+
 class Check(NamedTuple):
-    """A check kind: the scenario mode it belongs to, the fields it must
-    and may give besides "check", and its judge.  A run judge gets the
-    actions decided for the check's task and nr, an explore judge every
-    schedule, or with `stripped` every schedule without the policies."""
+    """A check kind: the scenario mode it belongs to, its shape, and its
+    judge.  A run judge gets the actions decided for the check's task and
+    nr, an explore judge every schedule, or with `stripped` every
+    schedule without the policies."""
     mode: str
-    required: str
-    optional: str
+    shape: vocab.Shape
     judge: Callable
     stripped: bool = False
 
 
+def _check(mode: str, required: str, optional: str, judge: Callable,
+           stripped: bool = False) -> Check:
+    """A check kind from the fields it must and may give besides "check"."""
+    return Check(mode, vocab.shape(
+        FIELDS, f"check {required}", optional,
+        missing="{where} is missing its field {key!r}"), judge, stripped)
+
+
 CHECKS = {
-    "decision_sequence": Check("run", "actions", "task nr",
-                               _decision_sequence),
-    "denied": Check("run", "", "task nr", _denied),
-    "allowed": Check("run", "", "task nr", _allowed),
-    "action_count": Check("run", "action", "task nr min max", _action_count),
-    "no_overlap": Check("explore", "pair", "", _no_overlap),
-    "overlap_without_policy": Check("explore", "pair", "min_schedules",
-                                    _overlap_without_policy, stripped=True),
-    "schedule_count": Check("explore", "count", "", _schedule_count),
+    "decision_sequence": _check("run", "actions", "task nr",
+                                _decision_sequence),
+    "denied": _check("run", "", "task nr", _denied),
+    "allowed": _check("run", "", "task nr", _allowed),
+    "action_count": _check("run", "action", "task nr min max",
+                           _action_count),
+    "no_overlap": _check("explore", "pair", "", _no_overlap),
+    "overlap_without_policy": _check("explore", "pair", "min_schedules",
+                                     _overlap_without_policy, stripped=True),
+    "schedule_count": _check("explore", "count", "", _schedule_count),
 }
 
-# the keys a scenario requires, and the others it may carry
-SCENARIO = ("name trace", "title description mode checks")
 # mode -> the key that only a scenario of that mode may carry
 MODES = {"run": "seed", "explore": "max_steps"}
-
-
-def _is_str(value) -> bool:
-    return type(value) is str
-
-
-# check field or scenario key -> (the test its value passes, what a value
-# failing it is told); a name has this one type wherever it appears
-FIELDS = {
-    **dict.fromkeys(("task", "nr", "count", "min", "max", "min_schedules",
-                     "seed", "max_steps"),
-                    (_is_int, "{key} must be an integer")),
-    **dict.fromkeys(("action", "name", "title", "description"),
-                    (_is_str, "{key} must be a string")),
-    "actions": (lambda v: type(v) is list and all(map(_is_str, v)),
-                "{key} must be a list of strings"),
-    "pair": (lambda v: type(v) is list and len(v) == 2
-             and all(map(_is_int, v)), "{key} must be two integers"),
-    "mode": (lambda v: _is_str(v) and v in MODES, "unknown mode {value!r}"),
-    "trace": (lambda v: type(v) is list, "{key} must be a list"),
-    "checks": (lambda v: type(v) is list and all(
-        type(c) is dict and "check" in c for c in v),
-        "{key} must be a list of objects that name their check"),
-}
-
-
-def _check_fields(where: str, obj: dict, names: str) -> None:
-    """Refuse a key of `obj` outside `names` or one whose value fails
-    its `FIELDS` test."""
-    names = names.split()
-    for key, value in obj.items():
-        if key not in names:
-            raise ScenarioError(f"{where}: unknown field {key!r}")
-        test, told = FIELDS[key]
-        if not test(value):
-            raise ScenarioError(
-                f"{where}: {told.format(key=key, value=value)}")
+SCENARIO = vocab.shape(
+    FIELDS, "name trace", "title description mode checks seed max_steps",
+    missing="scenario is missing {key!r}")
 
 
 def _check_spec(spec) -> None:
-    """Refuse a spec that breaks `SCENARIO`, `CHECKS` or `FIELDS`."""
+    """Refuse a spec that breaks `SCENARIO`, `MODES` or `CHECKS`."""
     if not isinstance(spec, dict):
         raise ScenarioError("a scenario must be a JSON object")
-    for key in SCENARIO[0].split():
-        if key not in spec:
-            raise ScenarioError(f"scenario is missing {key!r}")
-    where = f"scenario {spec['name']}"
-    _check_fields(where, spec, " ".join((*SCENARIO, *MODES.values())))
+    where = f"scenario {spec['name']}" if "name" in spec else "scenario"
+    vocab.check(spec, SCENARIO, where, ScenarioError)
     mode = spec.get("mode", "run")
+    if mode not in MODES:
+        raise ScenarioError(f"{where}: unknown mode {mode!r}")
     for other, key in MODES.items():
         if other != mode and key in spec:
             raise ScenarioError(f"{where}: {key!r} is for {other} "
@@ -242,13 +232,8 @@ def _check_spec(spec) -> None:
         entry = CHECKS.get(kind) if type(kind) is str else None
         if entry is None or entry.mode != mode:
             raise ScenarioError(f"{where}: unknown {mode} check {kind!r}")
-        for key in entry.required.split():
-            if key not in check:
-                raise ScenarioError(f"{where}: check {kind!r} is missing "
-                                    f"its field {key!r}")
-        _check_fields(f"{where}: check {kind!r}",
-                      {k: v for k, v in check.items() if k != "check"},
-                      f"{entry.required} {entry.optional}")
+        vocab.check(check, entry.shape, f"{where}: check {kind!r}",
+                    ScenarioError)
 
 
 def run_scenario(spec: dict, config: EngineConfig | None = None,

@@ -27,8 +27,10 @@ copy in atomic context.  Reads outside every described range fall
 through to live memory: the table only promises stability for the
 bytes the kernel itself will use.
 
-Per-syscall snapshots are capped at 4096 bytes, checked when the
-descriptor table is loaded.
+A descriptor table's objects are declared in the `vocab` vocabulary
+(`SYSCALL`, `ARGS`, `ARG_KINDS`, `FIELD_KINDS`), so a key with a typo is
+refused rather than leaving a pointer unsnapshotted.  Per-syscall
+snapshots are capped at 4096 bytes, checked when the table is loaded.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import vocab
 from .state import stateful
 from .usermem import UserMemory
 
@@ -73,53 +76,77 @@ class ArgDesc:
         return self.size + sum(f.size for f in self.fields)
 
 
-def _object(raw, where: str) -> dict:
-    if not isinstance(raw, dict):
-        raise DescriptorError(f"{where}: must be a JSON object")
-    return raw
+_SIZE = vocab.Type("a positive integer",
+                   lambda v: type(v) is int and v > 0, "bad size")
+_OBJECT = vocab.Type("a JSON object", lambda v: type(v) is dict)
+# descriptor field -> its type
+FIELDS = {
+    "kind": vocab.STR, "size": _SIZE, "max": _SIZE,
+    "offset": vocab.Type("a non-negative integer",
+                         lambda v: type(v) is int and v >= 0,
+                         "bad field offset"),
+    "fields": vocab.Type("a list", lambda v: type(v) is list,
+                         "fields must be a list"),
+}
+# a fault is told after its place in the table, and a field left out is
+# told what a bad value of it is
+_TOLD = {"missing": "{where}: {told}", "wrong": "{where}: {told}"}
+# descriptor kind -> the shape of an argument of that kind
+ARG_KINDS = {
+    "scalar": vocab.shape(FIELDS, "kind", **_TOLD),
+    "user_buffer": vocab.shape(FIELDS, "kind size", **_TOLD),
+    "user_string": vocab.shape(FIELDS, "kind max", **_TOLD),
+    "user_record": vocab.shape(
+        {**FIELDS, "size": _SIZE._replace(told="bad record size")},
+        "kind size", "fields", **_TOLD),
+}
+# kind -> the shape of a pointer field of that kind inside a record
+FIELD_KINDS = {kind: vocab.shape(FIELDS, "offset kind " + size, **_TOLD)
+               for kind, size in (("user_buffer", "size"),
+                                  ("user_string", "max"))}
+# a syscall's entry in the table, and its argument indexes
+SYSCALL = vocab.shape({"name": vocab.STR, "args": _OBJECT}, "", "name args",
+                      wrong="{where} {key}: {told}")
+ARGS = vocab.shape(
+    dict.fromkeys("012345", _OBJECT), "", "0 1 2 3 4 5",
+    unknown="{where}: bad argument index {key!r} (out of range 0-5)",
+    wrong="{where} arg {key}: {told}")
 
 
-def _parse_field(raw, where: str) -> FieldDesc:
-    kind = _object(raw, where).get("kind")
-    if kind not in ("user_buffer", "user_string"):
-        raise DescriptorError(f"{where}: record fields may only be "
-                              f"user_buffer or user_string, got {kind!r}")
-    offset = raw.get("offset")
-    if type(offset) is not int or offset < 0:
-        raise DescriptorError(f"{where}: bad field offset")
-    return FieldDesc(offset, kind, _parse_arg(raw, where).size)
+def _kind(raw: dict, kinds: dict, where: str, unknown: str) -> str:
+    """The kind of `raw`, once it is checked against the shape `kinds`
+    gives that kind; `unknown` goes before a kind that has none."""
+    kind = raw.get("kind")
+    if type(kind) is not str or kind not in kinds:
+        raise DescriptorError(f"{where}: {unknown}{kind!r}")
+    vocab.check(raw, kinds[kind], where, DescriptorError)
+    return kind
 
 
-def _parse_arg(raw, where: str) -> ArgDesc:
-    kind = _object(raw, where).get("kind")
-    if kind == "scalar":
-        return ArgDesc("scalar")
-    if kind in ("user_buffer", "user_string"):
-        size = raw.get("max" if kind == "user_string" else "size")
-        if type(size) is not int or size <= 0:
-            raise DescriptorError(f"{where}: bad size")
-        return ArgDesc(kind, size)
-    if kind == "user_record":
-        size = raw.get("size")
-        if type(size) is not int or size <= 0:
-            raise DescriptorError(f"{where}: bad record size")
-        raw_fields = raw.get("fields", [])
-        if not isinstance(raw_fields, list):
-            raise DescriptorError(f"{where}: fields must be a list")
-        fields = []
-        for i, f in enumerate(raw_fields):
-            fd = _parse_field(f, f"{where}.fields[{i}]")
-            if fd.offset + 8 > size:
-                raise DescriptorError(
-                    f"{where}.fields[{i}]: pointer at offset {fd.offset} "
-                    f"does not fit in a {size}-byte record")
-            fields.append(fd)
-        return ArgDesc(kind, size, tuple(fields))
-    raise DescriptorError(f"{where}: unknown descriptor kind {kind!r}")
+def _parse_arg(raw: dict, where: str) -> ArgDesc:
+    kind = _kind(raw, ARG_KINDS, where, "unknown descriptor kind ")
+    size = raw.get("max", raw.get("size", 0))
+    fields = []
+    for i, item in enumerate(raw.get("fields", ())):
+        at = f"{where}.fields[{i}]"
+        if type(item) is not dict:
+            raise DescriptorError(f"{at}: must be a JSON object")
+        field_kind = _kind(item, FIELD_KINDS, at, "record fields may "
+                           "only be user_buffer or user_string, got ")
+        fd = FieldDesc(item["offset"], field_kind,
+                       item.get("max", item.get("size")))
+        if fd.offset + 8 > size:
+            raise DescriptorError(
+                f"{at}: pointer at offset {fd.offset} does not fit in a "
+                f"{size}-byte record")
+        fields.append(fd)
+    return ArgDesc(kind, size, tuple(fields))
 
 
 class DescriptorTable:
-    """Per-syscall argument descriptions, loaded from JSON."""
+    """Per-syscall argument descriptions, loaded from JSON: an object of
+    decimal syscall numbers -> `SYSCALL` entries, whose "args" are `ARGS`
+    indexes -> descriptors of an `ARG_KINDS` kind."""
 
     def __init__(self, table: dict[int, dict[int, ArgDesc]] | None = None):
         self._table = table or {}
@@ -127,35 +154,31 @@ class DescriptorTable:
     @classmethod
     def from_json(cls, data) -> "DescriptorTable":
         if isinstance(data, (str, bytes)):
-            data = json.loads(data)
-        table: dict[int, dict[int, ArgDesc]] = {}
-        for nr_key, entry in _object(data, "descriptor table").items():
             try:
-                nr = int(nr_key)
-            except (TypeError, ValueError):
-                raise DescriptorError(f"bad syscall number {nr_key!r}") from None
-            where = f"syscall {nr}"
-            raw_args = _object(_object(entry, where).get("args", {}),
-                               f"{where} args")
-            args: dict[int, ArgDesc] = {}
-            total = 0
-            for idx_key, raw in raw_args.items():
-                try:
-                    idx = int(idx_key)
-                except (TypeError, ValueError):
-                    raise DescriptorError(f"{where}: bad argument index "
-                                          f"{idx_key!r}") from None
-                if not 0 <= idx <= 5:
-                    raise DescriptorError(
-                        f"{where}: argument index {idx} out of range")
-                desc = _parse_arg(raw, f"{where} arg {idx}")
-                args[idx] = desc
-                total += desc.snapshot_bytes
+                data = json.loads(data)
+            except ValueError as exc:
+                raise DescriptorError(
+                    f"descriptor table: bad JSON ({exc})") from None
+        if type(data) is not dict:
+            raise DescriptorError("descriptor table: must be a JSON object")
+        table: dict[int, dict[int, ArgDesc]] = {}
+        for nr_key, entry in data.items():
+            if not vocab.is_decimal(nr_key):
+                raise DescriptorError(f"bad syscall number {nr_key!r}")
+            where = f"syscall {int(nr_key)}"
+            if type(entry) is not dict:
+                raise DescriptorError(f"{where}: must be a JSON object")
+            vocab.check(entry, SYSCALL, where, DescriptorError)
+            raw_args = entry.get("args", {})
+            vocab.check(raw_args, ARGS, where, DescriptorError)
+            args = {int(idx): _parse_arg(raw, f"{where} arg {idx}")
+                    for idx, raw in raw_args.items()}
+            total = sum(desc.snapshot_bytes for desc in args.values())
             if total > SNAPSHOT_LIMIT:
                 raise DescriptorError(
                     f"{where}: snapshot would be {total} bytes, "
                     f"limit is {SNAPSHOT_LIMIT}")
-            table[nr] = args
+            table[int(nr_key)] = args
         return cls(table)
 
     def get(self, nr: int) -> dict[int, ArgDesc]:

@@ -16,9 +16,10 @@ dt_ns stays below 2**64, and a uid is 32 bits wide.  A restore may set
 the clock to any u64 a checkpoint recorded; later dt_ns then saturate it
 at 2**64-1 rather than carry it past.
 
-`EVENTS` below gives each event kind its fields and `FIELDS` each field
-its type.  A `load` carries a hex program blob or a policy spec (a dict
-with "generator" plus its parameters), which keeps traces binary-free.
+`EVENTS` declares each event kind's fields in the `vocab` vocabulary,
+of the one type `FIELDS` gives each field name.  A `load` carries a hex
+program blob or a policy spec (a dict with "generator" plus its
+parameters), which keeps traces binary-free.
 """
 
 from __future__ import annotations
@@ -26,9 +27,53 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-# event kind -> the fields it requires ("a|b": either, or both) and the
-# others it may carry; any event may carry dt_ns, and unknown fields pass
-EVENTS = {
+from . import vocab
+from .vocab import check
+
+
+def _is_hex(value) -> bool:
+    try:
+        bytes.fromhex(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+# field name -> its type; a field has this one type in every event that
+# carries it
+FIELDS = {
+    **dict.fromkeys(("tid", "task", "nr", "addr", "install", "target",
+                     "value_u64"), vocab.INT),
+    "uid": vocab.Type("an integer in [0, 2**32)",
+                      lambda v: type(v) is int and 0 <= v < 1 << 32),
+    "dt_ns": vocab.Type("a non-negative integer",
+                        lambda v: type(v) is int and v >= 0),
+    **dict.fromkeys(("handle", "id"), vocab.Type(
+        "an integer or a string", lambda v: type(v) in (int, str))),
+    "caps": vocab.STRS,
+    "args": vocab.Type("up to six integers", lambda v: type(v) is list
+                       and len(v) <= 6 and all(type(a) is int for a in v)),
+    **dict.fromkeys(("nnp", "dumpable", "value"), vocab.BOOL),
+    "map": vocab.STR,
+    "policy": vocab.OBJECT,
+    **dict.fromkeys(("program_hex", "data_hex", "key_hex", "value_hex",
+                     "blob_hex"), vocab.Type("hex", _is_hex, "is not hex")),
+    "event": vocab.STR,
+}
+
+
+def _event(kind: str, required: str, optional: str) -> vocab.Shape:
+    return vocab.shape(
+        FIELDS, required, f"event dt_ns {optional}",
+        unknown="line {where}: " + kind + " event has unknown field {key!r}",
+        missing="line {where}: " + kind + " event is missing {key!r}",
+        wrong="line {where}: {key} {told}")
+
+
+# event kind -> its shape, from the fields it requires ("a|b": either, or
+# both) and the others it may carry; every event carries "event" and may
+# carry "dt_ns"
+EVENTS = {kind: _event(kind, *fields) for kind, fields in {
     "spawn":         ("tid", "task uid caps nnp dumpable"),
     "spawn_thread":  ("task tid", ""),
     "set_nnp":       ("task", ""),
@@ -44,45 +89,7 @@ EVENTS = {
     "phase_marker":  ("task nr", "args addr"),
     "checkpoint":    ("task id", ""),
     "restore":       ("task id|blob_hex", ""),
-}
-_REQUIRES = {kind: [names.split("|") for names in required.split()]
-             for kind, (required, _) in EVENTS.items()}
-
-
-def _is_int(value) -> bool:
-    return type(value) is int
-
-
-def _is_hex(value) -> bool:
-    try:
-        bytes.fromhex(value)
-    except (TypeError, ValueError):
-        return False
-    return True
-
-
-# field name -> (the test its value passes, what a value failing it is
-# told); a field has this one type in every event that carries it
-FIELDS = {
-    **dict.fromkeys(("tid", "task", "nr", "addr", "install", "target",
-                     "value_u64"), (_is_int, "must be an integer")),
-    "uid": (lambda v: _is_int(v) and 0 <= v < 1 << 32,
-            "must be an integer in [0, 2**32)"),
-    "dt_ns": (lambda v: _is_int(v) and v >= 0,
-              "must be a non-negative integer"),
-    **dict.fromkeys(("handle", "id"), (lambda v: type(v) in (int, str),
-                                       "must be an integer or a string")),
-    "caps": (lambda v: type(v) is list and all(type(c) is str for c in v),
-             "must be a list of strings"),
-    "args": (lambda v: type(v) is list and len(v) <= 6
-             and all(map(_is_int, v)), "must be up to six integers"),
-    **dict.fromkeys(("nnp", "dumpable", "value"),
-                    (lambda v: type(v) is bool, "must be true or false")),
-    "map": (lambda v: type(v) is str, "must be a string"),
-    "policy": (lambda v: type(v) is dict, "must be an object"),
-    **dict.fromkeys(("program_hex", "data_hex", "key_hex", "value_hex",
-                     "blob_hex"), (_is_hex, "is not hex")),
-}
+}.items()}
 
 
 class TraceError(ValueError):
@@ -118,24 +125,6 @@ class Trace:
         return sorted(self.queues)
 
 
-def _check_event(raw: dict, line: int) -> TraceEvent:
-    if not isinstance(raw, dict):
-        raise TraceError(f"line {line}: event must be a JSON object")
-    kind = raw.get("event")
-    if not isinstance(kind, str) or kind not in EVENTS:
-        raise TraceError(f"line {line}: unknown event kind {kind!r}")
-    for names in _REQUIRES[kind]:
-        if raw.keys().isdisjoint(names):
-            raise TraceError(f"line {line}: {kind} event is missing "
-                             f"{' or '.join(names)!r}")
-    for key, value in raw.items():
-        check = FIELDS.get(key)
-        if check is not None and not check[0](value):
-            raise TraceError(f"line {line}: {key} {check[1]}")
-    fields = {k: v for k, v in raw.items() if k not in ("event", "dt_ns")}
-    return TraceEvent(kind, line, raw.get("dt_ns", 0), fields)
-
-
 def parse_trace(text: str) -> Trace:
     """Parse and statically validate a JSON-lines trace."""
     events = []
@@ -148,11 +137,21 @@ def parse_trace(text: str) -> Trace:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceError(f"line {line_no}: bad JSON ({exc.msg})") from None
-        events.append(_check_event(raw, line_no))
-        clock += events[-1].dt_ns
+        if type(raw) is not dict:
+            raise TraceError(f"line {line_no}: event must be a JSON object")
+        kind = raw.get("event")
+        shape = EVENTS.get(kind) if type(kind) is str else None
+        if shape is None:
+            raise TraceError(f"line {line_no}: unknown event kind {kind!r}")
+        check(raw, shape, line_no, TraceError)
+        fields = dict(raw)
+        del fields["event"]
+        dt_ns = fields.pop("dt_ns", 0)
+        clock += dt_ns
         if clock >= 1 << 64:
             raise TraceError(f"line {line_no}: dt_ns takes the clock to "
                              f"2**64 ns or past it")
+        events.append(TraceEvent(kind, line_no, dt_ns, fields))
 
     setup = []
     queues: dict[int, list] = {}
@@ -197,10 +196,3 @@ def load_trace(path) -> Trace:
     with open(path, encoding="utf-8") as fh:
         return parse_trace(fh.read())
 
-
-def event_to_json(ev: TraceEvent) -> dict:
-    out = {"event": ev.kind}
-    if ev.dt_ns:
-        out["dt_ns"] = ev.dt_ns
-    out.update(ev.fields)
-    return out

@@ -835,7 +835,7 @@ def explore_disagreements(trace, config=None, descriptors=None,
 
 def every_field_trace() -> list:
     """A trace in which each event kind carries each field that
-    `trace.EVENTS` lists for it, and the run reads every one: restores
+    `trace.EVENTS` declares for it, and the run reads every one: restores
     by id and by blob, loads by spec and by blob, a store that races a
     write(2) snapshot, and a map update that reaches its map."""
     engine = Engine()
@@ -847,30 +847,32 @@ def every_field_trace() -> list:
          "nnp": False, "dumpable": True},
         {"event": "spawn", "task": 1, "tid": 2, "uid": 1000, "caps": [],
          "nnp": True, "dumpable": False, "dt_ns": 10},
-        {"event": "set_nnp", "task": 2},
-        {"event": "set_dumpable", "task": 2, "value": True},
-        {"event": "set_caps", "task": 2, "caps": ["CAP_SYS_PTRACE"]},
+        {"event": "set_nnp", "task": 2, "dt_ns": 1},
+        {"event": "set_dumpable", "task": 2, "value": True, "dt_ns": 1},
+        {"event": "set_caps", "task": 2, "caps": ["CAP_SYS_PTRACE"],
+         "dt_ns": 1},
         {"event": "load", "task": 2, "handle": "limit",
          "policy": {"generator": "count_limit", "nr": 1, "max": 1}},
-        {"event": "install", "task": 2, "handle": "limit"},
-        {"event": "new_userns", "task": 2},
-        {"event": "load", "task": 1, "handle": 0,
+        {"event": "install", "task": 2, "handle": "limit", "dt_ns": 1},
+        {"event": "new_userns", "task": 2, "dt_ns": 1},
+        {"event": "load", "task": 1, "handle": 0, "dt_ns": 1,
          "program_hex": encode_program(gen_count_limit(1, 2)).hex()},
         {"event": "install", "task": 1, "handle": 0},
-        {"event": "spawn_thread", "task": 1, "tid": 3},
+        {"event": "spawn_thread", "task": 1, "tid": 3, "dt_ns": 1},
         {"event": "syscall_enter", "task": 1, "nr": 1,
          "args": [5, RACE_PAGE, 64], "addr": 4096, "dt_ns": 5},
         {"event": "mem_write", "task": 3, "addr": RACE_PAGE,
-         "data_hex": "00ff"},
-        {"event": "syscall_exit", "task": 1},
+         "data_hex": "00ff", "dt_ns": 1},
+        {"event": "syscall_exit", "task": 1, "dt_ns": 1},
         {"event": "mem_write", "task": 3, "addr": RACE_PAGE + 8,
-         "value_u64": 5},
+         "value_u64": 5, "dt_ns": 1},
         {"event": "map_update", "task": 1, "target": 3, "install": 0,
-         "map": "counter", "key_hex": "00" * 8, "value_hex": "00" * 8},
+         "dt_ns": 1, "map": "counter", "key_hex": "00" * 8,
+         "value_hex": "00" * 8},
         {"event": "phase_marker", "task": 1, "nr": 1, "args": [5],
-         "addr": 0},
-        {"event": "checkpoint", "task": 1, "id": "c"},
-        {"event": "restore", "task": 1, "id": "c"},
+         "addr": 0, "dt_ns": 1},
+        {"event": "checkpoint", "task": 1, "id": "c", "dt_ns": 1},
+        {"event": "restore", "task": 1, "id": "c", "dt_ns": 1},
         {"event": "restore", "task": 1, "blob_hex": blob.hex()},
         {"event": "syscall_enter", "task": 2, "nr": 1, "args": [5]},
         {"event": "syscall_exit", "task": 2},

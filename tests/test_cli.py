@@ -111,6 +111,22 @@ def test_run_rejects_bad_traces(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "explore", "scenario"])
+@pytest.mark.parametrize("text,message", [
+    ("not json", "descriptor table: bad JSON"),
+    ("[1]", "descriptor table: must be a JSON object"),
+    ('{"1": {"argz": {}}}', "syscall 1: unknown field 'argz'"),
+])
+def test_a_bad_descriptors_file_is_exit_2(tmp_path, trace_file, capsys,
+                                          command, text, message):
+    path = tmp_path / "descriptors.json"
+    path.write_text(text)
+    target = "cve-2016-0728" if command == "scenario" else trace_file
+    assert main([command, target, "--descriptors", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: --descriptors {path}: {message}")
+
+
 @pytest.mark.parametrize("schedule,message", [
     ("seed:abc", "invalid literal"),
     ("1,x", "invalid literal"),
@@ -226,9 +242,9 @@ def test_run_help_lists_every_generator_and_field(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--help"])
     out = capsys.readouterr().out
-    for name, (_, summary, fields) in GENERATORS.items():
+    for name, (_, summary, shape) in GENERATORS.items():
         assert f"  {name:<18} {summary}\n" in out
-        for key in fields:
+        for key in shape.types.keys() - {"generator"}:
             assert f"      {key:<14} " in out, (name, key)
     assert 'deny           an action, default "errno:1"' in out
 

@@ -14,6 +14,7 @@ from sfvm.engine import Engine
 from sfvm.isa import MapKind, encode_program
 from sfvm.policies import (
     GENERATORS,
+    PARAMS,
     PROFILE_NR_LIMIT,
     SENTINEL,
     PhaseProfile,
@@ -33,7 +34,6 @@ from sfvm.policies import (
     parse_action,
 )
 
-from . import fuzz_specs
 from .helpers import TEST_SPECS, attach, ctx, probe, spec_corpus
 
 
@@ -471,23 +471,15 @@ def test_spec_corpus_builds_the_pinned_programs():
 
 
 def test_every_generator_field_names_a_parameter():
-    for name, (gen, summary, fields) in GENERATORS.items():
+    for name, (gen, summary, shape) in GENERATORS.items():
         params = inspect.signature(gen).parameters
         assert summary and len(summary) <= 58, name
-        for key, (param, kind, required) in fields.items():
-            assert param in params, (name, key)
-            # a required field has no default to fall back on
-            assert required == (params[param].default is
-                                inspect.Parameter.empty), (name, key)
-        # every parameter is reachable from a spec
-        assert {param for param, _, _ in fields.values()} == set(params)
-
-
-def test_full_specs_cover_every_field_and_build():
-    assert list(fuzz_specs.FULL_SPECS) == list(GENERATORS)
-    for name, spec in fuzz_specs.FULL_SPECS.items():
-        assert set(spec) == {"generator", *GENERATORS[name][2]}, name
-        assert fuzz_specs.crash(spec) is None, name
+        fields = {PARAMS.get(key, key): (key,) in shape.required
+                  for key in shape.types.keys() - {"generator"}}
+        # every parameter is reachable from a spec, and a required field
+        # has no default to fall back on
+        assert fields == {param: value.default is inspect.Parameter.empty
+                          for param, value in params.items()}, name
 
 
 @pytest.mark.parametrize("spec,message", [
@@ -565,8 +557,3 @@ def test_a_spec_defaults_as_its_generator_does():
         {"generator": "flow_integrity", "syscalls": [1],
          "transitions": [[None, 1]], "origins": {}})) == \
         encode_program(gen_flow_integrity([1], [(None, 1)]))
-
-
-def test_malformed_specs_are_refused_or_verify():
-    # a fixed slice of `python -m tests.fuzz_specs`
-    assert fuzz_specs.main(["--seed", "1", "--specs", "2000"]) == 0

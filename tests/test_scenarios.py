@@ -7,9 +7,6 @@ import copy
 import pytest
 
 from sfvm.scenarios import (
-    CHECKS,
-    MODES,
-    SCENARIO,
     ScenarioError,
     bundled_scenario_names,
     decision_windows_overlap,
@@ -18,7 +15,6 @@ from sfvm.scenarios import (
     run_scenario,
 )
 
-from . import fuzz_scenarios
 from .helpers import bundled_descriptors
 
 EXPECTED = [
@@ -148,6 +144,7 @@ MALFORMED = [
      "run", {"max_steps": 16}, "'max_steps' is for explore scenarios only"),
     ("title-integer",
      "run", {"title": 5}, "title must be a string"),
+    ("mode-integer", "run", {"mode": 1}, "mode must be a string"),
 ]
 
 
@@ -165,23 +162,6 @@ def test_a_malformed_spec_is_refused_before_the_run(
     with pytest.raises(ScenarioError) as refused:
         run_scenario(spec)
     assert str(refused.value) == f"scenario x: {message}"
-
-
-def test_the_fuzz_harness_starts_from_every_check_kind():
-    assert list(fuzz_scenarios.FULL_CHECKS) == list(CHECKS)
-    for kind, entry in CHECKS.items():
-        # every field and every key, so each is swapped and taken out
-        spec = fuzz_scenarios.full_spec(kind)
-        assert set(spec) == {*" ".join(SCENARIO).split(),
-                             MODES[entry.mode]}
-        assert set(spec["checks"][0]) == {
-            "check", *f"{entry.required} {entry.optional}".split()}
-        assert len(run_scenario(spec).checks) == 1, kind
-
-
-def test_fuzz_scenarios_finds_no_crash():
-    # one full pass of `python -m tests.fuzz_scenarios`
-    assert fuzz_scenarios.main(["--seed", "1"]) == 0
 
 
 # -- the overlap judgment -----------------------------------------------------

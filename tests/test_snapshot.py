@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -71,7 +72,7 @@ def test_record_fields_parse():
     ({"1": {"args": {"0": {"kind": "mystery"}}}}, "unknown descriptor kind"),
     ({"1": {"args": {"0": {"kind": "user_buffer", "size": 0}}}}, "bad size"),
     ({"1": {"args": {"0": {"kind": "user_buffer"}}}}, "bad size"),
-    ({"1": {"args": {"0": {"kind": "user_string", "size": 8}}}}, "bad size"),
+    ({"1": {"args": {"0": {"kind": "user_string"}}}}, "bad size"),
     ({"1": {"args": {"0": {"kind": "user_record", "size": 8, "fields":
         [{"offset": 4, "kind": "user_buffer", "size": 8}]}}}}, "does not fit"),
     ({"1": {"args": {"0": {"kind": "user_record", "size": 16, "fields":
@@ -98,6 +99,22 @@ def test_record_fields_parse():
     ({"1": {"args": {"0": {"kind": "user_record", "size": 16, "fields":
         [{"offset": 0, "kind": "user_string", "max": 0}]}}}},
      r"fields\[0\]: bad size"),
+    ({"1": {"name": 5, "args": {}}}, "^syscall 1 name: must be a string$"),
+    # a key no shape declares, which a typo makes
+    ({"1": {"argz": {"1": {"kind": "user_buffer", "size": 64}}}},
+     "^syscall 1: unknown field 'argz'$"),
+    ({"1": {"args": {"0": {"kind": "scalar", "junk": 1}}}},
+     "^syscall 1 arg 0: unknown field 'junk'$"),
+    ({"1": {"args": {"0": {"kind": "user_string", "size": 8}}}},
+     "^syscall 1 arg 0: unknown field 'size'$"),
+    ({"1": {"args": {"0": {"kind": "user_record", "size": 16, "fields": [
+        {"offset": 0, "kind": "user_buffer", "size": 8, "junk": 1}]}}}},
+     r"^syscall 1 arg 0\.fields\[0\]: unknown field 'junk'$"),
+    ({"1": {"args": {"01": {"kind": "scalar"}}}},
+     r"^syscall 1: bad argument index '01' \(out of range 0-5\)$"),
+    *(({key: {"args": {}}}, f"^bad syscall number {re.escape(repr(key))}$")
+      for key in ("-5", " 7 ", "1_0", "\u0661\u0662", "+1",
+                  "99999999999999999999999")),
 ])
 def test_table_rejects_bad_descriptors(spec, fragment):
     with pytest.raises(DescriptorError, match=fragment):
