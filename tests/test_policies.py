@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import random
 import re
 
 import pytest
@@ -34,6 +35,7 @@ from sfvm.policies import (
     parse_action,
 )
 
+from . import fuzz_inputs
 from .helpers import TEST_SPECS, attach, ctx, probe, spec_corpus
 
 
@@ -482,6 +484,13 @@ def test_every_generator_field_names_a_parameter():
                           for param, value in params.items()}, name
 
 
+def test_full_specs_cover_every_field_and_build():
+    assert list(fuzz_inputs.FULL_SPECS) == list(GENERATORS)
+    for name, spec in fuzz_inputs.FULL_SPECS.items():
+        assert set(spec) == set(GENERATORS[name][2].types), name
+        fuzz_inputs.FORMATS["spec"].run(spec, random.Random(1))
+
+
 @pytest.mark.parametrize("spec,message", [
     ([], "a policy spec must be an object, not list"),
     ({}, "unknown policy generator None"),
@@ -557,3 +566,8 @@ def test_a_spec_defaults_as_its_generator_does():
         {"generator": "flow_integrity", "syscalls": [1],
          "transitions": [[None, 1]], "origins": {}})) == \
         encode_program(gen_flow_integrity([1], [(None, 1)]))
+
+
+def test_malformed_specs_are_refused_or_verify():
+    # the spec slice of `python -m tests.fuzz_inputs`
+    assert fuzz_inputs.fuzz("spec", random.Random(1)) == 0

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import copy
+import random
 
 import pytest
 
 from sfvm.scenarios import (
+    CHECKS,
+    MODES,
+    SCENARIO,
     ScenarioError,
     bundled_scenario_names,
     decision_windows_overlap,
@@ -15,6 +19,7 @@ from sfvm.scenarios import (
     run_scenario,
 )
 
+from . import fuzz_inputs
 from .helpers import bundled_descriptors
 
 EXPECTED = [
@@ -165,6 +170,22 @@ def test_a_malformed_spec_is_refused_before_the_run(
 
 
 # -- the overlap judgment -----------------------------------------------------
+
+
+def test_the_fuzz_harness_starts_from_every_check_kind():
+    assert list(fuzz_inputs.FULL_CHECKS) == list(CHECKS)
+    for kind, entry in CHECKS.items():
+        # every field and every key, so each is swapped and taken out
+        spec = fuzz_inputs.full_scenario(kind)
+        assert set(spec) == set(SCENARIO.types) - {
+            MODES[mode] for mode in MODES if mode != entry.mode}
+        assert set(spec["checks"][0]) == set(entry.shape.types)
+        assert len(run_scenario(spec).checks) == 1, kind
+
+
+def test_fuzz_scenarios_finds_no_crash():
+    # the scenario slice of `python -m tests.fuzz_inputs`
+    assert fuzz_inputs.fuzz("scenario", random.Random(1)) == 0
 
 
 def dec(nr, action="allow", marker=False, task=1):
