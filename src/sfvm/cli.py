@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 the operation ran but reported failure (a
-rejected program, a failing scenario), 2 bad usage (a trace, schedule,
-scenario or descriptor table that cannot be used as written) or a
-refused exploration.  Program file arguments accept either the binary
-container or assembly text; the magic bytes decide which.
+rejected program, a failing scenario), 2 bad usage (a file that cannot be
+read, or a trace, schedule, scenario or descriptor table that cannot be
+used as written) or a refused exploration.  Program file arguments
+accept either the binary container or assembly text; the magic bytes
+decide which.
 """
 
 from __future__ import annotations
@@ -266,6 +267,11 @@ def main(argv=None) -> int:
     except DescriptorError as exc:  # only `_descriptors` raises it
         print(f"error: --descriptors {args.descriptors}: {exc}",
               file=sys.stderr)
+        return 2
+    except OSError as exc:          # a file named on the command line
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc}", file=sys.stderr)
         return 2
 
 

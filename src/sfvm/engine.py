@@ -627,7 +627,8 @@ def _parse_checkpoint(blob: bytes):
 
 def _adopt(program: FilterProgram):
     """Take a checkpointed program, and its handoff targets, on trust:
-    no verification pass."""
+    no verification pass, so no facts, and the interpreter runs them on
+    their checked per-pc handlers alone."""
     for decl in program.map_refs:
         for nested in decl.initial_programs.values():
             _adopt(nested)

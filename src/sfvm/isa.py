@@ -416,15 +416,19 @@ class MapDecl:
 class FilterProgram:
     """A filter: instructions plus the maps it references.
 
-    `verified` is set by the verifier and `load_userns` by the engine at
-    load time; both start unset.  `compiled` points at the interpreter's
-    lowering of `instructions` (fused blocks at block entries, per-pc
-    handlers elsewhere), made on first run and shared by every program
-    with equal instructions (see `vm`).  `verdicts` memoizes the engine's
+    `verified` and `facts` are set by the verifier and `load_userns` by
+    the engine at load time; all start unset.  `facts` holds, per pc, the
+    join of every abstract state the verifier reached there (None where
+    it reached none).  `compiled` points at the interpreter's lowering
+    (see `vm`), made on first run and shared by every program with equal
+    instructions and facts: fused blocks written from the facts at block
+    entries and per-pc handlers elsewhere, or the per-pc handlers alone
+    for a program without facts.  `verdicts` memoizes the engine's
     (outcome, resolved action) per syscall number for runs that read
-    nothing but `nr` (see `vm.VmThread.pure`); every copy made with
-    `replace` starts with an empty one.  Once loaded a program is
-    immutable (both caches are functions of it): copies share it.
+    nothing but `nr` (see `vm.VmThread.pure`).  A copy made with
+    `replace` starts without facts, lowering or verdicts.  Once loaded a
+    program is immutable (the caches are functions of it): copies share
+    it.
     """
 
     instructions: tuple
@@ -432,6 +436,8 @@ class FilterProgram:
     map_refs: tuple = ()
     verified: bool = False
     load_userns: int | None = None
+    facts: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
     compiled: list | None = field(default=None, init=False, repr=False,
                                    compare=False)
     verdicts: dict = field(default_factory=dict, init=False, repr=False,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import re
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -44,6 +45,7 @@ DENYLIST_HASH_CAPACITY = 512
 # entries of each validation checker's decision cache
 VALIDATION_CACHE_CAPACITY = 1024
 
+_ERRNO_FORM = re.compile(r"[0-9]+|0[xX][0-9a-fA-F]+")     # ASCII, not signed
 _ACTION_WORDS = {
     "allow": RET_ALLOW,
     "log": RET_LOG,
@@ -63,12 +65,17 @@ def parse_action(spec) -> int:
         if spec in _ACTION_WORDS:
             return _ACTION_WORDS[spec]
         if spec.startswith("errno:"):
+            text = spec[len("errno:"):]
             try:
-                code = int(spec[len("errno:"):], 0)
+                code = int(text, 0)
             except ValueError:
                 raise ValueError(f"bad errno in {spec!r}") from None
             if not 0 <= code <= 0xFFF:
                 raise ValueError(f"errno out of range in {spec!r}")
+            # int() also reads signs, spaces, underscores, other bases
+            # and non-ASCII digits
+            if not _ERRNO_FORM.fullmatch(text):
+                raise ValueError(f"bad errno in {spec!r}")
             return RET_ERRNO | code
     raise ValueError(f"unknown action spec {spec!r}")
 

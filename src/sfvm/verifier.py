@@ -45,6 +45,13 @@ execute within the budget at run time, at the price of rejecting some
 terminating programs (e.g. loops bounded only by values unknown at
 verification time).
 
+Every state the pass or the walk reaches at a pc is joined into that
+pc's fact, and an accepted program keeps them (`FilterProgram.facts`,
+after the kernel's per-instruction `bpf_insn_aux_data`).  Since the
+states reached cover every state a run can reach, so does each fact; the
+interpreter writes its fused blocks from the facts and tests none of
+them at run time (see `vm`).  A pc no state reached has no fact.
+
 Pointer discipline matches the generated-policy subset rather than the
 full kernel verifier: pointers may be copied and offset by known
 constants, never spilled to the stack, compared (except null checks on
@@ -123,6 +130,7 @@ class VerifierReport:
     abstract_steps: int = 0
     joined_states: int = 0      # region entries the joined pass proved
     walked_states: int = 0      # states the path walk expanded
+    facts: dict = field(default_factory=dict, repr=False)   # see `verify`
 
     def to_json(self) -> dict:
         return {
@@ -148,6 +156,7 @@ class _Walker:
         self.program = program
         self.insns = program.instructions
         self.visits: dict[int, int] = {}
+        self.facts: dict = {}       # pc -> the join of every state at it
         self.joined_steps = 0
         self.joined_states = 0
 
@@ -156,7 +165,7 @@ class _Walker:
                               notes=dict(self.visits),
                               abstract_steps=self.joined_steps + walked,
                               joined_states=self.joined_states,
-                              walked_states=walked)
+                              walked_states=walked, facts=self.facts)
 
     def joined_pass(self, rank, pc, state):
         """Prove (pc, state) in one pass over the acyclic region below it,
@@ -227,6 +236,8 @@ class _Walker:
         if pc < 0 or pc >= len(self.insns):
             raise _Violation(pc, "control falls off program end")
         self.visits[pc] = self.visits.get(pc, 0) + 1
+        seen = self.facts.get(pc)
+        self.facts[pc] = state if seen is None else _join(seen, state)
         ins = self.insns[pc]
         op = ins.opcode
 
@@ -464,10 +475,14 @@ def _acyclic_ranks(insns):
 
 
 def verify(program: FilterProgram) -> VerifierReport:
-    """Check `program`; on acceptance its `verified` flag is set."""
+    """Check `program`; on acceptance its `verified` flag and its `facts`
+    (per pc, the join of every abstract state reached there, or None
+    where none was) are set."""
     report = _search(program, joined=True)
     if report.accepted:
         program.verified = True
+        program.facts = tuple(map(report.facts.get,
+                                  range(len(program.instructions))))
     return report
 
 

@@ -9,8 +9,8 @@ instruction: the step counter only moves on completion, the program
 counter stays put, and resuming simply re-dispatches the same
 instruction (whose helper re-checks its wake condition).
 
-Every structural rule the static checker enforces is re-checked here
-and raised as a fault, so an interpreter bug or a forged "verified"
+The per-pc handlers re-check every structural rule the static checker
+enforces and raise a fault, so an interpreter bug or a forged "verified"
 flag degrades to the configured bad-filter action instead of silently
 corrupting state.  On a genuinely verified program none of these
 checks can fire.  For helper calls and `tail_call` the contract is one
@@ -20,28 +20,33 @@ each call site checks its argument registers against it.
 A program is lowered once, on its first run, much as the kernel's BPF
 JIT compiles a program to native code.  Each pc has a checked per-pc
 handler, a closure with operand form, immediate, jump targets and
-semantics (`isa.ALU_OPS`/`COND_OPS`) bound in.  Each block entry (pc 0,
+semantics (`isa.ALU_OPS`/`COND_OPS`) bound in.  A program the verifier
+accepted also carries its `facts`: per pc, the join of every abstract
+state the verifier reached there.  For it, each block entry (pc 0,
 every jump target, and the pc after each call, `tail_call`, `ja` and
-`exit`) also gets a fused block: Python source generated from
+`exit`) gets a fused block: Python source generated from
 `isa.ALU_EXPRS`/`COND_EXPRS` and compiled once, which keeps registers in
 locals, runs on through untaken branches and calls, and stops at the
-next jump target.  It knows r10-derived pointers as frame offsets at
-compile time, so stack loads, stores and lookup keys at a constant
-offset are direct slices whose bounds and alignment were checked then,
-and it calls `map_lookup_elem` itself when it knows the map and the key.
-Whatever it cannot prove (an operand's type, an initialised slot, a
-pointer it cannot place, room below `STEP_LIMIT`) it checks at run time,
-and where that check fails it writes back registers, pc and steps and
-hands the instruction to its per-pc handler, so every fault, step count,
-park and handoff comes from the checked code.  Other calls go through
-their handlers too.  A block is written and compiled when it is first
-entered, so code no run reaches costs no compile.
+next jump target.  Like the kernel's JIT, which trusts what the verifier
+recorded per instruction, a block takes each register's type, each
+frame pointer's offset and each known constant from the facts and tests
+none of them at run time: stack loads, stores and lookup keys are
+direct slices, and it calls `map_lookup_elem` itself when it sees the
+map and the key.  An instruction the facts do not type for it is handed,
+unconditionally, to its per-pc handler with registers, pc and steps
+written back, as are other calls; the one run-time check left in a
+block is that it cannot cross `STEP_LIMIT`.  A block is written and
+compiled when it is first entered, so code no run reaches costs no
+compile.  Should a block still raise (a wrong fact), the run faults
+with the exception's text.
 
-A lowering depends on the instructions alone: maps, `sleepable` and the
-context are read from the thread at run time.  So one table, bounded and
-least recently used first out, keyed by the instruction tuple, serves
-every program with equal instructions (`FilterProgram.compiled` points
-at its entry), and threads stay plain data.
+A program without facts (restored on trust, or a forged flag) runs on
+its per-pc handlers alone.  A lowering depends on the instructions and
+the facts alone: maps, `sleepable` and the context are read from the
+thread at run time.  So one table, bounded and least recently used first
+out, keyed by both, serves every program with equal instructions and
+facts (`FilterProgram.compiled` points at its entry), and threads stay
+plain data.
 
 A run that reads no context field but `nr` and calls no helper (nor
 `tail_call`) leaves the thread `pure`: its outcome, fault included, is a
@@ -81,7 +86,6 @@ from .isa import (
     COND_OPS,
     CTX_FIELDS,
     CTX_LOADS,
-    FRAME_REG,
     FilterProgram,
     HELPER_NAMES,
     HELPER_PROTOS,
@@ -93,7 +97,6 @@ from .isa import (
     MapArg,
     NUM_REGS,
     Opcode,
-    RET_SCALAR,
     STACK_SIZE,
     SyscallContext,
     TAIL_CALL_PROTO,
@@ -325,6 +328,8 @@ class VmThread:
                     self.steps += 1
             except VmFault as exc:
                 self._fault(str(exc))
+            except Exception as exc:    # fail closed: a wrong fact, a bug
+                self._fault(f"{type(exc).__name__}: {exc}")
         return "done"
 
     # -- helpers -----------------------------------------------------------
@@ -426,22 +431,23 @@ class VmThread:
 #
 # The per-pc handlers are the checked reference path: each executes one
 # instruction and faults exactly as decoding each step would.  A fused
-# block hands them every instruction whose precondition fails, and every
-# call but a lookup it can see whole.
+# block hands them every instruction the facts do not type for it, and
+# every call but a lookup it can see whole.
 
 _PARKED = object()
 _HANDED_OFF = object()
 _CLOBBERED = [_UNSET] * 5     # r1..r5 after a call
 
 LOWERINGS_KEPT = 256
-_LOWERINGS: dict = {}     # instructions -> code, least recently used first
+# (instructions, facts) -> code, least recently used first
+_LOWERINGS: dict = {}
 
 
 def _compile(program: FilterProgram) -> list:
-    key = tuple(program.instructions)
+    key = (tuple(program.instructions), program.facts)
     code = _LOWERINGS.pop(key, None)
     if code is None:
-        code = _lower_program(key)
+        code = _lower_program(*key)
         if len(_LOWERINGS) >= LOWERINGS_KEPT:
             del _LOWERINGS[next(iter(_LOWERINGS))]
     _LOWERINGS[key] = code
@@ -449,13 +455,15 @@ def _compile(program: FilterProgram) -> list:
     return code
 
 
-def _lower_program(instructions: tuple) -> list:
+def _lower_program(instructions: tuple, facts) -> list:
+    """Per-pc handlers, and with facts a fused block at each entry."""
     handlers = tuple(_lower(pc, ins) for pc, ins in enumerate(instructions))
     code = list(handlers)
-    entries, targets = _block_entries(instructions)
-    for entry in entries:
-        code[entry] = _on_first_entry(code, instructions, entry, targets,
-                                      handlers)
+    if facts is not None:
+        entries, targets = _block_entries(instructions)
+        for entry in entries:
+            code[entry] = _on_first_entry(code, instructions, facts, entry,
+                                          targets, handlers)
     return code
 
 
@@ -633,23 +641,17 @@ def _lower_jump(base, imm_form, dst, src, imm, nxt, taken):
 # jump target, and the pc after each call, tail_call, ja and exit.  It
 # runs on through untaken branches (a taken one is a side exit) and
 # through calls, and stops at the next jump target.  Registers live in
-# locals and are written through to the thread, except pointers the block
-# knows at compile time, which it writes back only when it leaves.  What
-# the block knows of each register at compile time is its kind:
-
-_ANY = "any"            # rK holds the register, of a type not yet checked
-_INT = "int"            # rK holds a scalar
-_NULLABLE = "nullable"  # rK holds a memory pointer or the scalar 0
-_PTR = "pointer"        # rK holds a memory pointer
-# _UNSET: clobbered by a call; no local
-# ("fp", off): the frame pointer moved to byte `off` of the stack; no local
-# ("map", name): a reference to the map in local `name`; no register local
-# A register the block has not read yet has no kind: the thread holds it.
+# locals and are written through to the thread, except frame pointers and
+# map references, which the facts give exactly and which the block writes
+# back only when it leaves.  What it knows of a register is the tag the
+# verifier's facts give it at the pc (`verifier` names them): K a known
+# scalar, U a scalar, C the context, S a frame pointer, M a map
+# reference, V a map value pointer, N one that may be null, X nothing.
 
 _load = struct.Struct("<Q").unpack_from
 _store = struct.Struct("<Q").pack_into
 _lookup = VmThread._helper_map_lookup_elem
-_LOOKUP_KINDS = HELPER_PROTOS[Helper.MAP_LOOKUP_ELEM][0][0].kinds
+_SCALARS = ("K", "U")
 _ENDS_BEFORE = frozenset({Opcode.CALL, Opcode.TAIL_CALL, Opcode.JA,
                           Opcode.EXIT})    # the pc after one is an entry
 # how `_BlockWriter.insn` left an instruction
@@ -673,7 +675,7 @@ def _block_entries(instructions: tuple) -> tuple:
     return sorted(e for e in entries if 0 <= e < len(instructions)), targets
 
 
-def _on_first_entry(code, instructions, entry, targets, handlers):
+def _on_first_entry(code, instructions, facts, entry, targets, handlers):
     """Holds the place of the block at `entry` until it is first entered,
     then writes and compiles it and gives its place to it (or to the
     handler, when it would fuse nothing): a block never entered costs no
@@ -683,7 +685,7 @@ def _on_first_entry(code, instructions, entry, targets, handlers):
     def first_entry(t, env):
         nonlocal block
         if block is None:
-            writer = _BlockWriter(instructions, entry, targets)
+            writer = _BlockWriter(instructions, facts, entry, targets)
             block = code[entry] = _fuse(writer, handlers) if writer.fused \
                 else handlers[entry]
         return block(t, env)
@@ -698,38 +700,38 @@ def _fuse(writer, handlers: tuple):
     return namespace["build"](handlers)
 
 
-def fused_pcs(instructions: tuple) -> set:
-    """The pcs of `instructions` that some fused block runs inline."""
-    entries, targets = _block_entries(instructions)
+def fused_pcs(program: FilterProgram) -> set:
+    """The pcs of `program` that some fused block runs inline: none
+    without facts."""
+    if program.facts is None:
+        return set()
+    entries, targets = _block_entries(program.instructions)
     return {pc for entry in entries
-            for pc in _BlockWriter(instructions, entry, targets).fused}
-
-
-def _is_fp(kind) -> bool:
-    return type(kind) is tuple and kind[0] == "fp"
-
-
-def _is_map(kind) -> bool:
-    return type(kind) is tuple and kind[0] == "map"
+            for pc in _BlockWriter(program.instructions, program.facts,
+                                   entry, targets).fused}
 
 
 class _BlockWriter:
-    """The source of the block that starts at `entry`.
+    """The source of the block that starts at `entry`, written from the
+    verifier's `facts`.
 
-    Each instruction's precondition is checked where the compile-time
-    kinds cannot prove it: operand types, initialised stack slots, a
-    pointer the block can place.  Where it fails the block writes back
-    its pointers, `pc` and `steps` and hands the instruction to its
-    per-pc handler, so every fault and park comes from the checked code.
-    At entry the block checks that it cannot cross `STEP_LIMIT`.
+    An instruction is fused when the facts at its pc give its operands
+    the tags its code needs; otherwise the block writes back its
+    pointers, `pc` and `steps` and hands it to its per-pc handler, and
+    ends.  Nothing else is tested at run time: the verifier proved every
+    instruction a verified program executes safe (in bounds, initialised,
+    of an accepted map kind) in each state that reaches it, and the facts
+    cover each such state.  At entry the block checks that it cannot cross
+    `STEP_LIMIT`.
     """
 
-    def __init__(self, instructions: tuple, entry: int, targets: set):
+    def __init__(self, instructions: tuple, facts: tuple, entry: int,
+                 targets: set):
         self.entry = entry
         self.body: list[str] = []
         self.depth = 2
-        self.kinds: dict = {FRAME_REG: ("fp", STACK_SIZE)}
-        self.dirty: set = set()     # pointers the thread holds stale
+        self.loaded: set = set()    # registers whose local is current
+        self.dirty: dict = {}       # register -> the pointer the thread lacks
         self.done = 0               # instructions completed before this one
         self.uses: set = set()
         self.impure = False         # t.pure is cleared on every path here
@@ -740,9 +742,13 @@ class _BlockWriter:
                 self.leave(self.steps(self.done - 1), f"return {pc}")
                 break
             self.size = pc - entry + 1
-            how = self.insn(pc, instructions[pc])
+            how = _HAND
+            if facts[pc] is not None:
+                self.regs, self.init = facts[pc]
+                how = self.insn(pc, instructions[pc])
             if how is _HAND:
-                self.hand_over(pc)
+                self.leave(self.steps(self.done), f"t.pc = {pc}",
+                           f"return _h[{pc}](t, env)")
                 break
             if how is not _CALLED:
                 self.fused.append(pc)
@@ -774,31 +780,12 @@ class _BlockWriter:
     def steps(self, done: int) -> str:
         return f"t.steps = s0 + {done}" if done else ""
 
-    def value(self, reg: int) -> str:
-        """The expression that materialises the pointer in r{reg}."""
-        kind = self.kinds[reg]
-        if _is_fp(kind):
-            self.uses.add("stk")
-            return f"MemPtr(stk, {kind[1]})"
-        return f"MapRef({kind[1]})"
-
     def leave(self, *lines: str):
         """Write back stale pointers, then `lines`."""
         for reg in sorted(self.dirty):
-            self.emit(f"regs[{reg}] = {self.value(reg)}")
+            self.emit(f"regs[{reg}] = {self.dirty[reg]}")
         for line in lines:
             self.emit(line)
-
-    def hand_over(self, pc: int):
-        self.leave(self.steps(self.done), f"t.pc = {pc}",
-                   f"return _h[{pc}](t, env)")
-
-    def guard(self, cond: str, pc: int):
-        """Hand instruction `pc` to its handler when `cond` holds."""
-        self.emit(f"if {cond}:")
-        self.depth += 1
-        self.hand_over(pc)
-        self.depth -= 1
 
     def side_exit(self, cond: str, target: int):
         self.emit(f"if {cond}:")
@@ -808,253 +795,172 @@ class _BlockWriter:
 
     # -- registers ------------------------------------------------------
 
-    def read(self, reg: int):
-        kind = self.kinds.get(reg)
-        if kind is None:
+    def value(self, tag: tuple, reg: int) -> str:
+        """An operand of `tag`: its known value, or r{reg}'s local, read
+        from the thread first if need be."""
+        if tag[0] == "K":
+            return str(tag[1])
+        if reg not in self.loaded:
             self.emit(f"r{reg} = regs[{reg}]")
-            kind = self.kinds[reg] = _ANY
-        return kind
+            self.loaded.add(reg)
+        return f"r{reg}"
 
-    def write(self, reg: int, kind, expr=None):
-        """r{reg} becomes `expr`, in its local and in the thread; or,
-        without one, a pointer of `kind` written back only on leaving."""
-        self.kinds[reg] = kind
-        if expr is None:
-            self.dirty.add(reg)
+    def write(self, reg: int, expr: str):
+        """r{reg} becomes `expr`, in its local and in the thread."""
+        self.emit(f"regs[{reg}] = r{reg} = {expr}")
+        self.loaded.add(reg)
+        self.dirty.pop(reg, None)
+
+    def point(self, reg: int, tag: tuple):
+        """r{reg} becomes the frame pointer or map reference `tag`,
+        written back only on leaving."""
+        if tag[0] == "S":
+            self.uses.add("stk")
+            self.dirty[reg] = f"MemPtr(stk, {STACK_SIZE + tag[1]})"
         else:
-            self.emit(f"regs[{reg}] = r{reg} = {expr}")
-            self.dirty.discard(reg)
+            self.uses.add("maps")
+            self.dirty[reg] = f"MapRef(maps[{tag[1]}])"
+        self.loaded.discard(reg)
 
-    def scalar(self, reg: int, pc: int) -> bool:
-        """Whether r{reg} is a scalar from here on, guarding if need be."""
-        if self.read(reg) in (_ANY, _NULLABLE):
-            self.guard(f"type(r{reg}) is not int", pc)
-            self.kinds[reg] = _INT
-        return self.kinds[reg] is _INT
-
-    # -- instructions ---------------------------------------------------
-
-    def insn(self, pc: int, ins) -> str:
-        op, dst, src, off, imm = ins
-        if op in ALU_BASE:
-            return self.alu(pc, ALU_BASE[op], op in IMM_FORM, dst, src, imm)
-        if op in JUMP_BASE:
-            return self.branch(pc, JUMP_BASE[op], op in IMM_FORM, dst, src,
-                               imm, pc + 1 + off)
-        if op == Opcode.JA:
-            self.leave(self.steps(self.done), f"return {pc + 1 + off}")
-            return _END
-        if op == Opcode.LD_IMM64:
-            if src == LD_IMM64_MAP_REF:
-                return self.map_ref(pc, dst, imm)
-            return _HAND if src else self.alu(pc, "mov", True, dst, 0, imm)
-        if op == Opcode.LD_CTX:
-            return self.ld_ctx(dst, off)
-        if op == Opcode.LD_MAP:
-            return self.ld_map(pc, dst, src, off)
-        if op == Opcode.ST_MAP:
-            return self.st_map(pc, dst, src, off)
-        if op == Opcode.CALL:
-            return self.call(pc, imm)
-        if op == Opcode.TAIL_CALL:
-            return self.through_handler(pc, TAIL_CALL_PROTO[1])
-        if op == Opcode.EXIT:
-            return self.exit(pc)
-        return _HAND
-
-    def alu(self, pc, base, imm_form, dst, src, imm) -> str:
-        if dst == FRAME_REG:
-            return _HAND
-        rhs = str(imm & U64_MASK)
-        if base == "mov" and not imm_form:
-            kind = self.read(src)
-            if kind is _UNSET:
-                return _HAND
-            if kind is _ANY:
-                # the unset marker is a tuple, and so is r1's context,
-                # whose copies are legal but rare: the handler takes both
-                self.guard(f"type(r{src}) is tuple", pc)
-            self.write(dst, kind, f"r{src}" if type(kind) is str else None)
-            return _FUSED
-        if base != "mov":
-            kind = self.read(dst)
-            if _is_fp(kind) and imm_form and base in ("add", "sub"):
-                delta = _pointer_delta(base, imm & U64_MASK)
-                self.write(dst, ("fp", kind[1] + delta))
-                return _FUSED
-            if not self.scalar(dst, pc):
-                return _HAND
-            if not imm_form:
-                if not self.scalar(src, pc):
-                    return _HAND
-                rhs = f"r{src}"
-        self.write(dst, _INT, _render(ALU_EXPRS[base], f"r{dst}", rhs))
-        return _FUSED
-
-    def branch(self, pc, base, imm_form, dst, src, imm, target) -> str:
-        cond = COND_EXPRS[base]
-        if imm_form and imm == 0 and base in ("jeq", "jne") \
-                and self.read(dst) in (_NULLABLE, _PTR):
-            # the null check on a lookup result: a memory pointer is
-            # never null, and the only scalar here is 0
-            if self.kinds[dst] is _PTR:
-                if base == "jeq":
-                    return _FUSED
-                self.leave(self.steps(self.done), f"return {target}")
-                return _END
-            self.side_exit(f"type(r{dst}) is {'' if base == 'jeq' else 'not '}"
-                           "int", target)
-            self.kinds[dst] = _PTR if base == "jeq" else _INT
-            return _FUSED
-        if imm_form and imm == 0 and base in ("jeq", "jne") \
-                and self.kinds[dst] is _ANY:
-            # the same on a register of unknown type: any other
-            # non-scalar faults
-            self.emit(f"if type(r{dst}) is int:")
-            self.depth += 1
-            self.side_exit(_render(cond, f"r{dst}", "0"), target)
-            self.depth -= 1
-            if base == "jeq":
-                self.emit(f"elif type(r{dst}) is not MemPtr:")
-                self.depth += 1
-                self.hand_over(pc)
-                self.depth -= 1
-                return _FUSED
-            self.emit(f"elif type(r{dst}) is MemPtr:")
-            self.depth += 1
-            self.leave(self.steps(self.done), f"return {target}")
-            self.depth -= 1
-            self.emit("else:")
-            self.depth += 1
-            self.hand_over(pc)
-            self.depth -= 1
-            self.kinds[dst] = _INT      # only a zero falls through
-            return _FUSED
-        if not self.scalar(dst, pc):
-            return _HAND
-        rhs = str(imm & U64_MASK)
-        if not imm_form:
-            if not self.scalar(src, pc):
-                return _HAND
-            rhs = f"r{src}"
-        self.side_exit(_render(cond, f"r{dst}", rhs), target)
-        return _FUSED
-
-    def map_ref(self, pc, dst, idx) -> str:
-        if dst == FRAME_REG or idx < 0:
-            return _HAND
-        self.uses.add("maps")
-        self.guard(f"len(maps) <= {idx}", pc)
-        name = f"m{pc}"
-        self.emit(f"{name} = maps[{idx}]")
-        self.write(dst, ("map", name))
-        return _FUSED
-
-    def ld_ctx(self, dst, off) -> str:
-        if CTX_FIELDS.get(off) is None or dst == FRAME_REG:
-            return _HAND
-        self.uses.add("c")
-        if off:
-            self.clear_pure()
-        self.write(dst, _INT, _render(CTX_LOADS[off], "", ""))
-        return _FUSED
-
-    def frame_slot(self, kind, off):
-        """The stack offset of an 8-byte access `off` bytes from a frame
-        pointer, or None when the access faults."""
-        at = kind[1] + off
+    def frame_slot(self, tag: tuple, off: int):
+        """The stack offset of an 8-byte access `off` bytes from the frame
+        pointer `tag`, or None when it would fault."""
+        at = STACK_SIZE + tag[1] + off
         if at % 8 or at < 0 or at + 8 > STACK_SIZE:
             return None
         self.uses.add("stk")
         return at
 
-    def place(self, pc, reg, off, for_write):
-        """Locals b and a: the buffer and offset of an 8-byte access `off`
-        bytes from the pointer in r{reg}, placed at run time."""
-        self.uses.add("stk")
-        if self.kinds[reg] is not _PTR:
-            self.guard(f"type(r{reg}) is not MemPtr", pc)
-            self.kinds[reg] = _PTR
-        self.emit(f"b, a = r{reg}.buf, r{reg}.off + {off}")
-        cond = "a & 7 or a < 0 or a + 8 > len(b)"
-        if not for_write:
-            cond += " or b is stk and not (t.stack_init >> (a >> 3)) & 1"
-        self.guard(cond, pc)
+    # -- instructions ---------------------------------------------------
 
-    def ld_map(self, pc, dst, src, off) -> str:
-        if dst == FRAME_REG:
-            return _HAND
-        kind = self.read(src)
-        if _is_fp(kind):
-            at = self.frame_slot(kind, off)
-            if at is None:
+    def insn(self, pc: int, ins) -> str:
+        op, dst, src, off, imm = ins
+        rhs = ("K", imm & U64_MASK) if op in IMM_FORM else self.regs[src]
+        if op in ALU_BASE:
+            return self.alu(ALU_BASE[op], dst, src, rhs)
+        if op in JUMP_BASE:
+            return self.branch(JUMP_BASE[op], dst, src, rhs, pc + 1 + off)
+        if op == Opcode.JA:
+            self.leave(self.steps(self.done), f"return {pc + 1 + off}")
+            return _END
+        if op == Opcode.LD_IMM64:
+            if src == LD_IMM64_MAP_REF:
+                self.point(dst, ("M", imm))
+                return _FUSED
+            return _HAND if src else self.alu("mov", dst, 0,
+                                              ("K", imm & U64_MASK))
+        if op == Opcode.LD_CTX:
+            return self.ld_ctx(dst, off)
+        if op == Opcode.LD_MAP:
+            return self.ld_map(dst, src, off)
+        if op == Opcode.ST_MAP:
+            return self.st_map(dst, src, off)
+        if op == Opcode.CALL:
+            return self.call(pc, imm)
+        if op == Opcode.TAIL_CALL:
+            return self.through_handler(pc)
+        if op == Opcode.EXIT:
+            return self.exit(pc)
+        return _HAND
+
+    def alu(self, base, dst, src, rhs) -> str:
+        """`rhs` is the tag of the operand: src's, or the immediate's."""
+        lhs = self.regs[dst]
+        if base == "mov":
+            if rhs[0] in ("S", "M"):
+                self.point(dst, rhs)
+            elif rhs[0] == "X":
                 return _HAND
-            self.guard(f"not t.stack_init & {1 << at // 8}", pc)
-            self.write(dst, _INT, f"_load(stk, {at})[0]")
-        elif kind in (_ANY, _NULLABLE, _PTR):
-            self.place(pc, src, off, for_write=False)
-            self.write(dst, _INT, "_load(b, a)[0]")
+            else:
+                self.write(dst, self.value(rhs, src))
+        elif lhs[0] == "S" and rhs[0] == "K" and base in ("add", "sub"):
+            self.point(dst, ("S", lhs[1] + _pointer_delta(base, rhs[1])))
+        elif lhs[0] in _SCALARS and rhs[0] in _SCALARS:
+            b = self.value(rhs, src)
+            self.write(dst, _render(ALU_EXPRS[base], self.value(lhs, dst), b))
         else:
             return _HAND
         return _FUSED
 
-    def st_map(self, pc, dst, src, off) -> str:
-        kind = self.read(dst)
-        if _is_fp(kind):
-            at = self.frame_slot(kind, off)
-            if at is None or not self.scalar(src, pc):
+    def branch(self, base, dst, src, rhs, target) -> str:
+        lhs = self.regs[dst]
+        if lhs[0] == "N" and rhs == ("K", 0) and base in ("jeq", "jne"):
+            # the null check on a lookup result: the only scalar here is 0
+            cond = f"type({self.value(lhs, dst)}) is " \
+                f"{'' if base == 'jeq' else 'not '}int"
+        elif lhs[0] in _SCALARS and rhs[0] in _SCALARS:
+            b = self.value(rhs, src)
+            cond = _render(COND_EXPRS[base], self.value(lhs, dst), b)
+        else:
+            return _HAND
+        self.side_exit(cond, target)
+        return _FUSED
+
+    def ld_ctx(self, dst, off) -> str:
+        if off not in CTX_LOADS:
+            return _HAND
+        self.uses.add("c")
+        if off:
+            self.clear_pure()
+        self.write(dst, _render(CTX_LOADS[off], "", ""))
+        return _FUSED
+
+    def ld_map(self, dst, src, off) -> str:
+        ptr = self.regs[src]
+        if ptr[0] == "S":
+            at = self.frame_slot(ptr, off)
+            if at is None:
                 return _HAND
-            self.emit(f"_store(stk, {at}, r{src})")
-            self.emit(f"t.stack_init |= {1 << at // 8}")
-        elif kind in (_ANY, _NULLABLE, _PTR):
-            self.place(pc, dst, off, for_write=True)
-            if not self.scalar(src, pc):
+            self.write(dst, f"_load(stk, {at})[0]")
+        elif ptr[0] == "V":
+            self.write(dst, f"_load({self.value(ptr, src)}.buf, "
+                            f"{ptr[2] + off})[0]")
+        else:
+            return _HAND
+        return _FUSED
+
+    def st_map(self, dst, src, off) -> str:
+        ptr, scalar = self.regs[dst], self.regs[src]
+        if scalar[0] not in _SCALARS:
+            return _HAND
+        if ptr[0] == "S":
+            at = self.frame_slot(ptr, off)
+            if at is None:
                 return _HAND
-            self.emit(f"_store(b, a, r{src})")
-            self.emit("if b is stk:")
-            self.emit("    t.stack_init |= 1 << (a >> 3)")
+            self.emit(f"_store(stk, {at}, {self.value(scalar, src)})")
+            if not self.init >> at // 8 & 1:
+                self.emit(f"t.stack_init |= {1 << at // 8}")
+        elif ptr[0] == "V":
+            self.emit(f"_store({self.value(ptr, dst)}.buf, {ptr[2] + off}, "
+                      f"{self.value(scalar, src)})")
         else:
             return _HAND
         return _FUSED
 
     def call(self, pc, imm) -> str:
-        try:
-            helper = Helper(imm)
-        except ValueError:
-            return _HAND
-        if helper not in HELPER_PROTOS:
-            return _HAND
-        pmap, key = self.kinds.get(1), self.kinds.get(2)
-        if helper is Helper.MAP_LOOKUP_ELEM and _is_map(pmap) \
-                and _is_fp(key) and key[1] >= 0 and key[1] % 8 == 0:
-            return self.lookup(pc, pmap[1], key[1])
-        return self.through_handler(pc, HELPER_PROTOS[helper][1])
-
-    def lookup(self, pc, pmap, at) -> str:
-        """`map_lookup_elem` on a map and a key slot the block knows."""
-        self.uses.add("stk")
-        self.guard(f"{pmap}.kind not in _LOOKUP_KINDS", pc)
-        self.emit(f"ks = {pmap}.key_size")
-        self.guard(f"{at} + ks > {STACK_SIZE} or ~t.stack_init & "
-                   f"(((1 << ((ks + 7) >> 3)) - 1) << {at // 8})", pc)
+        pmap, key = self.regs[1], self.regs[2]
+        if imm != Helper.MAP_LOOKUP_ELEM or pmap[0] != "M" or key[0] != "S":
+            return self.through_handler(pc)
+        at = STACK_SIZE + key[1]
+        self.uses.update(("stk", "maps"))
         self.clear_pure()
-        self.write(0, _NULLABLE, f"_lookup(t, env, {pmap}, stk[{at}:{at} + ks])")
+        self.emit(f"pm = maps[{pmap[1]}]")
+        self.write(0, f"_lookup(t, env, pm, stk[{at}:{at} + pm.key_size])")
         self.emit("t.helper_calls += 1")
+        self.emit("regs[1:6] = _CLOBBERED")
         self.clobbered()
         return _FUSED
 
-    def through_handler(self, pc, returns) -> str:
+    def through_handler(self, pc) -> str:
         """A call made by the instruction's handler; the block goes on
         with what it leaves in r0..r5 unless it parked or handed off."""
         self.leave(self.steps(self.done), f"t.pc = {pc}")
         self.emit(f"if _h[{pc}](t, env) is None:")
         self.emit("    return None")
-        self.emit("r0 = regs[0]")
         self.impure = True      # the handler cleared it
         self.dirty.clear()
-        self.kinds[0] = _INT if returns == RET_SCALAR else _NULLABLE
-        for reg in range(1, 6):
-            self.kinds[reg] = _UNSET
+        self.loaded.discard(0)
+        self.clobbered()
         return _CALLED
 
     def clear_pure(self):
@@ -1063,15 +969,14 @@ class _BlockWriter:
             self.impure = True
 
     def clobbered(self):
-        """r1..r5 after a call the block made itself."""
-        self.emit("regs[1:6] = _CLOBBERED")
+        """r1..r5 after a call."""
         for reg in range(1, 6):
-            self.kinds[reg] = _UNSET
-            self.dirty.discard(reg)
+            self.loaded.discard(reg)
+            self.dirty.pop(reg, None)
 
     def exit(self, pc) -> str:
-        if not self.scalar(0, pc):
+        if self.regs[0][0] not in _SCALARS:
             return _HAND
-        self.leave(self.steps(self.done), f"t.pc = {pc}", "t._finish(r0)",
-                   "return None")
+        self.leave(self.steps(self.done), f"t.pc = {pc}",
+                   f"t._finish({self.value(self.regs[0], 0)})", "return None")
         return _END

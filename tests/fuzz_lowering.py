@@ -7,17 +7,19 @@ Each case is one program with seeded inputs (maps, context, user memory,
 in-flight syscalls and fault markers), run once on the shared fused
 lowering and once on the per-pc handlers (`helpers.lower_all`).  The
 cases take turns from five sources: criterion 5's fuzz programs (seed
-31337); the verifier's soundness corpus, with rejected programs forged
-as verified; the `FORGED` and `BLOCK_EDGES` programs of `test_vm`; every
-policy generator's program, also as a sleepable copy; and mutants of the
-generators' and the soundness programs.  Half the cases run under a
-`vm.STEP_LIMIT` of 64 or less, so runs stop at every offset into a
-block; the others under 5000.  A run that parks (at `wait_syscall` or at
-a fault marker) is resumed until it is done.  At every park and at the
-end the two runs must agree on the outcome, the registers, stack,
-`stack_init`, pc and counters, the thread's `state_key()` while parked,
-the maps and the in-flight table.  It prints each case where they do not
-and exits with their number.
+31337); the verifier's soundness corpus; the `FORGED` and `BLOCK_EDGES`
+programs of `test_vm`; every policy generator's program, also as a
+sleepable copy; and mutants of the generators' and the soundness
+programs.  Each program goes through the verifier, and each it rejects
+is forged as verified: that one has no facts, so both runs are per-pc,
+and a fused block built for it counts as a disagreement.  Half the
+cases run under a `vm.STEP_LIMIT` of 64 or less, so runs stop at every
+offset into a block; the others under 5000.  A run that parks (at
+`wait_syscall` or at a fault marker) is resumed until it is done.  At
+every park and at the end the two runs must agree on the outcome, the
+registers, stack, `stack_init`, pc and counters, the thread's
+`state_key()` while parked, the maps and the in-flight table.  It prints
+each case where they do not and exits with their number.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ from sfvm import vm
 from sfvm.asm import assemble
 from sfvm.isa import FilterProgram, MapKind, SyscallContext
 from sfvm.maps import instantiate
+from sfvm.verifier import verify
 from sfvm.vm import MapRef, MemPtr, RuntimeEnv, VmThread, WaitBlock
 
 from .helpers import (
     USER_BASE,
     every_generator,
+    fused_blocks,
     fuzz_source,
     lower_all,
     programs_within,
@@ -131,6 +135,9 @@ def disagreement(program, inputs, step_limit: int) -> tuple:
         for per_pc in (False, True):
             lower_all(program, per_pc)
             runs.append(trace_run(program, *inputs()))
+            if any(p.facts is None and fused_blocks(p)
+                   for p in programs_within(program)):
+                return "a fused block for a program without facts", runs[0]
     finally:
         vm.STEP_LIMIT = saved
         lower_all(program, False)
@@ -161,6 +168,15 @@ def world(rng: random.Random, program):
     return maps, ctx, env
 
 
+def verified_or_forged(program):
+    """`program` with it and its handoff targets each verified, or forged
+    as verified where the verifier refuses."""
+    for p in programs_within(program):
+        if not verify(p).accepted:
+            p.verified = True
+    return program
+
+
 def _seeded(make, seed):
     return lambda: make(random.Random(seed))
 
@@ -169,7 +185,7 @@ def fuzz_cases(rng):
     source = random.Random(31337)     # criterion 5's seed
     while True:
         program = assemble(fuzz_source(source))
-        program.verified = True       # it verifies; this skips the work
+        verify(program)
         args = tuple(rng.randint(0, 2**64 - 1) for _ in range(6))
         ctx = SyscallContext(nr=rng.randint(-2**31, 2**31 - 1),
                              arch=rng.randint(0, 2**32 - 1),
@@ -181,9 +197,8 @@ def fuzz_cases(rng):
 def soundness_cases(rng):
     while True:
         _, program = soundness_program(rng)
-        program = replace(program, sleepable=rng.random() < 0.5)
-        for p in programs_within(program):
-            p.verified = True         # forged where the verifier refused
+        program = verified_or_forged(
+            replace(program, sleepable=rng.random() < 0.5))
         yield ("soundness", program,
                _seeded(lambda r, p=program: world(r, p), rng.random()))
 
@@ -192,9 +207,9 @@ def forged_cases(rng):
     programs = {**FORGED, **BLOCK_EDGES}
     for name in itertools.cycle(sorted(programs)):
         body = programs[name][0]
-        program = assemble("section seccomp\n" + body + "\n") \
-            if isinstance(body, str) else FilterProgram(instructions=body)
-        program.verified = True
+        program = verified_or_forged(
+            assemble("section seccomp\n" + body + "\n")
+            if isinstance(body, str) else FilterProgram(instructions=body))
         yield (f"forged {name}", program,
                lambda p=program: (instantiate(p), SyscallContext(nr=0),
                                   RuntimeEnv()))
@@ -203,9 +218,9 @@ def forged_cases(rng):
 def generator_cases(rng):
     programs = every_generator()
     programs += [replace(p, sleepable=True) for p in programs]
+    for program in programs:
+        verified_or_forged(program)
     for program in itertools.cycle(programs):
-        for p in programs_within(program):
-            p.verified = True
         yield (f"generator {program.section_name}", program,
                _seeded(lambda r, p=program: world(r, p), rng.random()))
 
@@ -228,15 +243,13 @@ def _mutant(rng: random.Random, program):
 
 
 def mutant_cases(rng):
-    """Generator and soundness programs with a few fields changed and
-    forged as verified: faults and odd operands inside blocks."""
+    """Generator and soundness programs with a few fields changed: faults
+    and odd operands, mostly forged."""
     bases = every_generator()
     sound = soundness_cases(rng)
     while True:
         base = rng.choice(bases) if rng.random() < 0.5 else next(sound)[1]
-        program = _mutant(rng, base)
-        for p in programs_within(program):
-            p.verified = True
+        program = verified_or_forged(_mutant(rng, base))
         yield ("mutant", program,
                _seeded(lambda r, p=program: world(r, p), rng.random()))
 

@@ -26,6 +26,7 @@ from sfvm.isa import (
     MapDecl,
     MapKind,
     Opcode,
+    STACK_SIZE,
     SyscallContext,
     decode_program,
     encode_program,
@@ -505,6 +506,71 @@ def lower_all(program, per_pc: bool):
     handlers alone, or (by default) on the shared fused lowering."""
     for p in programs_within(program):
         p.compiled = per_pc_lowering(p) if per_pc else None
+
+
+def _covers(tag: tuple, value, thread) -> bool:
+    """Whether the verifier's register tag `tag` (see `verifier`) holds of
+    `value`, a register of `thread`."""
+    kind = tag[0]
+    if kind == "X":
+        return True
+    if kind in ("K", "U"):
+        return type(value) is int and (kind == "U" or value == tag[1])
+    if kind == "S":
+        return isinstance(value, vm.MemPtr) and value.buf is thread.stack \
+            and value.off == STACK_SIZE + tag[1]
+    if kind == "N" and type(value) is int:
+        return value == 0
+    if kind in ("V", "N"):
+        return isinstance(value, vm.MemPtr) \
+            and value.buf is not thread.stack \
+            and (kind == "N" or value.off == tag[2])
+    if kind == "M":
+        return isinstance(value, vm.MapRef) \
+            and value.map is thread.maps[tag[1]]
+    return kind == "C" and value is vm._CTX
+
+
+def facts_faults(rng: random.Random, program, runs: int) -> list:
+    """Every state that `runs` random runs of a verified `program`, on the
+    per-pc handlers, reach at a pc and that the program's `facts` there
+    do not cover: a register whose tag does not hold of it, or a slot
+    the facts mark initialised that is not."""
+    faults = []
+
+    def checked(p, pc, handler):
+        def step(t, env):
+            fact = p.facts[pc]
+            if fact is None:
+                faults.append(f"pc {pc}: reached, but has no facts")
+                return handler(t, env)
+            tags, init = fact
+            faults.extend(f"pc {pc}: r{reg} is {value!r}, not {tag}"
+                          for reg, (tag, value) in enumerate(zip(tags, t.regs))
+                          if not _covers(tag, value, t))
+            if init & ~t.stack_init:
+                faults.append(f"pc {pc}: slots {init & ~t.stack_init:#x} "
+                              "are not initialised")
+            return handler(t, env)
+        return step
+
+    for p in programs_within(program):
+        p.compiled = tuple(checked(p, pc, h)
+                           for pc, h in enumerate(per_pc_lowering(p)))
+    try:
+        for _ in range(runs):
+            prog_maps, c, env = soundness_inputs(rng, program)
+            VmThread(program, prog_maps, c).run(env)
+    finally:
+        lower_all(program, per_pc=False)
+    return faults
+
+
+def fused_blocks(program) -> list:
+    """The fused blocks in `program`'s lowering, and the places held for
+    the ones not yet entered."""
+    return [f for f in program.compiled or ()
+            if f.__qualname__.split(".")[0] in ("_on_first_entry", "build")]
 
 
 def same_verdict(a, b) -> bool:

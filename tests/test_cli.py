@@ -127,6 +127,25 @@ def test_a_bad_descriptors_file_is_exit_2(tmp_path, trace_file, capsys,
         f"error: --descriptors {path}: {message}")
 
 
+@pytest.mark.parametrize("argv", [
+    ["asm", "{missing}"],
+    ["verify", "{missing}"],
+    ["run", "{missing}"],
+    ["explore", "{missing}"],
+    ["run", "{trace}", "--descriptors", "{missing}"],
+    ["explore", "{trace}", "--descriptors", "{missing}"],
+    ["scenario", "cve-2016-0728", "--descriptors", "{missing}"],
+    ["report", "attack-surface", "--profiles", "{missing}"],
+])
+def test_a_missing_file_is_exit_2(tmp_path, trace_file, capsys, argv):
+    missing = str(tmp_path / "missing")
+    argv = [arg.format(missing=missing, trace=trace_file) for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {missing}: [Errno 2] No such file or directory: "
+        f"{missing!r}\n")
+
+
 @pytest.mark.parametrize("schedule,message", [
     ("seed:abc", "invalid literal"),
     ("1,x", "invalid literal"),

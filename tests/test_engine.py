@@ -41,7 +41,8 @@ from sfvm.verifier import verify
 from sfvm.vm import RuntimeEnv, VmThread
 
 from .helpers import (
-    attach, bundled_descriptors, ctx, every_generator, fuzz_source, probe,
+    attach, bundled_descriptors, ctx, every_generator, fused_blocks,
+    fuzz_source, probe,
 )
 
 ALLOW_ALL = assemble(
@@ -936,3 +937,42 @@ def test_restore_starts_with_an_empty_memo():
     assert [r["action"] for r in records] == ["allow", "errno", "errno",
                                               "allow"]
     assert records == [probe(eng, tid, ctx(nr)) for nr in (0, 250, 1, 0)]
+
+
+# a lookup whose result is dropped: allows under an array map; under a
+# program array, which the verifier refuses, the lookup faults
+LOOKUP_THEN_ALLOW = (
+    "    mov r2, 0\n"
+    "    st_map r10, r2, -8\n"
+    "    mov r2, r10\n"
+    "    add r2, -8\n"
+    "    ld_imm64 r1, map:m\n"
+    "    call map_lookup_elem\n"
+    "    ld_imm64 r0, 0x7fff0000\n"
+    "    exit\n")
+
+
+def test_a_restored_program_never_runs_a_loaded_twins_blocks():
+    eng = Engine()
+    loaded = assemble("section seccomp\nmap m array 8 8 1\n"
+                      + LOOKUP_THEN_ALLOW)
+    tid = attach(eng, loaded)
+    assert probe(eng, tid, ctx(0))["action"] == "allow"   # lowered, run
+    blob = eng.checkpoint(tid)
+    twin = assemble("section seccomp\nmap m prog_array 8 8 1\n"
+                    + LOOKUP_THEN_ALLOW)
+    assert twin.instructions == loaded.instructions
+    assert not verify(twin).accepted
+    good, bad = encode_program(loaded), encode_program(twin)
+    blob = blob.replace(struct.pack("<I", len(good)) + good,
+                        struct.pack("<I", len(bad)) + bad)
+    target = eng.spawn(caps=[CAP_SYS_ADMIN])
+    eng.restore(target, blob)
+    record = eng.run_syscall(target, ctx(0))
+    assert record["action"] == "kill_thread"
+    assert record["votes"][0]["faulted"] and record["steps"] == 5
+    restored = eng.task(target).chain[0]
+    thread = VmThread(restored.program, restored.maps, ctx(0))
+    thread.run(RuntimeEnv())
+    assert thread.outcome.fault_reason == "map m: kind not accepted here"
+    assert not fused_blocks(restored.program)

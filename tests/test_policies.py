@@ -71,6 +71,15 @@ def test_parse_action_rejects_junk(spec):
         parse_action(spec)
 
 
+# forms int(N, 0) reads but the declared decimal-or-hex form refuses
+@pytest.mark.parametrize("spec", [
+    "errno:\u0661\u0662", "errno: 1_2 ", "errno:+12", "errno: 12",
+    "errno:1_2", "errno:0o14", "errno:0b1100", "errno:-0", "errno:0x_c"])
+def test_parse_action_takes_only_ascii_decimal_or_hex(spec):
+    with pytest.raises(ValueError, match=re.escape(f"bad errno in {spec!r}")):
+        parse_action(spec)
+
+
 # -- set policies ------------------------------------------------------------
 
 

@@ -15,6 +15,15 @@ the verdict, reason and offending pc of the path walk alone
 
 (C) Every program survives encode/decode and disassemble/assemble.
 
+(D) The facts `verify` records cover every state a run reaches: at each
+pc a run of an accepted program executes, on the per-pc handlers, each
+register is of the type its tag gives, and each slot the facts mark
+initialised is.  The fused blocks are written from these facts and test
+none of them at run time, so they hand an instruction to its handler
+only unconditionally (`STEP_LIMIT` at entry aside): checked here over
+this corpus, every policy generator's programs and the first 300 of
+criterion 5's.
+
 `python -m tests.fuzz_verifier` runs the same checks for longer.
 """
 
@@ -25,8 +34,14 @@ import random
 import pytest
 
 from sfvm import verifier
+from sfvm import vm
+from sfvm.asm import assemble
 
 from .helpers import (
+    every_generator,
+    facts_faults,
+    fuzz_source,
+    programs_within,
     round_trip_faults,
     same_verdict,
     soundness_faults,
@@ -79,3 +94,39 @@ def test_corpus_mixes_every_shape(corpus):
                    "safe_read_user", "safe_task_storage_get", "ld_map r",
                    "jset"):
         assert any(needle in s for s in sources), needle
+
+
+def _verified_generators() -> list:
+    programs = [p for prog in every_generator() for p in programs_within(prog)]
+    assert all(verifier.verify(p).accepted for p in programs)
+    return programs
+
+
+def test_facts_cover_every_state_a_run_reaches(corpus):
+    rng = random.Random(SEED + 2)
+    programs = [program for _, program, report in corpus if report.accepted]
+    for program in programs + _verified_generators():
+        assert facts_faults(rng, program, RUNS) == [], program
+
+
+def _conditional_hand_overs(program) -> list:
+    """Lines of `program`'s blocks that hand an instruction to its handler
+    under a condition other than the entry's `STEP_LIMIT` check."""
+    entries, targets = vm._block_entries(program.instructions)
+    out = []
+    for entry in entries:
+        lines = vm._BlockWriter(program.instructions, program.facts, entry,
+                                targets).source().splitlines()
+        out += [line for before, line in zip(lines, lines[1:])
+                if "return _h[" in line and line.startswith(" " * 12)
+                and "STEP_LIMIT" not in before]
+    return out
+
+
+def test_blocks_hand_over_only_unconditionally(corpus):
+    rng = random.Random(31337)      # criterion 5's
+    fuzzed = [assemble(fuzz_source(rng)) for _ in range(300)]
+    assert all(verifier.verify(p).accepted for p in fuzzed)
+    accepted = [p for _, p, report in corpus if report.accepted]
+    for program in accepted + _verified_generators() + fuzzed:
+        assert _conditional_hand_overs(program) == [], program

@@ -32,7 +32,7 @@ from sfvm.vm import (
     WaitBlock,
 )
 
-from .helpers import ctx
+from .helpers import ctx, fused_blocks
 
 U64 = (1 << 64) - 1
 U32 = (1 << 32) - 1
@@ -568,6 +568,19 @@ def test_forged_programs_fail_closed(name):
     assert reason in out.fault_reason
 
 
+def test_a_wrong_fact_faults_instead_of_raising():
+    # the block trusts the facts: told that r1 is a reference to map 5,
+    # it writes one back on leaving, and the lookup of map 5 raises
+    prog = build("section seccomp\n    mov r4, r1\n    mov r0, 0\n    exit\n")
+    tags, init = prog.facts[0]
+    prog.facts = ((tags[:1] + (("M", 5),) + tags[2:], init),) \
+        + prog.facts[1:]
+    out = run(prog)
+    assert fused_blocks(prog)
+    assert out.faulted
+    assert out.fault_reason == "IndexError: list index out of range"
+
+
 def test_unreached_bad_instructions_cost_nothing():
     # faults belong to executing an instruction, not to building the table
     prog = assemble("section seccomp\n    mov r0, 7\n    exit\n"
@@ -580,7 +593,7 @@ def test_unreached_bad_instructions_cost_nothing():
 def test_handler_table_is_built_once_and_shared():
     import copy
     prog = build("section seccomp\n    mov r0, 1\n    exit\n")
-    vm._LOWERINGS.pop(prog.instructions, None)
+    vm._LOWERINGS.pop((prog.instructions, prog.facts), None)
     assert prog.compiled is None
     thread = VmThread(prog, [], ctx(0))
     clone = copy.deepcopy(thread)
@@ -619,22 +632,28 @@ def _per_pc_outcome(prog, maps):
 
 
 def test_equal_instructions_share_one_lowering():
+    # shared when the facts are equal too; a forged program (no facts)
+    # runs on its per-pc handlers and never on a verified one's blocks
     array = build("section seccomp\nmap m array 8 8 1\n" + SHARED_BODY)
+    sleepy = build("section seccomp-sleepable\nmap m array 8 8 1\n"
+                   + SHARED_BODY)
     hashed = assemble("section seccomp\nmap m hash 16 8 2\n" + SHARED_BODY)
     hashed.verified = True      # the key's second slot is never written
-    sleepy = assemble("section seccomp-sleepable\nmap m array 8 8 1\n"
-                      + SHARED_BODY)
-    sleepy.verified = True
     assert array.instructions == hashed.instructions == sleepy.instructions
-    outcomes = []
-    for prog in (array, hashed, sleepy):
+
+    def maps_of(prog):
         maps = [PolicyMap(d) for d in prog.map_refs]
         if prog is array:
             maps[0].update(bytes(8), (41).to_bytes(8, "little"))
-        fused = run(prog, maps=maps)
-        assert fused == _per_pc_outcome(prog, maps)
-        outcomes.append(fused)
-    assert array.compiled is hashed.compiled is sleepy.compiled
+        return maps
+
+    outcomes = []
+    for prog in (array, hashed, sleepy):
+        outcomes.append(run(prog, maps=maps_of(prog)))
+        assert bool(fused_blocks(prog)) == (prog is not hashed)
+    assert array.compiled is sleepy.compiled is not hashed.compiled
+    for prog, fused in zip((array, hashed, sleepy), outcomes):
+        assert fused == _per_pc_outcome(prog, maps_of(prog))
     assert outcomes[0].raw_action == 41 and not outcomes[0].faulted
     assert outcomes[1].fault_reason == "read of uninitialized stack slot"
     other = build("section seccomp\nmap m array 8 8 1\n"
@@ -652,11 +671,13 @@ def test_the_least_recently_used_lowering_is_evicted(monkeypatch):
         run(prog)
     run(build("section seccomp\n    mov r0, 0\n    exit\n"))  # 0 is used
     run(progs[3])
-    assert list(vm._LOWERINGS) == [progs[i].instructions for i in (2, 0, 3)]
+    assert list(vm._LOWERINGS) == [(progs[i].instructions, progs[i].facts)
+                                   for i in (2, 0, 3)]
     fresh = build("section seccomp\n    mov r0, 1\n    exit\n")
     run(fresh)
     assert fresh.compiled is not progs[1].compiled
-    assert list(vm._LOWERINGS) == [progs[i].instructions for i in (0, 3, 1)]
+    assert list(vm._LOWERINGS) == [(progs[i].instructions, progs[i].facts)
+                                   for i in (0, 3, 1)]
 
 
 def test_every_generator_instruction_runs_fused():
@@ -665,17 +686,20 @@ def test_every_generator_instruction_runs_fused():
     from .helpers import every_generator, programs_within
     for prog in every_generator():
         for p in programs_within(prog):
-            fused = vm.fused_pcs(p.instructions)
+            assert verify(p).accepted
+            fused = vm.fused_pcs(p)
             unfused = [pc for pc, ins in enumerate(p.instructions)
                        if pc not in fused
                        and ins.opcode not in (Opcode.CALL, Opcode.TAIL_CALL)]
             assert unfused == [], (p, unfused)
 
 
-# programs for the paths a fused block takes at run time, each run with a
-# forged "verified" flag on both lowerings: the reason must be the same
+# programs for the paths a fused block takes at run time: each the
+# verifier accepts runs on both lowerings, and the outcomes must be equal;
+# each it rejects runs with a forged "verified" flag, on the per-pc
+# handlers alone, and must fault with the reason given
 BLOCK_EDGES = {
-    # r2 reaches the next block as a pointer the block places at run time
+    # r2 reaches the next block as a frame pointer
     "unwritten-slot-past-a-jump": ("mov r2, r10\nadd r2, -8\nja 0\n"
                                    "ld_map r0, r2, 0\nexit",
                                    "read of uninitialized stack slot"),
@@ -722,12 +746,15 @@ BLOCK_EDGES = {
 def test_fused_blocks_take_each_path_like_the_handlers(name):
     body, reason = BLOCK_EDGES[name]
     prog = assemble("section seccomp\n" + body + "\n")
-    prog.verified = True
-    fused = run(prog)
-    assert fused == _per_pc_outcome(prog, [PolicyMap(d)
-                                            for d in prog.map_refs])
-    assert fused.faulted == (reason is not None)
-    assert reason is None or reason in fused.fault_reason
+    accepted = verify(prog).accepted
+    prog.verified = True        # forged where the verifier refused
+    out = run(prog)
+    assert bool(fused_blocks(prog)) == accepted
+    if accepted:
+        assert out == _per_pc_outcome(prog, [PolicyMap(d)
+                                              for d in prog.map_refs])
+    assert out.faulted == (reason is not None)
+    assert reason is None or reason in out.fault_reason
 
 
 def test_fused_and_per_pc_lowerings_agree_on_a_seeded_corpus():
