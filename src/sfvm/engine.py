@@ -12,7 +12,10 @@ tracking.
 
 Attachment requires administrative capability in the caller's own user
 namespace, or the no-new-privileges flag; with `privileged_only` set,
-only init-namespace administrators may attach anything.
+only init-namespace administrators may attach anything.  As in the
+kernel's `seccomp_attach_filter`, a task's chain holds at most
+`MAX_INSNS_PER_PATH` instructions, counting 4 more for every filter but
+the newest.
 
 On syscall entry the engine snapshots described pointer arguments,
 then runs every installed filter in installation order and combines the
@@ -35,9 +38,11 @@ in-flight table (`registered`), which every filter of it sees through
 `RuntimeEnv`.
 
 Checkpoint blobs capture a task's chain, the live contents of every
-map in it, and the engine clock; restore re-attaches without
-re-verification, which is exactly why it is gated on init-namespace
-administrative capability.
+map in it, and the engine clock.  Restore verifies every program again,
+handoff targets included, as `load` does (CRIU restores a seccomp filter
+by calling seccomp(2) again), and is gated on init-namespace
+administrative capability, since it attaches on behalf of the loaders
+the blob names.
 """
 
 from __future__ import annotations
@@ -72,6 +77,8 @@ PTRACE_SCOPES = ("classic", "restricted")
 
 _CHECKPOINT_HEADER = struct.Struct("<4sHHQI")
 _CHECKPOINT_INSTALL = struct.Struct("<BIIBBH")
+
+MAX_INSNS_PER_PATH = 32_768
 
 
 class EngineError(Exception):
@@ -257,18 +264,19 @@ class Engine:
         raise PermissionDenied(
             "attaching a filter needs admin capability or no-new-privileges")
 
-    def _instantiate(self, program: FilterProgram, userns: int | None):
+    @staticmethod
+    def _instantiate(program: FilterProgram, userns: int | None):
         """Private, verified copy of a program.  Nested handoff targets
         get the same treatment (their maps come with the program array)."""
         new_decls = []
         for decl in program.map_refs:
             if decl.kind == MapKind.PROG_ARRAY and decl.initial_programs:
-                nested = {idx: self._instantiate(p, userns)
+                nested = {idx: Engine._instantiate(p, userns)
                           for idx, p in sorted(decl.initial_programs.items())}
                 decl = replace(decl, initial_programs=nested)
             new_decls.append(decl)
         copy = replace(program, map_refs=tuple(new_decls),
-                       verified=False, load_userns=userns)
+                       load_userns=userns)
         report = verify(copy)
         if not report.accepted:
             raise EngineError(
@@ -276,6 +284,18 @@ class Engine:
                 + (f" (instruction {report.offending_instruction})"
                    if report.offending_instruction is not None else ""))
         return copy
+
+    @staticmethod
+    def _attach(t: Task, installs: list):
+        """Append `installs` to the task's chain, unless the chain would
+        pass `MAX_INSNS_PER_PATH` (then nothing changes)."""
+        total = sum(len(inst.program.instructions) + 4
+                    for inst in t.chain + installs) - 4
+        if total > MAX_INSNS_PER_PATH:
+            raise EngineError(
+                f"filter chain would hold {total} instructions, past "
+                f"{MAX_INSNS_PER_PATH}")
+        t.chain += installs
 
     def load(self, tid: int, program) -> int:
         """Verify and prepare a program; returns a handle for install."""
@@ -297,8 +317,8 @@ class Engine:
         if loaded.program.load_userns != t.creds.userns:
             raise PermissionDenied(
                 "program was loaded in a different user namespace")
+        self._attach(t, [Installation(loaded.program, loaded.maps, t.creds)])
         del self.handles[handle]   # single use
-        t.chain.append(Installation(loaded.program, loaded.maps, t.creds))
         return len(t.chain) - 1
 
     def install_classic(self, tid: int, program) -> int:
@@ -308,8 +328,8 @@ class Engine:
         if isinstance(program, (bytes, bytearray)):
             program = decode_program(bytes(program))
         copy = self._instantiate(program, None)
-        t.chain.append(Installation(copy, m.instantiate(copy), t.creds,
-                                    classic=True))
+        self._attach(t, [Installation(copy, m.instantiate(copy), t.creds,
+                                      classic=True)])
         return len(t.chain) - 1
 
     def close_map_fds(self, tid: int, install_index: int = -1):
@@ -566,10 +586,12 @@ class Engine:
         return bytes(out)
 
     def restore(self, tid: int, blob: bytes) -> list[int]:
-        """Re-attach a checkpointed chain to `tid` without re-verification.
-        Returns the new installation indexes.  The blob is parsed and its
-        maps built before the engine changes, so a malformed one raises
-        EngineError and changes nothing."""
+        """Re-attach a checkpointed chain to `tid`, verifying every program
+        as `load` does.  Returns the new installation indexes.  The blob is
+        parsed, its programs verified and its maps built before the engine
+        changes, so a malformed blob, a program the verifier refuses or a
+        chain past `MAX_INSNS_PER_PATH` raises EngineError and changes
+        nothing."""
         t = self.task(tid)
         if CAP_SYS_ADMIN not in t.creds.caps or t.creds.userns != 0:
             raise PermissionDenied("restore is restricted to init-namespace "
@@ -579,15 +601,16 @@ class Engine:
         # ProgramFormatError and UnicodeDecodeError are ValueErrors
         except (struct.error, ValueError) as exc:
             raise EngineError(f"malformed checkpoint: {exc}") from None
+        self._attach(t, installs)
         # time is shared by every task: a restored clock may move it
         # forward, never back
         self.clock_ns = max(self.clock_ns, clock)
-        t.chain += installs
         return list(range(len(t.chain) - len(installs), len(t.chain)))
 
 
 def _parse_checkpoint(blob: bytes):
-    """(clock, installations) of a checkpoint, with fresh live maps."""
+    """(clock, installations) of a checkpoint, with verified programs and
+    fresh live maps."""
     pos = 0
 
     def take(n: int) -> bytes:
@@ -611,8 +634,7 @@ def _parse_checkpoint(blob: bytes):
         (n_maps,) = struct.unpack("<I", take(4))
         fd_flags = take(n_maps)
         (blob_len,) = struct.unpack("<I", take(4))
-        program = decode_program(take(blob_len))
-        _adopt(program)
+        program = Engine._instantiate(decode_program(take(blob_len)), None)
         maps = m.instantiate(program)
         for pmap, flag in zip(maps, fd_flags):
             pmap.fd_open = bool(flag)
@@ -623,13 +645,3 @@ def _parse_checkpoint(blob: bytes):
     if pos != len(blob):
         raise EngineError("checkpoint has trailing bytes")
     return clock, installs
-
-
-def _adopt(program: FilterProgram):
-    """Take a checkpointed program, and its handoff targets, on trust:
-    no verification pass, so no facts, and the interpreter runs them on
-    their checked per-pc handlers alone."""
-    for decl in program.map_refs:
-        for nested in decl.initial_programs.values():
-            _adopt(nested)
-    program.verified = True

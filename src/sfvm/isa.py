@@ -176,9 +176,9 @@ RESERVED = {op: _reserved(op, kinds)
 # mnemonic -> semantics, written once as a Python expression over the
 # operands a and b and the word mask M.  ALU results are 64-bit words and
 # shifts use the low 6 bits; conditions compare words as unsigned.  The
-# verifier's abstract step and the interpreter's checked handlers call
-# the functions `ALU_OPS`/`COND_OPS` compiled from them; the
-# interpreter's fused blocks inline the text (see `vm`).
+# verifier's abstract step calls the functions `ALU_OPS`/`COND_OPS`
+# compiled from them, as does the interpreter on an operand it cannot
+# type; its fused blocks inline the text (see `vm`).
 ALU_EXPRS = {
     "mov": "b & M",
     "add": "(a + b) & M",
@@ -416,25 +416,23 @@ class MapDecl:
 class FilterProgram:
     """A filter: instructions plus the maps it references.
 
-    `verified` and `facts` are set by the verifier and `load_userns` by
-    the engine at load time; all start unset.  `facts` holds, per pc, the
-    join of every abstract state the verifier reached there (None where
-    it reached none).  `compiled` points at the interpreter's lowering
-    (see `vm`), made on first run and shared by every program with equal
-    instructions and facts: fused blocks written from the facts at block
-    entries and per-pc handlers elsewhere, or the per-pc handlers alone
-    for a program without facts.  `verdicts` memoizes the engine's
-    (outcome, resolved action) per syscall number for runs that read
-    nothing but `nr` (see `vm.VmThread.pure`).  A copy made with
-    `replace` starts without facts, lowering or verdicts.  Once loaded a
-    program is immutable (the caches are functions of it): copies share
-    it.
+    `facts` is set by the verifier on acceptance and `load_userns` by the
+    engine at load time; both start unset, and a program is `verified`
+    exactly when it has facts.  `facts` holds, per pc, the join of every
+    abstract state the verifier reached there (None where it reached
+    none).  `compiled` points at the interpreter's lowering (see `vm`),
+    the fused blocks written from the facts, made on first run and shared
+    by every program with equal instructions and facts.  `verdicts`
+    memoizes the engine's (outcome, resolved action) per syscall number
+    for runs that read nothing but `nr` (see `vm.VmThread.pure`).  A copy
+    made with `replace` starts without facts, lowering or verdicts, so
+    unverified.  Once loaded a program is immutable (the caches are
+    functions of it): copies share it.
     """
 
     instructions: tuple
     sleepable: bool = False
     map_refs: tuple = ()
-    verified: bool = False
     load_userns: int | None = None
     facts: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
@@ -442,6 +440,10 @@ class FilterProgram:
                                    compare=False)
     verdicts: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+
+    @property
+    def verified(self) -> bool:
+        return self.facts is not None
 
     @property
     def section_name(self) -> str:

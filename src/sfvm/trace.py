@@ -25,9 +25,10 @@ parameters), which keeps traces binary-free.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import vocab
+from .state import Record
 from .vocab import check
 
 
@@ -96,12 +97,9 @@ class TraceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    kind: str
-    line: int
-    dt_ns: int = 0
-    fields: dict = field(default_factory=dict)
+class TraceEvent(Record):
+    """One event of a trace: its kind, line, time step and other fields."""
+    __slots__ = ("kind", "line", "dt_ns", "fields")
 
     @property
     def task(self):

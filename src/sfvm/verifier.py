@@ -475,12 +475,11 @@ def _acyclic_ranks(insns):
 
 
 def verify(program: FilterProgram) -> VerifierReport:
-    """Check `program`; on acceptance its `verified` flag and its `facts`
-    (per pc, the join of every abstract state reached there, or None
-    where none was) are set."""
+    """Check `program`; on acceptance its `facts` (per pc, the join of
+    every abstract state reached there, or None where none was) are set,
+    which makes it `verified`."""
     report = _search(program, joined=True)
     if report.accepted:
-        program.verified = True
         program.facts = tuple(map(report.facts.get,
                                   range(len(program.instructions))))
     return report

@@ -9,44 +9,34 @@ instruction: the step counter only moves on completion, the program
 counter stays put, and resuming simply re-dispatches the same
 instruction (whose helper re-checks its wake condition).
 
-The per-pc handlers re-check every structural rule the static checker
-enforces and raise a fault, so an interpreter bug or a forged "verified"
-flag degrades to the configured bad-filter action instead of silently
-corrupting state.  On a genuinely verified program none of these
-checks can fire.  For helper calls and `tail_call` the contract is one
-table the verifier reads too (`isa.HELPER_PROTOS`, `isa.TAIL_CALL_PROTO`):
-each call site checks its argument registers against it.
-
-A program is lowered once, on its first run, much as the kernel's BPF
-JIT compiles a program to native code.  Each pc has a checked per-pc
-handler, a closure with operand form, immediate, jump targets and
-semantics (`isa.ALU_OPS`/`COND_OPS`) bound in.  A program the verifier
-accepted also carries its `facts`: per pc, the join of every abstract
-state the verifier reached there.  For it, each block entry (pc 0,
-every jump target, and the pc after each call, `tail_call`, `ja` and
-`exit`) gets a fused block: Python source generated from
+Only a verified program runs: `VmThread` refuses one without the
+verifier's `facts`, per pc the join of every abstract state it reached
+there.  A program is lowered once, on its first run, much as a kernel
+built with `CONFIG_BPF_JIT_ALWAYS_ON` JIT-compiles every program and
+keeps no interpreter.  Each block entry (pc 0, every jump target, and
+every call that may park) gets a fused block: Python source generated from
 `isa.ALU_EXPRS`/`COND_EXPRS` and compiled once, which keeps registers in
 locals, runs on through untaken branches and calls, and stops at the
 next jump target.  Like the kernel's JIT, which trusts what the verifier
 recorded per instruction, a block takes each register's type, each
 frame pointer's offset and each known constant from the facts and tests
-none of them at run time: stack loads, stores and lookup keys are
-direct slices, and it calls `map_lookup_elem` itself when it sees the
-map and the key.  An instruction the facts do not type for it is handed,
-unconditionally, to its per-pc handler with registers, pc and steps
-written back, as are other calls; the one run-time check left in a
-block is that it cannot cross `STEP_LIMIT`.  A block is written and
-compiled when it is first entered, so code no run reaches costs no
-compile.  Should a block still raise (a wrong fact), the run faults
-with the exception's text.
+none of them at run time: stack loads, stores and call arguments are
+direct slices, and it calls each helper itself with the arguments its
+contract (`isa.HELPER_PROTOS`, `isa.TAIL_CALL_PROTO`) declares.  Where
+paths that reach an instruction disagree on an operand (two frame
+offsets, two maps), the block reads that register from the thread.  A pc
+no state reached faults, and a block that could cross `STEP_LIMIT` runs
+a counted variant of itself that stops at the exact step.  A block is
+written and compiled when it is first entered, so code no run reaches
+costs no compile.  Should a block still raise (a wrong fact), the run
+faults with the exception's text.
 
-A program without facts (restored on trust, or a forged flag) runs on
-its per-pc handlers alone.  A lowering depends on the instructions and
-the facts alone: maps, `sleepable` and the context are read from the
-thread at run time.  So one table, bounded and least recently used first
-out, keyed by both, serves every program with equal instructions and
-facts (`FilterProgram.compiled` points at its entry), and threads stay
-plain data.
+A lowering depends on the instructions and the facts alone: maps,
+`sleepable` and the context are read from the thread at run time.  So
+one table, bounded and least recently used first out, keyed by both,
+serves every program with equal instructions and facts
+(`FilterProgram.compiled` points at its entry), and threads stay plain
+data.
 
 A run that reads no context field but `nr` and calls no helper (nor
 `tail_call`) leaves the thread `pure`: its outcome, fault included, is a
@@ -84,7 +74,6 @@ from .isa import (
     ARG_VALUE,
     COND_EXPRS,
     COND_OPS,
-    CTX_FIELDS,
     CTX_LOADS,
     FilterProgram,
     HELPER_NAMES,
@@ -229,70 +218,13 @@ class VmThread:
         self.regs[1] = _CTX
         self.regs[10] = MemPtr(self.stack, STACK_SIZE)
 
-    def _get(self, idx: int):
-        v = self.regs[idx]
-        if v is _UNSET or v == _UNSET:
-            raise VmFault(f"read of uninitialized register r{idx}")
-        return v
-
-    def _set(self, idx: int, value):
-        if idx == 10:
-            raise VmFault("frame register is read-only")
-        self.regs[idx] = value
-
-    def _scalar(self, idx: int) -> int:
-        v = self._get(idx)
-        if not isinstance(v, int):
-            raise VmFault(f"r{idx}: expected a scalar")
-        return v
-
-    def _ptr(self, idx: int) -> MemPtr:
-        v = self._get(idx)
-        if not isinstance(v, MemPtr):
-            raise VmFault(f"r{idx}: expected a memory pointer")
-        return v
-
-    def _map(self, idx: int, kinds) -> m.PolicyMap:
-        v = self._get(idx)
-        if not isinstance(v, MapRef):
-            raise VmFault(f"r{idx}: expected a map reference")
-        if v.map.kind not in kinds:
-            raise VmFault(f"map {v.map.name}: kind not accepted here")
-        return v.map
-
-    def _buffer(self, idx: int) -> MemPtr:
-        """r{idx} as a writable buffer of the byte count in the next one."""
-        ptr = self._ptr(idx)
-        size = self._scalar(idx + 1)
-        if size <= 0 or size % 8 != 0:
-            raise VmFault("byte count must be a positive multiple of 8")
-        self._check_window(ptr, ptr.off, size, for_write=True)
-        return ptr
-
-    def _check_window(self, ptr: MemPtr, at: int, size: int, for_write: bool):
-        if at % 8 != 0 and size >= 8:
-            raise VmFault("memory access not 8-byte aligned")
-        if at < 0 or at + size > len(ptr.buf):
-            raise VmFault("memory access out of bounds")
-        if ptr.buf is self.stack and not for_write:
-            first, last = at // 8, (at + size - 1) // 8
-            for slot in range(first, last + 1):
-                if not self.stack_init & (1 << slot):
-                    raise VmFault("read of uninitialized stack slot")
-
-    def _read_mem(self, ptr: MemPtr, size: int, at=None) -> bytes:
-        pos = ptr.off if at is None else at
-        self._check_window(ptr, pos, size, for_write=False)
-        return bytes(ptr.buf[pos:pos + size])
-
-    def _write_mem(self, ptr: MemPtr, data: bytes, at=None):
-        pos = ptr.off if at is None else at
-        self._check_window(ptr, pos, len(data), for_write=True)
+    def _write_mem(self, ptr: MemPtr, data: bytes):
+        """Write `data` at `ptr`, marking the stack slots it fills."""
+        pos = ptr.off
         ptr.buf[pos:pos + len(data)] = data
         if ptr.buf is self.stack:
-            first, last = pos // 8, (pos + len(data) - 1) // 8
-            for slot in range(first, last + 1):
-                self.stack_init |= 1 << slot
+            self.stack_init |= (2 << (pos + len(data) - 1) // 8) \
+                - (1 << pos // 8)
 
     def _finish(self, raw: int):
         self.steps += 1     # the exit itself
@@ -318,14 +250,10 @@ class VmThread:
                 while True:
                     if self.steps >= limit:
                         raise VmFault("step limit exceeded")
-                    pc = self.pc
-                    if not 0 <= pc < len(code):
-                        raise VmFault("control fell off the program")
-                    pc = code[pc](self, env)
+                    pc = code[self.pc](self, env)
                     if pc is None:
                         break
                     self.pc = pc
-                    self.steps += 1
             except VmFault as exc:
                 self._fault(str(exc))
             except Exception as exc:    # fail closed: a wrong fact, a bug
@@ -336,9 +264,9 @@ class VmThread:
     #
     # `_helper_<name>` implements the helper of that name (see
     # `isa.HELPER_NAMES`).  Its contract is its `isa.HELPER_PROTOS`
-    # entry: the call handler checks r1.. against it and passes the typed
-    # arguments, so a body holds only the helper's semantics.  It returns
-    # r0, or _PARKED after setting `block`.
+    # entry, which the verifier checked r1.. against: a block passes the
+    # typed arguments, so a body holds only the helper's semantics.  It
+    # returns r0, or _PARKED after setting `block`.
 
     def _helper_map_lookup_elem(self, env, pmap, key):
         value = pmap.lookup(key)
@@ -422,21 +350,31 @@ class VmThread:
         return _HANDED_OFF
 
 
+
+
 # -- lowering ---------------------------------------------------------------
 #
-# `code[pc]` is a function of (thread, env) that returns the next pc, or
-# None when the run loop must look at the thread again (exit, park,
-# handoff).  The loop counts one step for each pc returned, so a fused
-# block records in `steps` every instruction it completed but the last.
-#
-# The per-pc handlers are the checked reference path: each executes one
-# instruction and faults exactly as decoding each step would.  A fused
-# block hands them every instruction the facts do not type for it, and
-# every call but a lookup it can see whole.
+# `code[pc]` is the block that starts at `pc` (None where none does): a
+# function of (thread, env) that counts in `steps` every instruction it
+# completed and returns the next pc, or None when the run loop must look
+# at the thread again (exit, park, handoff).  It is one generated Python
+# function per block entry: pc 0, every jump target, and every call that
+# may park, where a parked run resumes.  It runs on through untaken
+# branches (a taken one is a side exit) and through calls, and stops at
+# the next jump target.
+# Registers live in locals and are written through to the thread, except
+# frame pointers and map references, which the facts give exactly and
+# which the block writes back only when it leaves.  What it knows of a
+# register is the tag the verifier's facts give it at the pc (`verifier`
+# names them): K a known scalar, U a scalar, C the context, S a frame
+# pointer, M a map reference, V a map value pointer, N one that may be
+# null, X nothing (paths that reach the pc disagree on it).
 
 _PARKED = object()
 _HANDED_OFF = object()
 _CLOBBERED = [_UNSET] * 5     # r1..r5 after a call
+_PARKS = frozenset({Helper.WAIT_SYSCALL, Helper.SAFE_READ_USER,
+                    Helper.SAFE_READ_USER_STR})   # may return _PARKED
 
 LOWERINGS_KEPT = 256
 # (instructions, facts) -> code, least recently used first
@@ -455,207 +393,57 @@ def _compile(program: FilterProgram) -> list:
     return code
 
 
-def _lower_program(instructions: tuple, facts) -> list:
-    """Per-pc handlers, and with facts a fused block at each entry."""
-    handlers = tuple(_lower(pc, ins) for pc, ins in enumerate(instructions))
-    code = list(handlers)
-    if facts is not None:
-        entries, targets = _block_entries(instructions)
-        for entry in entries:
-            code[entry] = _on_first_entry(code, instructions, facts, entry,
-                                          targets, handlers)
+def _lower_program(instructions: tuple, facts: tuple) -> list:
+    entries, targets = _block_entries(instructions)
+    code = [None] * len(instructions)
+    for entry in entries:
+        code[entry] = _first_entry(code, instructions, facts, entry, targets)
     return code
 
 
-def _faulting(reason: str):
-    def fault(t, env):
-        raise VmFault(reason)
-    return fault
+def _block_entries(instructions: tuple) -> tuple:
+    """The block entries in range, and the jump targets."""
+    targets = {pc + 1 + ins.offset for pc, ins in enumerate(instructions)
+               if ins.opcode in JUMPS}
+    entries = {0} | targets | {pc for pc, ins in enumerate(instructions)
+                               if ins.opcode == Opcode.CALL
+                               and ins.imm in _PARKS}
+    return sorted(e for e in entries if 0 <= e < len(instructions)), targets
 
 
-def _lower(pc: int, ins):
-    op, dst, src, off, imm = ins
-    nxt = pc + 1
-    if op in ALU_BASE:
-        return _lower_alu(ALU_BASE[op], op in IMM_FORM, dst, src, imm, nxt)
-    if op in JUMP_BASE:
-        return _lower_jump(JUMP_BASE[op], op in IMM_FORM, dst, src, imm, nxt,
-                           nxt + off)
-    if op == Opcode.JA:
-        target = nxt + off
-        return lambda t, env: target
-    if op == Opcode.LD_IMM64:
-        if src == LD_IMM64_MAP_REF:
-            def ld_map_ref(t, env):
-                if not 0 <= imm < len(t.maps):
-                    raise VmFault("reference to undeclared map")
-                t._set(dst, MapRef(t.maps[imm]))
-                return nxt
-            return ld_map_ref
-        if src != 0:
-            return _faulting("bad ld_imm64 source flag")
-        return _lower_alu("mov", True, dst, src, imm, nxt)
-    if op == Opcode.LD_CTX:
-        if CTX_FIELDS.get(off) is None:
-            return _faulting("context read is not field aligned")
+def _first_entry(code, instructions, facts, entry, targets):
+    """Holds the place of the block at `entry` until it is first entered,
+    then writes and compiles it and gives its place to it: a block never
+    entered costs no compile.  So does its counted variant, which a run
+    that could cross `STEP_LIMIT` in the block takes instead."""
+    counted = None
 
-        def ld_ctx(t, env):
-            if off:
-                t.pure = False
-            t._set(dst, t.ctx.field(off))
-            return nxt
-        return ld_ctx
-    if op == Opcode.LD_MAP:
-        def ld_map(t, env):
-            ptr = t._ptr(src)
-            data = t._read_mem(ptr, 8, ptr.off + off)
-            t._set(dst, int.from_bytes(data, "little"))
-            return nxt
-        return ld_map
-    if op == Opcode.ST_MAP:
-        def st_map(t, env):
-            ptr = t._ptr(dst)
-            value = t._scalar(src)
-            t._write_mem(ptr, (value & U64_MASK).to_bytes(8, "little"),
-                         ptr.off + off)
-            return nxt
-        return st_map
-    if op == Opcode.CALL:
-        try:
-            helper = Helper(imm)
-        except ValueError:
-            return _faulting(f"unknown helper id {imm}")
-        name = HELPER_NAMES[helper]
-        if helper not in HELPER_PROTOS:
-            return _faulting(f"helper {name} not callable here")
-        return _lower_call(getattr(VmThread, f"_helper_{name}"),
-                           HELPER_PROTOS[helper][0], nxt)
-    if op == Opcode.TAIL_CALL:
-        return _lower_call(VmThread._tail_call, TAIL_CALL_PROTO[0], nxt)
-    if op == Opcode.EXIT:
-        return lambda t, env: t._finish(t._scalar(0))
-    return _faulting(f"unhandled opcode {op!r}")
+    def count(t, env):
+        nonlocal counted
+        if counted is None:
+            counted = _fuse(_BlockWriter(instructions, facts, entry, targets,
+                                         counted=True))
+        return counted(t, env)
+
+    def first_entry(t, env):
+        block = code[entry] = _fuse(_BlockWriter(instructions, facts, entry,
+                                                 targets), count)
+        return block(t, env)
+    return first_entry
 
 
-def _lower_call(body, args, nxt):
-    invoke = _with_args(body, args)
+def _fuse(writer, counted=None):
+    namespace = {}
+    # module globals, so a block reads the live STEP_LIMIT
+    exec(compile(writer.source(), "<fused block>", "exec"), globals(),
+         namespace)
+    return namespace["build"](counted)
 
-    def call(t, env):
-        t.pure = False
-        result = invoke(t, env)
-        if result is _PARKED:
-            return None     # no step, no pc move: resuming re-calls
-        t.helper_calls += 1
-        if result is _HANDED_OFF:
-            t.steps += 1
-            return None
-        t.regs[1:6] = _CLOBBERED
-        t.regs[0] = result
-        return nxt
-    return call
-
-
-def _with_args(body, args):
-    """`body` as a function of (thread, env) that checks and fetches its
-    declared arguments in register order.  Unrolled by arity: a star
-    call costs more than most bodies."""
-    map_reg = next((reg for reg, arg in enumerate(args, 1)
-                    if isinstance(arg, MapArg)), None)
-    fetch = [_arg_fetcher(reg, arg, map_reg)
-             for reg, arg in enumerate(args, 1)]
-    a, b, c, d = fetch + [None] * (4 - len(fetch))
-    return [body,
-            lambda t, env: body(t, env, a(t)),
-            lambda t, env: body(t, env, a(t), b(t)),
-            lambda t, env: body(t, env, a(t), b(t), c(t)),
-            lambda t, env: body(t, env, a(t), b(t), c(t), d(t))][len(fetch)]
-
-
-def _arg_fetcher(reg, arg, map_reg):
-    """A function of the thread that returns r{reg} checked against its
-    type: a map, key or value bytes of the map in r{map_reg} (checked
-    first), a writable buffer or a scalar."""
-    if isinstance(arg, MapArg):
-        kinds = arg.kinds
-        return lambda t: t._map(reg, kinds)
-    if arg == ARG_KEY:
-        return lambda t: t._read_mem(t._ptr(reg), t.regs[map_reg].map.key_size)
-    if arg == ARG_VALUE:
-        return lambda t: t._read_mem(t._ptr(reg),
-                                     t.regs[map_reg].map.value_size)
-    if arg == ARG_BUF:
-        return lambda t: t._buffer(reg)
-    return lambda t: t._scalar(reg)
-
-
-def _lower_alu(base, imm_form, dst, src, imm, nxt):
-    fn = ALU_OPS[base]
-    b = imm & U64_MASK
-
-    def alu(t, env):
-        rhs = b if imm_form else t._get(src)
-        if base == "mov":
-            t._set(dst, rhs)
-            return nxt
-        lhs = t._get(dst)
-        if isinstance(lhs, MemPtr) and base in ("add", "sub"):
-            if not isinstance(rhs, int):
-                raise VmFault("pointer arithmetic needs a scalar offset")
-            t._set(dst, MemPtr(lhs.buf, lhs.off + _pointer_delta(base, rhs)))
-        elif isinstance(lhs, int) and isinstance(rhs, int):
-            t._set(dst, fn(lhs, rhs))
-        else:
-            raise VmFault(f"{base} on non-scalar operands")
-        return nxt
-    return alu
-
-
-def _pointer_delta(base: str, rhs: int) -> int:
-    """The signed byte offset `add`/`sub` of the word `rhs` moves a pointer."""
-    delta = rhs if rhs < (1 << 63) else rhs - (1 << 64)
-    return -delta if base == "sub" else delta
-
-
-def _lower_jump(base, imm_form, dst, src, imm, nxt, taken):
-    fn = COND_OPS[base]
-    b = imm & U64_MASK
-
-    def jump(t, env):
-        lhs = t._get(dst)
-        rhs = b if imm_form else t._get(src)
-        if isinstance(lhs, (MemPtr, MapRef)) or lhs == _CTX:
-            # only the null check on a maybe-null lookup result is legal
-            if base not in ("jeq", "jne") or rhs != 0 \
-                    or not isinstance(lhs, MemPtr):
-                raise VmFault("comparison on non-scalar operands")
-            return taken if base == "jne" else nxt
-        if isinstance(lhs, int) and isinstance(rhs, int):
-            return taken if fn(lhs, rhs) else nxt
-        raise VmFault("comparison on non-scalar operands")
-    return jump
-
-
-# -- fused blocks -------------------------------------------------------------
-#
-# A block is one generated Python function per block entry: pc 0, every
-# jump target, and the pc after each call, tail_call, ja and exit.  It
-# runs on through untaken branches (a taken one is a side exit) and
-# through calls, and stops at the next jump target.  Registers live in
-# locals and are written through to the thread, except frame pointers and
-# map references, which the facts give exactly and which the block writes
-# back only when it leaves.  What it knows of a register is the tag the
-# verifier's facts give it at the pc (`verifier` names them): K a known
-# scalar, U a scalar, C the context, S a frame pointer, M a map
-# reference, V a map value pointer, N one that may be null, X nothing.
 
 _load = struct.Struct("<Q").unpack_from
 _store = struct.Struct("<Q").pack_into
-_lookup = VmThread._helper_map_lookup_elem
 _SCALARS = ("K", "U")
-_ENDS_BEFORE = frozenset({Opcode.CALL, Opcode.TAIL_CALL, Opcode.JA,
-                          Opcode.EXIT})    # the pc after one is an entry
-# how `_BlockWriter.insn` left an instruction
-_FUSED, _CALLED, _END, _HAND = "fused", "called", "end", "hand"
+_CALLS = frozenset({Opcode.CALL, Opcode.TAIL_CALL})
 _OPERANDS = re.compile(r"\b[abM]\b")
 
 
@@ -666,68 +454,54 @@ def _render(expr: str, a: str, b: str) -> str:
     return _OPERANDS.sub(lambda m: names[m[0]], expr)
 
 
-def _block_entries(instructions: tuple) -> tuple:
-    """The block entries in range, and the jump targets."""
-    targets = {pc + 1 + ins.offset for pc, ins in enumerate(instructions)
-               if ins.opcode in JUMPS}
-    entries = {0} | targets | {pc + 1 for pc, ins in enumerate(instructions)
-                               if ins.opcode in _ENDS_BEFORE}
-    return sorted(e for e in entries if 0 <= e < len(instructions)), targets
+def _pointer_delta(base: str, rhs: int) -> int:
+    """The signed byte offset `add`/`sub` of the word `rhs` moves a pointer."""
+    delta = rhs if rhs < (1 << 63) else rhs - (1 << 64)
+    return -delta if base == "sub" else delta
 
 
-def _on_first_entry(code, instructions, facts, entry, targets, handlers):
-    """Holds the place of the block at `entry` until it is first entered,
-    then writes and compiles it and gives its place to it (or to the
-    handler, when it would fuse nothing): a block never entered costs no
-    compile."""
-    block = None
-
-    def first_entry(t, env):
-        nonlocal block
-        if block is None:
-            writer = _BlockWriter(instructions, facts, entry, targets)
-            block = code[entry] = _fuse(writer, handlers) if writer.fused \
-                else handlers[entry]
-        return block(t, env)
-    return first_entry
+def _untyped_alu(base: str, a, b):
+    """`base` on an operand whose fact is X: a pointer moves by the
+    scalar, scalars combine."""
+    if type(a) is int:
+        return ALU_OPS[base](a, b)
+    return MemPtr(a.buf, a.off + _pointer_delta(base, b))
 
 
-def _fuse(writer, handlers: tuple):
-    namespace = {}
-    # module globals, so a block reads the live STEP_LIMIT
-    exec(compile(writer.source(), "<fused block>", "exec"), globals(),
-         namespace)
-    return namespace["build"](handlers)
+def _untyped_cond(base: str, a, b) -> bool:
+    """`base` on an operand whose fact is X: a map value pointer is the
+    non-null side of a null check."""
+    if type(a) is int:
+        return COND_OPS[base](a, b)
+    return base == "jne"
 
 
-def fused_pcs(program: FilterProgram) -> set:
-    """The pcs of `program` that some fused block runs inline: none
-    without facts."""
-    if program.facts is None:
-        return set()
-    entries, targets = _block_entries(program.instructions)
-    return {pc for entry in entries
-            for pc in _BlockWriter(program.instructions, program.facts,
-                                   entry, targets).fused}
+def _untyped_store(t: VmThread, ptr: MemPtr, off: int, value: int):
+    """`st_map` through a pointer whose fact is X."""
+    at = ptr.off + off
+    _store(ptr.buf, at, value)
+    if ptr.buf is t.stack:
+        t.stack_init |= 1 << at // 8
 
 
 class _BlockWriter:
     """The source of the block that starts at `entry`, written from the
-    verifier's `facts`.
+    verifier's `facts`, or of its `counted` variant, which also stops
+    before any instruction that would start at `STEP_LIMIT`.
 
-    An instruction is fused when the facts at its pc give its operands
-    the tags its code needs; otherwise the block writes back its
-    pointers, `pc` and `steps` and hands it to its per-pc handler, and
-    ends.  Nothing else is tested at run time: the verifier proved every
-    instruction a verified program executes safe (in bounds, initialised,
-    of an accepted map kind) in each state that reaches it, and the facts
-    cover each such state.  At entry the block checks that it cannot cross
-    `STEP_LIMIT`.
+    Nothing is tested at run time: the verifier proved every instruction
+    a verified program executes safe (in bounds, initialised, of an
+    accepted map kind) in each state that reaches it, and the facts cover
+    each such state.  An operand the facts type is used as what they say
+    (a constant, a frame offset, a map); one whose fact is X is read from
+    the thread and used as what it holds.  A pc with no fact faults, since
+    no run reaches it.
     """
 
     def __init__(self, instructions: tuple, facts: tuple, entry: int,
-                 targets: set):
+                 targets: set, counted: bool = False):
         self.entry = entry
+        self.counted = counted
         self.body: list[str] = []
         self.depth = 2
         self.loaded: set = set()    # registers whose local is current
@@ -735,34 +509,28 @@ class _BlockWriter:
         self.done = 0               # instructions completed before this one
         self.uses: set = set()
         self.impure = False         # t.pure is cleared on every path here
-        self.fused: list[int] = []
         pc = entry
-        while True:
-            if pc >= len(instructions) or pc != entry and pc in targets:
-                self.leave(self.steps(self.done - 1), f"return {pc}")
-                break
-            self.size = pc - entry + 1
-            how = _HAND
-            if facts[pc] is not None:
-                self.regs, self.init = facts[pc]
-                how = self.insn(pc, instructions[pc])
-            if how is _HAND:
-                self.leave(self.steps(self.done), f"t.pc = {pc}",
-                           f"return _h[{pc}](t, env)")
-                break
-            if how is not _CALLED:
-                self.fused.append(pc)
-            if how is _END:
-                break
+        while pc == entry or pc not in targets:
+            self.size = self.done + 1
+            if counted and self.done:
+                self.side_exit(f"s0 + {self.done} >= STEP_LIMIT",
+                               *self.fault(pc, "step limit exceeded"))
+            if pc >= len(instructions) or facts[pc] is None:
+                self.leave(*self.fault(pc, "unreachable instruction"))
+                return
+            self.regs, self.init = facts[pc]
+            if self.insn(pc, instructions[pc]):
+                return
             self.done += 1
             pc += 1
+        self.leave(self.steps(self.done), f"return {pc}")
 
     def source(self) -> str:
-        head = ["def build(_h):", f"    def b{self.entry}(t, env):",
+        head = ["def build(_counted):", f"    def b{self.entry}(t, env):",
                 "        s0 = t.steps"]
-        if self.size > 1:
+        if self.size > 1 and not self.counted:
             head += [f"        if s0 + {self.size} > STEP_LIMIT:",
-                     f"            return _h[{self.entry}](t, env)"]
+                     "            return _counted(t, env)"]
         head.append("        regs = t.regs")
         head += [f"        {name} = t.{attr}"
                  for name, attr in (("stk", "stack"), ("c", "ctx"),
@@ -787,11 +555,17 @@ class _BlockWriter:
         for line in lines:
             self.emit(line)
 
-    def side_exit(self, cond: str, target: int):
+    def side_exit(self, cond: str, *lines: str):
+        """Leave the block by `lines` when `cond` holds."""
         self.emit(f"if {cond}:")
         self.depth += 1
-        self.leave(self.steps(self.done), f"return {target}")
+        self.leave(*lines)
         self.depth -= 1
+
+    def fault(self, pc: int, reason: str) -> tuple:
+        """The lines that fault before the instruction at `pc`."""
+        return self.steps(self.done), f"t.pc = {pc}", \
+            f"raise VmFault({reason!r})"
 
     # -- registers ------------------------------------------------------
 
@@ -822,55 +596,53 @@ class _BlockWriter:
             self.dirty[reg] = f"MapRef(maps[{tag[1]}])"
         self.loaded.discard(reg)
 
-    def frame_slot(self, tag: tuple, off: int):
-        """The stack offset of an 8-byte access `off` bytes from the frame
-        pointer `tag`, or None when it would fault."""
-        at = STACK_SIZE + tag[1] + off
-        if at % 8 or at < 0 or at + 8 > STACK_SIZE:
-            return None
+    def frame(self, tag: tuple, off: int = 0) -> int:
+        """The stack offset `off` bytes from the frame pointer `tag`."""
         self.uses.add("stk")
-        return at
+        return STACK_SIZE + tag[1] + off
 
     # -- instructions ---------------------------------------------------
 
-    def insn(self, pc: int, ins) -> str:
+    def insn(self, pc: int, ins) -> bool:
+        """Write `ins`; True when the block ends with it."""
         op, dst, src, off, imm = ins
         rhs = ("K", imm & U64_MASK) if op in IMM_FORM else self.regs[src]
         if op in ALU_BASE:
-            return self.alu(ALU_BASE[op], dst, src, rhs)
-        if op in JUMP_BASE:
-            return self.branch(JUMP_BASE[op], dst, src, rhs, pc + 1 + off)
-        if op == Opcode.JA:
-            self.leave(self.steps(self.done), f"return {pc + 1 + off}")
-            return _END
-        if op == Opcode.LD_IMM64:
+            self.alu(ALU_BASE[op], dst, src, rhs)
+        elif op in JUMP_BASE:
+            self.branch(JUMP_BASE[op], dst, src, rhs, pc + 1 + off)
+        elif op == Opcode.JA:
+            self.leave(self.steps(self.done + 1), f"return {pc + 1 + off}")
+            return True
+        elif op == Opcode.LD_IMM64:
             if src == LD_IMM64_MAP_REF:
                 self.point(dst, ("M", imm))
-                return _FUSED
-            return _HAND if src else self.alu("mov", dst, 0,
-                                              ("K", imm & U64_MASK))
-        if op == Opcode.LD_CTX:
-            return self.ld_ctx(dst, off)
-        if op == Opcode.LD_MAP:
-            return self.ld_map(dst, src, off)
-        if op == Opcode.ST_MAP:
-            return self.st_map(dst, src, off)
-        if op == Opcode.CALL:
-            return self.call(pc, imm)
-        if op == Opcode.TAIL_CALL:
-            return self.through_handler(pc)
-        if op == Opcode.EXIT:
-            return self.exit(pc)
-        return _HAND
+            else:
+                self.alu("mov", dst, 0, ("K", imm & U64_MASK))
+        elif op == Opcode.LD_CTX:
+            self.uses.add("c")
+            if off:
+                self.clear_pure()
+            self.write(dst, _render(CTX_LOADS[off], "", ""))
+        elif op == Opcode.LD_MAP:
+            self.ld_map(dst, src, off)
+        elif op == Opcode.ST_MAP:
+            self.st_map(dst, src, off)
+        elif op in _CALLS:
+            self.call(pc, ins)
+        else:   # exit
+            self.leave(self.steps(self.done), f"t.pc = {pc}",
+                       f"t._finish({self.value(self.regs[0], 0)})",
+                       "return None")
+            return True
+        return False
 
-    def alu(self, base, dst, src, rhs) -> str:
+    def alu(self, base, dst, src, rhs):
         """`rhs` is the tag of the operand: src's, or the immediate's."""
         lhs = self.regs[dst]
         if base == "mov":
             if rhs[0] in ("S", "M"):
                 self.point(dst, rhs)
-            elif rhs[0] == "X":
-                return _HAND
             else:
                 self.write(dst, self.value(rhs, src))
         elif lhs[0] == "S" and rhs[0] == "K" and base in ("add", "sub"):
@@ -878,105 +650,103 @@ class _BlockWriter:
         elif lhs[0] in _SCALARS and rhs[0] in _SCALARS:
             b = self.value(rhs, src)
             self.write(dst, _render(ALU_EXPRS[base], self.value(lhs, dst), b))
-        else:
-            return _HAND
-        return _FUSED
+        else:   # a map value pointer, or an operand of fact X
+            b = self.value(rhs, src)
+            self.write(dst, f"_untyped_alu({base!r}, {self.value(lhs, dst)}, "
+                            f"{b})")
 
-    def branch(self, base, dst, src, rhs, target) -> str:
+    def branch(self, base, dst, src, rhs, target):
         lhs = self.regs[dst]
+        b = self.value(rhs, src)
         if lhs[0] == "N" and rhs == ("K", 0) and base in ("jeq", "jne"):
             # the null check on a lookup result: the only scalar here is 0
             cond = f"type({self.value(lhs, dst)}) is " \
                 f"{'' if base == 'jeq' else 'not '}int"
         elif lhs[0] in _SCALARS and rhs[0] in _SCALARS:
-            b = self.value(rhs, src)
             cond = _render(COND_EXPRS[base], self.value(lhs, dst), b)
-        else:
-            return _HAND
-        self.side_exit(cond, target)
-        return _FUSED
+        else:   # an operand of fact X
+            cond = f"_untyped_cond({base!r}, {self.value(lhs, dst)}, {b})"
+        self.side_exit(cond, self.steps(self.done + 1), f"return {target}")
 
-    def ld_ctx(self, dst, off) -> str:
-        if off not in CTX_LOADS:
-            return _HAND
-        self.uses.add("c")
-        if off:
-            self.clear_pure()
-        self.write(dst, _render(CTX_LOADS[off], "", ""))
-        return _FUSED
-
-    def ld_map(self, dst, src, off) -> str:
+    def ld_map(self, dst, src, off):
         ptr = self.regs[src]
         if ptr[0] == "S":
-            at = self.frame_slot(ptr, off)
-            if at is None:
-                return _HAND
-            self.write(dst, f"_load(stk, {at})[0]")
+            self.write(dst, f"_load(stk, {self.frame(ptr, off)})[0]")
         elif ptr[0] == "V":
             self.write(dst, f"_load({self.value(ptr, src)}.buf, "
                             f"{ptr[2] + off})[0]")
-        else:
-            return _HAND
-        return _FUSED
+        else:   # fact X
+            p = self.value(ptr, src)
+            self.write(dst, f"_load({p}.buf, {p}.off + {off})[0]")
 
-    def st_map(self, dst, src, off) -> str:
-        ptr, scalar = self.regs[dst], self.regs[src]
-        if scalar[0] not in _SCALARS:
-            return _HAND
+    def st_map(self, dst, src, off):
+        ptr, scalar = self.regs[dst], self.value(self.regs[src], src)
         if ptr[0] == "S":
-            at = self.frame_slot(ptr, off)
-            if at is None:
-                return _HAND
-            self.emit(f"_store(stk, {at}, {self.value(scalar, src)})")
+            at = self.frame(ptr, off)
+            self.emit(f"_store(stk, {at}, {scalar})")
             if not self.init >> at // 8 & 1:
                 self.emit(f"t.stack_init |= {1 << at // 8}")
         elif ptr[0] == "V":
             self.emit(f"_store({self.value(ptr, dst)}.buf, {ptr[2] + off}, "
-                      f"{self.value(scalar, src)})")
-        else:
-            return _HAND
-        return _FUSED
+                      f"{scalar})")
+        else:   # fact X
+            self.emit(f"_untyped_store(t, {self.value(ptr, dst)}, {off}, "
+                      f"{scalar})")
 
-    def call(self, pc, imm) -> str:
-        pmap, key = self.regs[1], self.regs[2]
-        if imm != Helper.MAP_LOOKUP_ELEM or pmap[0] != "M" or key[0] != "S":
-            return self.through_handler(pc)
-        at = STACK_SIZE + key[1]
-        self.uses.update(("stk", "maps"))
+    def call(self, pc, ins):
+        """A helper call or `tail_call`, passed the arguments its prototype
+        declares (`isa.HELPER_PROTOS`, `TAIL_CALL_PROTO`).  A parked call
+        leaves `pc` on itself, where the run resumes."""
+        tail = ins.opcode == Opcode.TAIL_CALL
+        args, _ = TAIL_CALL_PROTO if tail else HELPER_PROTOS[ins.imm]
+        body = "_tail_call" if tail else f"_helper_{HELPER_NAMES[ins.imm]}"
         self.clear_pure()
-        self.emit(f"pm = maps[{pmap[1]}]")
-        self.write(0, f"_lookup(t, env, pm, stk[{at}:{at} + pm.key_size])")
-        self.emit("t.helper_calls += 1")
+        values = "".join(f", {self.arg(reg, arg)}"
+                         for reg, arg in enumerate(args, 1))
+        call = f"r0 = t.{body}(env{values})"
+        if tail:    # a handoff leaves the block, or faults past 32
+            self.leave(self.steps(self.done), f"t.pc = {pc}", call,
+                       "t.helper_calls += 1")
+            self.dirty.clear()
+            self.side_exit("r0 is _HANDED_OFF", self.steps(self.done + 1),
+                           "return None")
+        else:
+            self.emit(call)
+            if ins.imm in _PARKS:
+                self.side_exit("r0 is _PARKED", self.steps(self.done),
+                               f"t.pc = {pc}", "return None")
+            self.emit("t.helper_calls += 1")
+        self.emit("regs[0] = r0")
         self.emit("regs[1:6] = _CLOBBERED")
-        self.clobbered()
-        return _FUSED
+        self.loaded.add(0)
+        self.dirty.pop(0, None)
+        for reg in range(1, 6):
+            self.loaded.discard(reg)
+            self.dirty.pop(reg, None)
 
-    def through_handler(self, pc) -> str:
-        """A call made by the instruction's handler; the block goes on
-        with what it leaves in r0..r5 unless it parked or handed off."""
-        self.leave(self.steps(self.done), f"t.pc = {pc}")
-        self.emit(f"if _h[{pc}](t, env) is None:")
-        self.emit("    return None")
-        self.impure = True      # the handler cleared it
-        self.dirty.clear()
-        self.loaded.discard(0)
-        self.clobbered()
-        return _CALLED
+    def arg(self, reg: int, arg) -> str:
+        """r{reg} as the argument `arg` of a call, the map argument (bound
+        to `pm`, always r1) first."""
+        tag = self.regs[reg]
+        if isinstance(arg, MapArg):
+            if tag[0] == "M":
+                self.uses.add("maps")
+                self.emit(f"pm = maps[{tag[1]}]")
+            else:
+                self.emit(f"pm = {self.value(tag, reg)}.map")
+            return "pm"
+        if arg in (ARG_KEY, ARG_VALUE):
+            size = "pm.key_size" if arg == ARG_KEY else "pm.value_size"
+            if tag[0] == "S":
+                at = self.frame(tag)
+                return f"stk[{at}:{at} + {size}]"
+            p = self.value(tag, reg)
+            return f"{p}.buf[{p}.off:{p}.off + {size}]"
+        if arg == ARG_BUF and tag[0] == "S":
+            return f"MemPtr(stk, {self.frame(tag)})"
+        return self.value(tag, reg)
 
     def clear_pure(self):
         if not self.impure:
             self.emit("t.pure = False")
             self.impure = True
-
-    def clobbered(self):
-        """r1..r5 after a call."""
-        for reg in range(1, 6):
-            self.loaded.discard(reg)
-            self.dirty.pop(reg, None)
-
-    def exit(self, pc) -> str:
-        if self.regs[0][0] not in _SCALARS:
-            return _HAND
-        self.leave(self.steps(self.done), f"t.pc = {pc}",
-                   f"t._finish({self.value(self.regs[0], 0)})", "return None")
-        return _END

@@ -1,21 +1,21 @@
-"""The interpreter's fused lowering against its per-pc handlers alone,
-outside the test suite:
+"""The interpreter's fused blocks against the reference interpreter
+(`helpers.ReferenceThread`, the checked per-pc handlers), outside the
+test suite:
 
     PYTHONPATH=src python -m tests.fuzz_lowering --seed 1 --cases 5000
 
 Each case is one program with seeded inputs (maps, context, user memory,
-in-flight syscalls and fault markers), run once on the shared fused
-lowering and once on the per-pc handlers (`helpers.lower_all`).  The
-cases take turns from five sources: criterion 5's fuzz programs (seed
-31337); the verifier's soundness corpus; the `FORGED` and `BLOCK_EDGES`
-programs of `test_vm`; every policy generator's program, also as a
+in-flight syscalls and fault markers), run once on the fused blocks and
+once on the reference.  The cases take turns from five sources:
+criterion 5's fuzz programs (seed 31337); the verifier's soundness
+corpus; the `FORGED` and `BLOCK_EDGES` programs of `test_vm`, each under
+syscall number 0 or 1; every policy generator's program, also as a
 sleepable copy; and mutants of the generators' and the soundness
-programs.  Each program goes through the verifier, and each it rejects
-is forged as verified: that one has no facts, so both runs are per-pc,
-and a fused block built for it counts as a disagreement.  Half the
-cases run under a `vm.STEP_LIMIT` of 64 or less, so runs stop at every
-offset into a block; the others under 5000.  A run that parks (at
-`wait_syscall` or at a fault marker) is resumed until it is done.  At
+programs.  Each program goes through the verifier.  One it refuses has
+no facts, and `VmThread` must refuse to run it; it gets no second run.
+Half the cases run under a `vm.STEP_LIMIT` of 64 or less, so runs stop
+at every offset into a block; the others under 5000.  A run that parks
+(at `wait_syscall` or at a fault marker) is resumed until it is done.  At
 every park and at the end the two runs must agree on the outcome, the
 registers, stack, `stack_init`, pc and counters, the thread's
 `state_key()` while parked, the maps and the in-flight table.  It prints
@@ -36,14 +36,13 @@ from sfvm.asm import assemble
 from sfvm.isa import FilterProgram, MapKind, SyscallContext
 from sfvm.maps import instantiate
 from sfvm.verifier import verify
-from sfvm.vm import MapRef, MemPtr, RuntimeEnv, VmThread, WaitBlock
+from sfvm.vm import MapRef, MemPtr, RuntimeEnv, VmFault, VmThread, WaitBlock
 
 from .helpers import (
     USER_BASE,
+    ReferenceThread,
     every_generator,
-    fused_blocks,
     fuzz_source,
-    lower_all,
     programs_within,
     soundness_inputs,
     soundness_program,
@@ -102,10 +101,11 @@ def observe(thread: VmThread, status: str, env: RuntimeEnv, maps) -> tuple:
             sorted(env.in_flight.counts.items()), sorted(env.registered))
 
 
-def trace_run(program, maps, ctx, env) -> list:
-    """What `observe` sees at every park and at the end of one run; a
-    park is resumed as the engine would once its condition clears."""
-    thread = VmThread(program, maps, ctx)
+def trace_run(interpreter, program, maps, ctx, env) -> list:
+    """What `observe` sees at every park and at the end of one run on
+    `interpreter` (`VmThread` or `ReferenceThread`); a park is resumed as
+    the engine would once its condition clears."""
+    thread = interpreter(program, maps, ctx)
     seen = []
     while len(seen) < MAX_PARKS:
         status = thread.run(env)
@@ -126,26 +126,25 @@ FIELDS = ("status outcome regs stack stack_init pc steps helper_calls pure "
 
 
 def disagreement(program, inputs, step_limit: int) -> tuple:
-    """Where the fused and the per-pc runs of `program` on `inputs()`,
+    """Where the fused and the reference runs of `program` on `inputs()`,
     under `step_limit`, first differ (None when they agree), and the
-    fused run."""
-    runs = []
+    fused run (None for a program without facts)."""
+    if not program.verified:
+        try:
+            VmThread(program, *inputs()[:2])
+        except VmFault:
+            return None, None
+        return "a program without facts was let run", None
     saved, vm.STEP_LIMIT = vm.STEP_LIMIT, step_limit
     try:
-        for per_pc in (False, True):
-            lower_all(program, per_pc)
-            runs.append(trace_run(program, *inputs()))
-            if any(p.facts is None and fused_blocks(p)
-                   for p in programs_within(program)):
-                return "a fused block for a program without facts", runs[0]
+        fused, checked = (trace_run(interpreter, program, *inputs())
+                          for interpreter in (VmThread, ReferenceThread))
     finally:
         vm.STEP_LIMIT = saved
-        lower_all(program, False)
-    fused, checked = runs
     for at, (a, b) in enumerate(zip(fused, checked)):
         if a != b:
             return (f"observation {at}:\n" + "\n".join(
-                f"  {name}: fused {x!r}\n  {name}: per-pc {y!r}"
+                f"  {name}: fused {x!r}\n  {name}: reference {y!r}"
                 for name, x, y in zip(FIELDS, a, b) if x != y), fused)
     if len(fused) != len(checked):
         return f"{len(fused)} observations against {len(checked)}", fused
@@ -168,12 +167,11 @@ def world(rng: random.Random, program):
     return maps, ctx, env
 
 
-def verified_or_forged(program):
-    """`program` with it and its handoff targets each verified, or forged
-    as verified where the verifier refuses."""
+def verified(program):
+    """`program` after the verifier has seen it and each of its handoff
+    targets."""
     for p in programs_within(program):
-        if not verify(p).accepted:
-            p.verified = True
+        verify(p)
     return program
 
 
@@ -197,7 +195,7 @@ def fuzz_cases(rng):
 def soundness_cases(rng):
     while True:
         _, program = soundness_program(rng)
-        program = verified_or_forged(
+        program = verified(
             replace(program, sleepable=rng.random() < 0.5))
         yield ("soundness", program,
                _seeded(lambda r, p=program: world(r, p), rng.random()))
@@ -207,19 +205,19 @@ def forged_cases(rng):
     programs = {**FORGED, **BLOCK_EDGES}
     for name in itertools.cycle(sorted(programs)):
         body = programs[name][0]
-        program = verified_or_forged(
+        program = verified(
             assemble("section seccomp\n" + body + "\n")
             if isinstance(body, str) else FilterProgram(instructions=body))
         yield (f"forged {name}", program,
-               lambda p=program: (instantiate(p), SyscallContext(nr=0),
-                                  RuntimeEnv()))
+               lambda p=program, nr=rng.choice((0, 1)): (
+                   instantiate(p), SyscallContext(nr=nr), RuntimeEnv()))
 
 
 def generator_cases(rng):
     programs = every_generator()
     programs += [replace(p, sleepable=True) for p in programs]
     for program in programs:
-        verified_or_forged(program)
+        verified(program)
     for program in itertools.cycle(programs):
         yield (f"generator {program.section_name}", program,
                _seeded(lambda r, p=program: world(r, p), rng.random()))
@@ -244,12 +242,12 @@ def _mutant(rng: random.Random, program):
 
 def mutant_cases(rng):
     """Generator and soundness programs with a few fields changed: faults
-    and odd operands, mostly forged."""
+    and odd operands, most of them refused."""
     bases = every_generator()
     sound = soundness_cases(rng)
     while True:
         base = rng.choice(bases) if rng.random() < 0.5 else next(sound)[1]
-        program = verified_or_forged(_mutant(rng, base))
+        program = verified(_mutant(rng, base))
         yield ("mutant", program,
                _seeded(lambda r, p=program: world(r, p), rng.random()))
 
@@ -275,6 +273,8 @@ def run_corpus(seed: int, count: int) -> tuple:
         difference, fused = disagreement(program, inputs, limit)
         if difference is not None:
             found.append(f"{label}: {difference}")
+        if fused is None:
+            continue
         seen.update(type(obs[FIELDS.index("block")]).__name__
                     for obs in fused if obs[0] == "blocked")
         end = fused[-1]

@@ -1,10 +1,12 @@
 """Hand tools shared by the test modules: context builders, one-call
-policy attachment, a small trace runner, program generators, a
+policy attachment, a small trace runner, program generators, the
+reference interpreter that the fused blocks are checked against, a
 reference explorer with a corpus of small races to check it against, and
 a corpus of generator specs."""
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import sys
@@ -16,13 +18,28 @@ from pathlib import Path
 from sfvm.asm import assemble, disassemble
 from sfvm.engine import Engine, EngineConfig
 from sfvm.isa import (
+    ALU_BASE,
+    ALU_OPS,
+    ARG_BUF,
+    ARG_KEY,
+    ARG_VALUE,
+    COND_OPS,
     CTX_FIELDS,
+    HELPER_NAMES,
+    HELPER_PROTOS,
     I16_MAX,
     I16_MIN,
     I64_MAX,
     I64_MIN,
+    IMM_FORM,
+    JUMP_BASE,
+    LD_IMM64_MAP_REF,
+    TAIL_CALL_PROTO,
+    U64_MASK,
     FilterProgram,
+    Helper,
     Instruction,
+    MapArg,
     MapDecl,
     MapKind,
     Opcode,
@@ -56,7 +73,7 @@ from sfvm.trace import parse_trace
 from sfvm.usermem import UserMemory
 from sfvm import state, vm
 from sfvm.verifier import verify
-from sfvm.vm import RuntimeEnv, VmThread
+from sfvm.vm import MapRef, MemPtr, RuntimeEnv, VmFault, VmThread
 
 
 def ctx(nr, *args, addr=0):
@@ -483,7 +500,15 @@ def soundness_faults(rng: random.Random, program, runs: int) -> list:
     return faults
 
 
-# -- the interpreter's two lowerings --------------------------------------------
+# -- the reference interpreter ----------------------------------------------
+#
+# The interpreter that the fused blocks replaced, kept as their oracle:
+# one checked handler per pc, a closure with operand form, immediate,
+# jump targets and semantics (`isa.ALU_OPS`/`COND_OPS`) bound in, which
+# re-checks every structural rule the verifier enforces and faults with a
+# reason.  So it runs programs without facts too.  `code[pc]` returns the
+# next pc, or None when the run loop must look at the thread again (exit,
+# park, handoff); the loop counts one step for each pc returned.
 
 def programs_within(program) -> list:
     """`program` and every handoff target its map declarations hold."""
@@ -494,18 +519,273 @@ def programs_within(program) -> list:
     return out
 
 
-def per_pc_lowering(program) -> tuple:
-    """`program`'s per-pc handlers alone: the checked reference path,
-    without fused blocks."""
-    return tuple(vm._lower(pc, ins)
-                 for pc, ins in enumerate(program.instructions))
+class ReferenceThread(VmThread):
+    """A `VmThread` run one instruction at a time on the checked per-pc
+    handlers (`reference_lowering`), verified or not.  Its state key is a
+    `VmThread`'s."""
+
+    def __init__(self, program: FilterProgram, prog_maps, ctx):
+        self.ctx = ctx
+        self._enter(program, prog_maps)
+        self.steps = self.helper_calls = self.tail_depth = 0
+        self.pure = True
+        self.block = None
+        self.done = False
+        self.outcome = None
+        self.fault_serviced = set()
+
+    def lowering(self, program) -> tuple:
+        return reference_lowering(program.instructions)
+
+    def run(self, env: RuntimeEnv) -> str:
+        limit = vm.STEP_LIMIT
+        while not self.done:
+            if self.block is not None:
+                return "blocked"
+            code = self.lowering(self.program)
+            try:
+                while True:
+                    if self.steps >= limit:
+                        raise VmFault("step limit exceeded")
+                    pc = self.pc
+                    if not 0 <= pc < len(code):
+                        raise VmFault("control fell off the program")
+                    pc = code[pc](self, env)
+                    if pc is None:
+                        break
+                    self.pc = pc
+                    self.steps += 1
+            except VmFault as exc:
+                self._fault(str(exc))
+            except Exception as exc:    # fail closed, as `VmThread` does
+                self._fault(f"{type(exc).__name__}: {exc}")
+        return "done"
+
+    # -- checked accessors ------------------------------------------------
+
+    def _get(self, idx: int):
+        v = self.regs[idx]
+        if v is vm._UNSET or v == vm._UNSET:
+            raise VmFault(f"read of uninitialized register r{idx}")
+        return v
+
+    def _set(self, idx: int, value):
+        if idx == 10:
+            raise VmFault("frame register is read-only")
+        self.regs[idx] = value
+
+    def _scalar(self, idx: int) -> int:
+        v = self._get(idx)
+        if not isinstance(v, int):
+            raise VmFault(f"r{idx}: expected a scalar")
+        return v
+
+    def _ptr(self, idx: int) -> MemPtr:
+        v = self._get(idx)
+        if not isinstance(v, MemPtr):
+            raise VmFault(f"r{idx}: expected a memory pointer")
+        return v
+
+    def _map(self, idx: int, kinds):
+        v = self._get(idx)
+        if not isinstance(v, MapRef):
+            raise VmFault(f"r{idx}: expected a map reference")
+        if v.map.kind not in kinds:
+            raise VmFault(f"map {v.map.name}: kind not accepted here")
+        return v.map
+
+    def _buffer(self, idx: int) -> MemPtr:
+        """r{idx} as a writable buffer of the byte count in the next one."""
+        ptr = self._ptr(idx)
+        size = self._scalar(idx + 1)
+        if size <= 0 or size % 8 != 0:
+            raise VmFault("byte count must be a positive multiple of 8")
+        self._check_window(ptr, ptr.off, size, for_write=True)
+        return ptr
+
+    def _check_window(self, ptr: MemPtr, at: int, size: int, for_write: bool):
+        if at % 8 != 0 and size >= 8:
+            raise VmFault("memory access not 8-byte aligned")
+        if at < 0 or at + size > len(ptr.buf):
+            raise VmFault("memory access out of bounds")
+        if ptr.buf is self.stack and not for_write:
+            first, last = at // 8, (at + size - 1) // 8
+            for slot in range(first, last + 1):
+                if not self.stack_init & (1 << slot):
+                    raise VmFault("read of uninitialized stack slot")
+
+    def _read_mem(self, ptr: MemPtr, size: int, at=None) -> bytes:
+        pos = ptr.off if at is None else at
+        self._check_window(ptr, pos, size, for_write=False)
+        return bytes(ptr.buf[pos:pos + size])
+
+    def _write_mem(self, ptr: MemPtr, data: bytes, at=None):
+        pos = ptr.off if at is None else at
+        self._check_window(ptr, pos, len(data), for_write=True)
+        VmThread._write_mem(self, MemPtr(ptr.buf, pos), data)
 
 
-def lower_all(program, per_pc: bool):
-    """Run `program`, and every handoff target it declares, on the per-pc
-    handlers alone, or (by default) on the shared fused lowering."""
-    for p in programs_within(program):
-        p.compiled = per_pc_lowering(p) if per_pc else None
+@functools.lru_cache(maxsize=256)
+def reference_lowering(instructions: tuple) -> tuple:
+    """The checked per-pc handlers of a program with `instructions`."""
+    return tuple(_lower(pc, ins) for pc, ins in enumerate(instructions))
+
+
+def _faulting(reason: str):
+    def fault(t, env):
+        raise VmFault(reason)
+    return fault
+
+
+def _lower(pc: int, ins):
+    op, dst, src, off, imm = ins
+    nxt = pc + 1
+    if op in ALU_BASE:
+        return _lower_alu(ALU_BASE[op], op in IMM_FORM, dst, src, imm, nxt)
+    if op in JUMP_BASE:
+        return _lower_jump(JUMP_BASE[op], op in IMM_FORM, dst, src, imm, nxt,
+                           nxt + off)
+    if op == Opcode.JA:
+        target = nxt + off
+        return lambda t, env: target
+    if op == Opcode.LD_IMM64:
+        if src == LD_IMM64_MAP_REF:
+            def ld_map_ref(t, env):
+                if not 0 <= imm < len(t.maps):
+                    raise VmFault("reference to undeclared map")
+                t._set(dst, MapRef(t.maps[imm]))
+                return nxt
+            return ld_map_ref
+        if src != 0:
+            return _faulting("bad ld_imm64 source flag")
+        return _lower_alu("mov", True, dst, src, imm, nxt)
+    if op == Opcode.LD_CTX:
+        if CTX_FIELDS.get(off) is None:
+            return _faulting("context read is not field aligned")
+
+        def ld_ctx(t, env):
+            if off:
+                t.pure = False
+            t._set(dst, t.ctx.field(off))
+            return nxt
+        return ld_ctx
+    if op == Opcode.LD_MAP:
+        def ld_map(t, env):
+            ptr = t._ptr(src)
+            data = t._read_mem(ptr, 8, ptr.off + off)
+            t._set(dst, int.from_bytes(data, "little"))
+            return nxt
+        return ld_map
+    if op == Opcode.ST_MAP:
+        def st_map(t, env):
+            ptr = t._ptr(dst)
+            value = t._scalar(src)
+            t._write_mem(ptr, (value & U64_MASK).to_bytes(8, "little"),
+                         ptr.off + off)
+            return nxt
+        return st_map
+    if op == Opcode.CALL:
+        try:
+            helper = Helper(imm)
+        except ValueError:
+            return _faulting(f"unknown helper id {imm}")
+        name = HELPER_NAMES[helper]
+        if helper not in HELPER_PROTOS:
+            return _faulting(f"helper {name} not callable here")
+        return _lower_call(getattr(VmThread, f"_helper_{name}"),
+                           HELPER_PROTOS[helper][0], nxt)
+    if op == Opcode.TAIL_CALL:
+        return _lower_call(VmThread._tail_call, TAIL_CALL_PROTO[0], nxt)
+    if op == Opcode.EXIT:
+        return lambda t, env: t._finish(t._scalar(0))
+    return _faulting(f"unhandled opcode {op!r}")
+
+
+def _lower_call(body, args, nxt):
+    invoke = _with_args(body, args)
+
+    def call(t, env):
+        t.pure = False
+        result = invoke(t, env)
+        if result is vm._PARKED:
+            return None     # no step, no pc move: resuming re-calls
+        t.helper_calls += 1
+        if result is vm._HANDED_OFF:
+            t.steps += 1
+            return None
+        t.regs[1:6] = vm._CLOBBERED
+        t.regs[0] = result
+        return nxt
+    return call
+
+
+def _with_args(body, args):
+    """`body` as a function of (thread, env) that checks and fetches its
+    declared arguments in register order."""
+    map_reg = next((reg for reg, arg in enumerate(args, 1)
+                    if isinstance(arg, MapArg)), None)
+    fetch = [_arg_fetcher(reg, arg, map_reg)
+             for reg, arg in enumerate(args, 1)]
+    return lambda t, env: body(t, env, *[f(t) for f in fetch])
+
+
+def _arg_fetcher(reg, arg, map_reg):
+    """A function of the thread that returns r{reg} checked against its
+    type: a map, key or value bytes of the map in r{map_reg} (checked
+    first), a writable buffer or a scalar."""
+    if isinstance(arg, MapArg):
+        kinds = arg.kinds
+        return lambda t: t._map(reg, kinds)
+    if arg == ARG_KEY:
+        return lambda t: t._read_mem(t._ptr(reg), t.regs[map_reg].map.key_size)
+    if arg == ARG_VALUE:
+        return lambda t: t._read_mem(t._ptr(reg),
+                                     t.regs[map_reg].map.value_size)
+    if arg == ARG_BUF:
+        return lambda t: t._buffer(reg)
+    return lambda t: t._scalar(reg)
+
+
+def _lower_alu(base, imm_form, dst, src, imm, nxt):
+    fn = ALU_OPS[base]
+    b = imm & U64_MASK
+
+    def alu(t, env):
+        rhs = b if imm_form else t._get(src)
+        if base == "mov":
+            t._set(dst, rhs)
+            return nxt
+        lhs = t._get(dst)
+        if isinstance(lhs, MemPtr) and base in ("add", "sub"):
+            if not isinstance(rhs, int):
+                raise VmFault("pointer arithmetic needs a scalar offset")
+            t._set(dst, MemPtr(lhs.buf,
+                               lhs.off + vm._pointer_delta(base, rhs)))
+        elif isinstance(lhs, int) and isinstance(rhs, int):
+            t._set(dst, fn(lhs, rhs))
+        else:
+            raise VmFault(f"{base} on non-scalar operands")
+        return nxt
+    return alu
+
+
+def _lower_jump(base, imm_form, dst, src, imm, nxt, taken):
+    fn = COND_OPS[base]
+    b = imm & U64_MASK
+
+    def jump(t, env):
+        lhs = t._get(dst)
+        rhs = b if imm_form else t._get(src)
+        if isinstance(lhs, (MemPtr, MapRef)) or lhs == vm._CTX:
+            # only the null check on a maybe-null lookup result is legal
+            if base not in ("jeq", "jne") or rhs != 0 \
+                    or not isinstance(lhs, MemPtr):
+                raise VmFault("comparison on non-scalar operands")
+            return taken if base == "jne" else nxt
+        if isinstance(lhs, int) and isinstance(rhs, int):
+            return taken if fn(lhs, rhs) else nxt
+        raise VmFault("comparison on non-scalar operands")
+    return jump
 
 
 def _covers(tag: tuple, value, thread) -> bool:
@@ -533,9 +813,9 @@ def _covers(tag: tuple, value, thread) -> bool:
 
 def facts_faults(rng: random.Random, program, runs: int) -> list:
     """Every state that `runs` random runs of a verified `program`, on the
-    per-pc handlers, reach at a pc and that the program's `facts` there
-    do not cover: a register whose tag does not hold of it, or a slot
-    the facts mark initialised that is not."""
+    reference interpreter, reach at a pc and that the program's `facts`
+    there do not cover: a register whose tag does not hold of it, or a
+    slot the facts mark initialised that is not."""
     faults = []
 
     def checked(p, pc, handler):
@@ -554,23 +834,46 @@ def facts_faults(rng: random.Random, program, runs: int) -> list:
             return handler(t, env)
         return step
 
-    for p in programs_within(program):
-        p.compiled = tuple(checked(p, pc, h)
-                           for pc, h in enumerate(per_pc_lowering(p)))
-    try:
-        for _ in range(runs):
-            prog_maps, c, env = soundness_inputs(rng, program)
-            VmThread(program, prog_maps, c).run(env)
-    finally:
-        lower_all(program, per_pc=False)
+    lowered = {id(p): tuple(checked(p, pc, h) for pc, h in enumerate(
+        reference_lowering(p.instructions))) for p in programs_within(program)}
+
+    class Checked(ReferenceThread):
+        def lowering(self, p):
+            return lowered[id(p)]
+
+    for _ in range(runs):
+        prog_maps, c, env = soundness_inputs(rng, program)
+        Checked(program, prog_maps, c).run(env)
     return faults
+
+
+def read_registers(ins) -> tuple:
+    """The registers `ins` reads as operands."""
+    op = ins.opcode
+    src = () if op in IMM_FORM else (ins.src,)
+    if op in ALU_BASE:
+        return src if ALU_BASE[op] == "mov" else (ins.dst,) + src
+    if op in JUMP_BASE:
+        return (ins.dst,) + src
+    if op == Opcode.CALL:
+        return tuple(range(1, len(HELPER_PROTOS[ins.imm][0]) + 1))
+    return {Opcode.LD_MAP: (ins.src,), Opcode.ST_MAP: (ins.dst, ins.src),
+            Opcode.TAIL_CALL: (1, 2), Opcode.EXIT: (0,)}.get(op, ())
+
+
+def untyped_operands(program) -> list:
+    """(pc, register) of each operand that a verified `program` reads at a
+    reached pc whose fact joins it to X, so that the fused block reads it
+    from the thread."""
+    return [(pc, reg) for pc, (ins, fact) in enumerate(zip(
+        program.instructions, program.facts)) if fact is not None
+        for reg in read_registers(ins) if fact[0][reg][0] == "X"]
 
 
 def fused_blocks(program) -> list:
     """The fused blocks in `program`'s lowering, and the places held for
     the ones not yet entered."""
-    return [f for f in program.compiled or ()
-            if f.__qualname__.split(".")[0] in ("_on_first_entry", "build")]
+    return [f for f in program.compiled or () if f is not None]
 
 
 def same_verdict(a, b) -> bool:

@@ -19,6 +19,7 @@ from sfvm.engine import (
     EngineConfig,
     EngineError,
     InFlightTable,
+    MAX_INSNS_PER_PATH,
     PermissionDenied,
 )
 from sfvm.isa import (
@@ -557,6 +558,40 @@ def test_external_updates_reject_private_map_kinds():
                                 bytes(8), bytes(8))
 
 
+def _straight(n: int) -> FilterProgram:
+    """An allow-all filter of `n` instructions."""
+    return FilterProgram(instructions=(
+        Instruction(Opcode.MOV_IMM, dst=0, imm=0x7FFF0000),) * (n - 1)
+        + (Instruction(Opcode.EXIT),))
+
+
+def test_a_chain_holds_at_most_max_insns_per_path():
+    # counted as seccomp_attach_filter counts: the new filter's
+    # instructions, and every installed filter's with 4 more
+    half = MAX_INSNS_PER_PATH // 2 - 2
+    eng = Engine()
+    tid = eng.spawn(nnp=True)
+    eng.install(tid, eng.load(tid, _straight(half)))
+    blob = eng.checkpoint(tid)
+    handle = eng.load(tid, _straight(half + 1))
+    with pytest.raises(EngineError, match="32769 instructions, past 32768"):
+        eng.install(tid, handle)
+    with pytest.raises(EngineError, match="32769 instructions"):
+        eng.install_classic(tid, _straight(half + 1))
+    assert len(eng.task(tid).chain) == 1 and handle in eng.handles
+    assert eng.install_classic(tid, _straight(half)) == 1     # 32768
+    with pytest.raises(EngineError, match="32774 instructions"):
+        eng.install_classic(tid, _straight(2))
+    # a restore is attached as a whole, or not at all
+    admin = eng.spawn(caps=[CAP_SYS_ADMIN])
+    eng.install_classic(admin, _straight(half + 1))
+    eng.clock_ns = 5
+    with pytest.raises(EngineError, match="32769 instructions"):
+        eng.restore(admin, blob)
+    assert len(eng.task(admin).chain) == 1 and eng.clock_ns == 5
+    assert eng.restore(eng.spawn(caps=[CAP_SYS_ADMIN]), blob) == [0]
+
+
 # -- checkpoint / restore ------------------------------------------------------
 
 
@@ -726,8 +761,8 @@ def _fuzz_checkpoint() -> bytes:
 def test_restore_fuzz_is_typed_and_all_or_nothing():
     """Every truncation and every single-byte flip of a checkpoint either
     restores, or raises EngineError and changes nothing.  Whatever
-    restores decides syscalls: a garbage filter faults and votes the
-    bad-filter action, it never raises."""
+    restores decides syscalls without raising: a garbage filter is
+    refused at restore, which verifies every program as `load` does."""
     blob = _fuzz_checkpoint()
     rng = random.Random(0x5EED)
     mangled = [blob[:n] for n in range(len(blob))]
@@ -885,8 +920,10 @@ def test_argument_and_memory_readers_are_never_memoized():
 
 
 def test_restored_forged_program_replays_its_fault():
-    # nr 1 reads an uninitialized register on a path that reads only
-    # nr; nr 2 faults only when its first argument is zero
+    # a checkpoint holding a program the verifier refuses: nr 1 reads an
+    # uninitialized register on a path that reads only nr, nr 2 faults
+    # only when its first argument is zero.  Restore verifies it, refuses
+    # it and changes nothing
     forged = FilterProgram(instructions=(
         Instruction(Opcode.LD_CTX, dst=1, offset=0),
         Instruction(Opcode.JEQ_IMM, dst=1, offset=4, imm=1),
@@ -898,26 +935,19 @@ def test_restored_forged_program_replays_its_fault():
         Instruction(Opcode.EXIT),
     ))
     assert not verify(forged).accepted
-    eng = Engine(EngineConfig(
-        bad_filter_action=ResolvedAction.from_raw(0x50000 | 99)))
+    eng = Engine()
     good = eng.checkpoint(attach(eng, ALLOW_ALL))
     tail = encode_program(ALLOW_ALL)
     assert good.endswith(struct.pack("<I", len(tail)) + tail)
     raw = encode_program(forged)
     blob = good[:-4 - len(tail)] + struct.pack("<I", len(raw)) + raw
     tid = eng.spawn(caps=[CAP_SYS_ADMIN])
-    eng.restore(tid, blob)
-    program = eng.task(tid).chain[0].program
-    for _ in range(3):
-        record = probe(eng, tid, ctx(1))
-        assert record["votes"][0]["faulted"]
-        assert (record["action"], record["errno"]) == ("errno", 99)
-    out, _ = program.verdicts[1]
-    assert out.faulted
-    assert probe(eng, tid, ctx(2, 0))["errno"] == 99
-    assert probe(eng, tid, ctx(2, 5))["action"] == "allow"
-    assert probe(eng, tid, ctx(0))["action"] == "allow"
-    assert program.verdicts.keys() == {0, 1}
+    eng.clock_ns = 7
+    with pytest.raises(EngineError, match="program rejected: read of "
+                                          "uninitialized register r3"):
+        eng.restore(tid, blob)
+    assert eng.task(tid).chain == [] and eng.clock_ns == 7
+    assert probe(eng, tid, ctx(1))["action"] == "allow"
 
 
 def test_restore_starts_with_an_empty_memo():
@@ -953,6 +983,9 @@ LOOKUP_THEN_ALLOW = (
 
 
 def test_a_restored_program_never_runs_a_loaded_twins_blocks():
+    # the twin has the loaded program's instructions under a map the
+    # verifier refuses them for: restore refuses it and changes nothing,
+    # and the loaded program runs on as before
     eng = Engine()
     loaded = assemble("section seccomp\nmap m array 8 8 1\n"
                       + LOOKUP_THEN_ALLOW)
@@ -967,12 +1000,11 @@ def test_a_restored_program_never_runs_a_loaded_twins_blocks():
     blob = blob.replace(struct.pack("<I", len(good)) + good,
                         struct.pack("<I", len(bad)) + bad)
     target = eng.spawn(caps=[CAP_SYS_ADMIN])
-    eng.restore(target, blob)
-    record = eng.run_syscall(target, ctx(0))
-    assert record["action"] == "kill_thread"
-    assert record["votes"][0]["faulted"] and record["steps"] == 5
-    restored = eng.task(target).chain[0]
-    thread = VmThread(restored.program, restored.maps, ctx(0))
-    thread.run(RuntimeEnv())
-    assert thread.outcome.fault_reason == "map m: kind not accepted here"
-    assert not fused_blocks(restored.program)
+    with pytest.raises(EngineError, match="map kind prog_array not "
+                                          "accepted"):
+        eng.restore(target, blob)
+    assert eng.task(target).chain == [] and eng.clock_ns == 0
+    assert probe(eng, target, ctx(0))["action"] == "allow"
+    installed = eng.task(tid).chain[0].program
+    assert fused_blocks(installed)
+    assert probe(eng, tid, ctx(0))["action"] == "allow"

@@ -1,7 +1,9 @@
 """One contract per helper (`isa.HELPER_PROTOS`, `isa.TAIL_CALL_PROTO`)
-binds the verifier and the interpreter alike: a value of the wrong type
-in any argument register is refused statically, and a forged "verified"
-copy faults at the call instead of running the helper."""
+binds the verifier and the interpreters alike: the fused blocks pass a
+well-typed call its arguments, a value of the wrong type in any argument
+register is refused statically, and the reference interpreter, which
+runs the refused program anyway, faults at the call instead of running
+the helper."""
 
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from sfvm.maps import PolicyMap
 from sfvm.verifier import verify
 from sfvm.vm import RuntimeEnv, VmThread
 
-from .helpers import ctx
+from .helpers import ReferenceThread, ctx
 
 MAP_NAMES = {MapKind.ARRAY: "arr", MapKind.HASH: "tab",
              MapKind.TASK_STORAGE: "sto", MapKind.PROG_ARRAY: "progs"}
@@ -70,8 +72,8 @@ def program(name, values):
         + call + "\nmov r0, 0\nexit\n")
 
 
-def run(prog):
-    thread = VmThread(prog, [PolicyMap(d) for d in prog.map_refs], ctx(0))
+def run(prog, interpreter=VmThread):
+    thread = interpreter(prog, [PolicyMap(d) for d in prog.map_refs], ctx(0))
     assert thread.run(RuntimeEnv()) == "done"
     return thread.outcome
 
@@ -107,8 +109,7 @@ def test_ill_typed_arguments_are_refused_and_fault(name, reg):
         report = verify(prog)
         assert not report.accepted, wrong
         assert report.offending_instruction == call_pc, report.reason
-        prog.verified = True        # lie about it
-        out = run(prog)
+        out = run(prog, ReferenceThread)
         assert out.faulted, wrong
         assert f"r{reg}: expected" in out.fault_reason \
             or "kind not accepted" in out.fault_reason, out.fault_reason

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from sfvm.sim import Simulator
-from sfvm.trace import TraceError, parse_trace
+from sfvm.trace import TraceError, TraceEvent, parse_trace
 
 from .helpers import (
     bundled_descriptors,
     decisions,
     every_field_trace,
+    reference_copy,
+    reference_key,
     trace_text,
 )
 
@@ -214,3 +220,36 @@ def test_syscall_nesting_is_checked_per_task():
         {"event": "syscall_enter", "task": 2, "nr": 0},
         {"event": "syscall_exit", "task": 2},
     ]))
+
+
+def test_trace_events_compare_and_print_like_frozen_dataclasses():
+    old = dataclasses.make_dataclass("TraceEvent", TraceEvent.__slots__,
+                                     frozen=True)
+    samples = [("spawn", 1, 0, {"tid": 1}), ("spawn", 2, 0, {"tid": 1}),
+               ("syscall_enter", 3, 5, {"task": 1, "nr": 0}),
+               ("syscall_enter", 3, 5, {"task": 1, "nr": 1})]
+    for a in samples:
+        for b in samples:
+            assert (TraceEvent(*a) == TraceEvent(*b)) == (old(*a) == old(*b))
+        event = TraceEvent(*a)
+        assert repr(event) == repr(old(*a))
+        assert event != old(*a)
+        with pytest.raises(TypeError):    # its fields are a dict
+            hash(event)
+        for name in TraceEvent.__slots__:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(event, name, 0)
+        assert copy.deepcopy(event) == event
+        assert pickle.loads(pickle.dumps(event)) == event
+
+
+def test_parsed_events_key_and_copy_as_the_reference_does():
+    # leaves of the world's state, as the frozen dataclasses were: keyed
+    # by value, shared by copies (`test_state` checks the world whole)
+    trace = parse_trace(trace_text(every_field_trace()))
+    for event in trace.events:
+        assert reference_key(event, {}, False) is event
+        assert reference_copy(event, {}) is event
+    sim = Simulator(trace, descriptors=bundled_descriptors())
+    assert sim.state_key() == reference_key(sim, {}, True)
+    assert copy.deepcopy(sim).trace.events == trace.events

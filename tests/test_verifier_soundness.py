@@ -16,12 +16,13 @@ the verdict, reason and offending pc of the path walk alone
 (C) Every program survives encode/decode and disassemble/assemble.
 
 (D) The facts `verify` records cover every state a run reaches: at each
-pc a run of an accepted program executes, on the per-pc handlers, each
-register is of the type its tag gives, and each slot the facts mark
-initialised is.  The fused blocks are written from these facts and test
-none of them at run time, so they hand an instruction to its handler
-only unconditionally (`STEP_LIMIT` at entry aside): checked here over
-this corpus, every policy generator's programs and the first 300 of
+pc a run of an accepted program executes, on the reference interpreter
+(`helpers.ReferenceThread`), each register is of the type its tag gives,
+and each slot the facts mark initialised is.  The fused blocks are
+written from these facts and test none of them at run time, so a block
+faults under a condition only at `STEP_LIMIT` (its counted variant), and
+otherwise only at a pc with no fact, which no run reaches: checked here
+over this corpus, every policy generator's programs and the first 300 of
 criterion 5's.
 
 `python -m tests.fuzz_verifier` runs the same checks for longer.
@@ -109,17 +110,24 @@ def test_facts_cover_every_state_a_run_reaches(corpus):
         assert facts_faults(rng, program, RUNS) == [], program
 
 
-def _conditional_hand_overs(program) -> list:
-    """Lines of `program`'s blocks that hand an instruction to its handler
-    under a condition other than the entry's `STEP_LIMIT` check."""
+def _conditional_faults(program) -> list:
+    """Lines of `program`'s blocks, plain and counted, that fault under a
+    condition other than a `STEP_LIMIT` check."""
     entries, targets = vm._block_entries(program.instructions)
     out = []
     for entry in entries:
-        lines = vm._BlockWriter(program.instructions, program.facts, entry,
-                                targets).source().splitlines()
-        out += [line for before, line in zip(lines, lines[1:])
-                if "return _h[" in line and line.startswith(" " * 12)
-                and "STEP_LIMIT" not in before]
+        for counted in (False, True):
+            lines = vm._BlockWriter(program.instructions, program.facts,
+                                    entry, targets, counted).source()
+            opened = []     # (indent, line) of the enclosing lines
+            for line in lines.splitlines():
+                indent = len(line) - len(line.lstrip())
+                while opened and opened[-1][0] >= indent:
+                    opened.pop()
+                if "raise" in line and indent > 8 \
+                        and "STEP_LIMIT" not in opened[-1][1]:
+                    out.append(line)
+                opened.append((indent, line))
     return out
 
 
@@ -129,4 +137,4 @@ def test_blocks_hand_over_only_unconditionally(corpus):
     assert all(verifier.verify(p).accepted for p in fuzzed)
     accepted = [p for _, p, report in corpus if report.accepted]
     for program in accepted + _verified_generators() + fuzzed:
-        assert _conditional_hand_overs(program) == [], program
+        assert _conditional_faults(program) == [], program

@@ -32,7 +32,14 @@ from sfvm.vm import (
     WaitBlock,
 )
 
-from .helpers import ctx, fused_blocks
+from .helpers import (
+    ReferenceThread,
+    ctx,
+    every_generator,
+    fused_blocks,
+    programs_within,
+    untyped_operands,
+)
 
 U64 = (1 << 64) - 1
 U32 = (1 << 32) - 1
@@ -46,12 +53,15 @@ def build(source: str) -> FilterProgram:
     return prog
 
 
-def run(prog, c=None, env=None, maps=None):
+def run(prog, c=None, env=None, maps=None, thread=VmThread):
+    """The outcome of `prog` on the fused blocks, or on the reference
+    interpreter (`thread=ReferenceThread`), which also runs a program the
+    verifier refuses."""
     if isinstance(prog, str):
         prog = build(prog)
     if maps is None:
         maps = [PolicyMap(d) for d in prog.map_refs]
-    thread = VmThread(prog, maps, c if c is not None else ctx(0))
+    thread = thread(prog, maps, c if c is not None else ctx(0))
     status = thread.run(env or RuntimeEnv())
     assert status == "done"
     return thread.outcome
@@ -168,11 +178,10 @@ def test_caller_saved_registers_are_clobbered_by_calls():
         "    call ktime_get_ns\n"
         "    mov r0, r5\n"
         "    exit\n")
-    # the verifier refuses this outright; the interpreter, run on a forged
-    # verified flag, must fault rather than leak a stale value
+    # the verifier refuses this outright; the reference interpreter must
+    # fault rather than leak a stale value
     assert not verify(prog).accepted
-    prog.verified = True
-    out = run(prog)
+    out = run(prog, thread=ReferenceThread)
     assert out.faulted
     assert "uninitialized" in out.fault_reason
 
@@ -189,12 +198,17 @@ def test_preserved_registers_survive_calls():
 
 
 def test_forged_verified_flag_still_faults_on_bad_access():
+    # a program cannot claim to be verified (`verified` is having facts);
+    # run unverified, on the reference interpreter, it faults
     bad = FilterProgram(instructions=(
         Instruction(Opcode.LD_CTX, dst=0, offset=12),
         Instruction(Opcode.EXIT),
     ))
-    bad.verified = True        # lie about it
-    out = run(bad)
+    with pytest.raises(AttributeError):
+        bad.verified = True
+    with pytest.raises(VmFault):
+        VmThread(bad, [], ctx(0))
+    out = run(bad, thread=ReferenceThread)
     assert out.faulted
     assert "field aligned" in out.fault_reason
 
@@ -205,8 +219,7 @@ def test_forged_stack_access_faults():
         Instruction(Opcode.ST_MAP, dst=10, src=2, offset=-520),
         Instruction(Opcode.EXIT),
     ))
-    bad.verified = True
-    out = run(bad)
+    out = run(bad, thread=ReferenceThread)
     assert out.faulted
 
 
@@ -487,9 +500,10 @@ def test_wait_discounts_its_own_registration():
 
 # -- runtime checks on forged programs -----------------------------------------
 
-# one program per check the interpreter makes, with the fault reason it
-# must report; each is run with a forged "verified" flag.  Assembly the
-# assembler cannot express is given as instructions.
+# one program per check the reference interpreter makes, with the fault
+# reason it must report; the verifier refuses each, so only the reference
+# runs it.  Assembly the assembler cannot express is given as
+# instructions.
 FORGED = {
     "uninit-register": ("mov r0, r3\nexit",
                         "read of uninitialized register r3"),
@@ -562,8 +576,7 @@ def test_forged_programs_fail_closed(name):
         assert not verify(prog).accepted
     else:
         prog = FilterProgram(instructions=body)
-    prog.verified = True        # lie about it
-    out = run(prog)
+    out = run(prog, thread=ReferenceThread)
     assert out.faulted
     assert reason in out.fault_reason
 
@@ -582,12 +595,14 @@ def test_a_wrong_fact_faults_instead_of_raising():
 
 
 def test_unreached_bad_instructions_cost_nothing():
-    # faults belong to executing an instruction, not to building the table
+    # faults belong to executing an instruction, not to building the
+    # table: on the reference, and on the blocks, which have no fact there
     prog = assemble("section seccomp\n    mov r0, 7\n    exit\n"
                     "    call 99\n    ld_ctx r0, 3\n")
-    prog.verified = True
-    out = run(prog)
+    out = run(prog, thread=ReferenceThread)
     assert not out.faulted and out.raw_action == 7
+    assert verify(prog).accepted and prog.facts[2:] == (None, None)
+    assert run(prog) == out
 
 
 def test_handler_table_is_built_once_and_shared():
@@ -622,23 +637,15 @@ SHARED_BODY = (
     "    exit\n")
 
 
-def _per_pc_outcome(prog, maps):
-    from .helpers import lower_all
-    lower_all(prog, per_pc=True)
-    try:
-        return run(prog, maps=maps)
-    finally:
-        lower_all(prog, per_pc=False)
-
-
 def test_equal_instructions_share_one_lowering():
-    # shared when the facts are equal too; a forged program (no facts)
-    # runs on its per-pc handlers and never on a verified one's blocks
+    # shared when the facts are equal too; a program the verifier refuses
+    # (no facts) runs on the reference only, never on a verified one's
+    # blocks
     array = build("section seccomp\nmap m array 8 8 1\n" + SHARED_BODY)
     sleepy = build("section seccomp-sleepable\nmap m array 8 8 1\n"
                    + SHARED_BODY)
     hashed = assemble("section seccomp\nmap m hash 16 8 2\n" + SHARED_BODY)
-    hashed.verified = True      # the key's second slot is never written
+    assert not verify(hashed).accepted  # the key's second slot is unwritten
     assert array.instructions == hashed.instructions == sleepy.instructions
 
     def maps_of(prog):
@@ -649,11 +656,12 @@ def test_equal_instructions_share_one_lowering():
 
     outcomes = []
     for prog in (array, hashed, sleepy):
-        outcomes.append(run(prog, maps=maps_of(prog)))
+        thread = ReferenceThread if prog is hashed else VmThread
+        outcomes.append(run(prog, maps=maps_of(prog), thread=thread))
         assert bool(fused_blocks(prog)) == (prog is not hashed)
     assert array.compiled is sleepy.compiled is not hashed.compiled
     for prog, fused in zip((array, hashed, sleepy), outcomes):
-        assert fused == _per_pc_outcome(prog, maps_of(prog))
+        assert fused == run(prog, maps=maps_of(prog), thread=ReferenceThread)
     assert outcomes[0].raw_action == 41 and not outcomes[0].faulted
     assert outcomes[1].fault_reason == "read of uninitialized stack slot"
     other = build("section seccomp\nmap m array 8 8 1\n"
@@ -681,24 +689,46 @@ def test_the_least_recently_used_lowering_is_evicted(monkeypatch):
 
 
 def test_every_generator_instruction_runs_fused():
-    # a generator change that falls back to per-pc dispatch fails here;
-    # calls other than a lookup the block sees whole go through handlers
-    from .helpers import every_generator, programs_within
+    # every instruction is reached, and the facts type every operand it
+    # reads: a generator change after which a block must read an operand
+    # from the thread, untyped, fails here
     for prog in every_generator():
         for p in programs_within(prog):
             assert verify(p).accepted
-            fused = vm.fused_pcs(p)
-            unfused = [pc for pc, ins in enumerate(p.instructions)
-                       if pc not in fused
-                       and ins.opcode not in (Opcode.CALL, Opcode.TAIL_CALL)]
-            assert unfused == [], (p, unfused)
+            assert None not in p.facts, p
+            assert untyped_operands(p) == [], p
 
 
 # programs for the paths a fused block takes at run time: each the
-# verifier accepts runs on both lowerings, and the outcomes must be equal;
-# each it rejects runs with a forged "verified" flag, on the per-pc
-# handlers alone, and must fault with the reason given
+# verifier accepts runs on the blocks and on the reference, and the
+# outcomes must be equal; each it rejects runs on the reference alone,
+# and must fault with the reason given.  The `joined-` ones take two
+# paths, by the syscall number, that reach an instruction with operands
+# the facts join to X (two frame offsets, two maps, two maybe-null
+# lookups), so the block reads them from the thread.
+JOINED_SLOTS = ("mov r3, 5\nst_map r10, r3, -8\nmov r3, 7\n"
+                "st_map r10, r3, -16\n")
 BLOCK_EDGES = {
+    "joined-frame-load": (JOINED_SLOTS + "ld_ctx r4, 0\nmov r2, r10\n"
+                          "add r2, -8\njeq r4, 1, 2\nmov r2, r10\n"
+                          "add r2, -16\nld_map r0, r2, 0\nexit", None),
+    "joined-frame-store": ("ld_ctx r4, 0\nmov r2, r10\nadd r2, -8\n"
+                           "jeq r4, 1, 2\nmov r2, r10\nadd r2, -16\n"
+                           "mov r3, r4\nadd r3, 9\nst_map r2, r3, 0\n"
+                           "ld_map r0, r2, 0\nexit", None),
+    "joined-map-call": ("map a hash 8 8 4\nmap b array 8 8 4\nmov r3, 0\n"
+                        "st_map r10, r3, -8\nld_ctx r4, 0\n"
+                        "ld_imm64 r1, map:a\njeq r4, 1, 1\n"
+                        "ld_imm64 r1, map:b\nmov r2, r10\nadd r2, -8\n"
+                        "call map_lookup_elem\njeq r0, 0, 2\n"
+                        "ld_map r0, r0, 0\nexit\nmov r0, 3\nexit", None),
+    "joined-null-check": ("map a hash 8 8 4\nmap b array 8 8 4\n"
+                          "mov r3, 0\nst_map r10, r3, -8\nld_ctx r6, 0\n"
+                          "mov r2, r10\nadd r2, -8\njeq r6, 1, other\n"
+                          "ld_imm64 r1, map:a\ncall map_lookup_elem\n"
+                          "ja check\nother:\nld_imm64 r1, map:b\n"
+                          "call map_lookup_elem\ncheck:\njeq r0, 0, miss\n"
+                          "mov r0, 1\nexit\nmiss:\nmov r0, 2\nexit", None),
     # r2 reaches the next block as a frame pointer
     "unwritten-slot-past-a-jump": ("mov r2, r10\nadd r2, -8\nja 0\n"
                                    "ld_map r0, r2, 0\nexit",
@@ -742,19 +772,31 @@ BLOCK_EDGES = {
 }
 
 
+def _run_seen(thread, prog, c):
+    """The outcome, stack and its initialised slots after a run."""
+    t = thread(prog, [PolicyMap(d) for d in prog.map_refs], c)
+    assert t.run(RuntimeEnv()) == "done"
+    return t.outcome, bytes(t.stack), t.stack_init
+
+
 @pytest.mark.parametrize("name", sorted(BLOCK_EDGES))
 def test_fused_blocks_take_each_path_like_the_handlers(name):
     body, reason = BLOCK_EDGES[name]
     prog = assemble("section seccomp\n" + body + "\n")
     accepted = verify(prog).accepted
-    prog.verified = True        # forged where the verifier refused
-    out = run(prog)
+    if name.startswith("joined-"):
+        assert accepted and untyped_operands(prog), prog.facts
+    outcomes = set()
+    for nr in (0, 1):       # each path of the joined programs
+        seen = _run_seen(ReferenceThread, prog, ctx(nr))
+        if accepted:
+            assert _run_seen(VmThread, prog, ctx(nr)) == seen
+        out = seen[0]
+        assert out.faulted == (reason is not None)
+        assert reason is None or reason in out.fault_reason
+        outcomes.add(out.raw_action)
     assert bool(fused_blocks(prog)) == accepted
-    if accepted:
-        assert out == _per_pc_outcome(prog, [PolicyMap(d)
-                                              for d in prog.map_refs])
-    assert out.faulted == (reason is not None)
-    assert reason is None or reason in out.fault_reason
+    assert len(outcomes) == 2 or not name.startswith("joined-")
 
 
 def test_fused_and_per_pc_lowerings_agree_on_a_seeded_corpus():
