@@ -610,7 +610,8 @@ class Engine:
 
 def _parse_checkpoint(blob: bytes):
     """(clock, installations) of a checkpoint, with verified programs and
-    fresh live maps."""
+    fresh live maps.  The whole blob is decoded before any program is
+    verified, so a malformed blob is refused without paying for one."""
     pos = 0
 
     def take(n: int) -> bytes:
@@ -626,7 +627,7 @@ def _parse_checkpoint(blob: bytes):
         raise EngineError("not a checkpoint (bad magic)")
     if version != CHECKPOINT_VERSION:
         raise EngineError(f"unsupported checkpoint version {version}")
-    installs = []
+    decoded = []
     for _ in range(n_installs):
         classic, uid, userns, nnp, dumpable, caps_len = \
             _CHECKPOINT_INSTALL.unpack(take(_CHECKPOINT_INSTALL.size))
@@ -634,14 +635,17 @@ def _parse_checkpoint(blob: bytes):
         (n_maps,) = struct.unpack("<I", take(4))
         fd_flags = take(n_maps)
         (blob_len,) = struct.unpack("<I", take(4))
-        program = Engine._instantiate(decode_program(take(blob_len)), None)
+        loader = Credentials(uid=uid, caps=caps, userns=userns,
+                             nnp=bool(nnp), dumpable=bool(dumpable))
+        decoded.append((decode_program(take(blob_len)), fd_flags, loader,
+                        bool(classic)))
+    if pos != len(blob):
+        raise EngineError("checkpoint has trailing bytes")
+    installs = []
+    for program, fd_flags, loader, classic in decoded:
+        program = Engine._instantiate(program, None)
         maps = m.instantiate(program)
         for pmap, flag in zip(maps, fd_flags):
             pmap.fd_open = bool(flag)
-        loader = Credentials(uid=uid, caps=caps, userns=userns,
-                             nnp=bool(nnp), dumpable=bool(dumpable))
-        installs.append(Installation(program, maps, loader,
-                                     classic=bool(classic)))
-    if pos != len(blob):
-        raise EngineError("checkpoint has trailing bytes")
+        installs.append(Installation(program, maps, loader, classic=classic))
     return clock, installs

@@ -192,8 +192,7 @@ class RuntimeEnv:
                 "fault_serviced")
 class VmThread:
     def __init__(self, program: FilterProgram, prog_maps, ctx: SyscallContext):
-        if not program.verified:
-            raise VmFault("refusing to run an unverified program")
+        self._admit(program)
         self.ctx = ctx
         self._enter(program, prog_maps)
         self.steps = 0
@@ -206,6 +205,11 @@ class VmThread:
         self.fault_serviced: set = set()
 
     # -- plumbing -------------------------------------------------------
+
+    @staticmethod
+    def _admit(program: FilterProgram):
+        if not program.verified:
+            raise VmFault("refusing to run an unverified program")
 
     def _enter(self, program: FilterProgram, prog_maps):
         """Start `program` afresh: pc 0, new registers and stack."""
@@ -630,11 +634,13 @@ class _BlockWriter:
             self.st_map(dst, src, off)
         elif op in _CALLS:
             self.call(pc, ins)
-        else:   # exit
+        elif op == Opcode.EXIT:
             self.leave(self.steps(self.done), f"t.pc = {pc}",
                        f"t._finish({self.value(self.regs[0], 0)})",
                        "return None")
             return True
+        else:   # the verifier refuses it: fail closed all the same
+            raise VmFault(f"unhandled opcode {op!r}")
         return False
 
     def alu(self, base, dst, src, rhs):

@@ -37,12 +37,8 @@ def test_a_fixed_snippet_has_eight_code_lines():
 
 
 def test_each_module_and_the_total_are_printed(tmp_path, capsys):
-    package = tmp_path / "src" / "sfvm"
-    package.mkdir(parents=True)
-    (package / "a.py").write_text(SNIPPET)
-    (package / "b.py").write_text("# nothing but a comment\n\nx = 1\n")
-    assert code_lines.main(["--checkout", str(tmp_path)]) == 0
+    (tmp_path / "a.py").write_text(SNIPPET)
+    (tmp_path / "b.py").write_text("# nothing but a comment\n\nx = 1\n")
+    assert code_lines.main(tmp_path) == 0
     assert capsys.readouterr().out.split("\n") == [
         "     8  a.py", "     1  b.py", "     9  total", ""]
-    code_lines.main(["--checkout", str(tmp_path), "b"])
-    assert "a.py" not in capsys.readouterr().out

@@ -1,22 +1,22 @@
 """Print the code lines of each `src/sfvm` module.
 
-    python3 tools/code_lines.py [--checkout DIR] [MODULE ...]
+    python3 tools/code_lines.py
 
 A code line holds part of a token other than a comment: blank lines,
 comment lines and docstrings (the string that opens a module, class or
-function) do not count.  With modules named (`vm`, `verifier.py`), only
-those are printed, then their total.
+function) do not count.  Every module of the `src/sfvm` next to this
+script is printed, then their total.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import sys
 import tokenize
 from pathlib import Path
 
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sfvm"
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -43,20 +43,12 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="python3 tools/code_lines.py")
-    ap.add_argument("--checkout", default=str(Path(__file__).resolve()
-                                              .parent.parent))
-    ap.add_argument("modules", nargs="*")
-    args = ap.parse_args(argv)
-    package = Path(args.checkout) / "src" / "sfvm"
-    names = [m if m.endswith(".py") else m + ".py" for m in args.modules] \
-        or sorted(p.name for p in package.glob("*.py"))
+def main(package: Path = PACKAGE) -> int:
     total = 0
-    for name in names:
-        count = code_lines((package / name).read_text(encoding="utf-8"))
+    for path in sorted(package.glob("*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
         total += count
-        print(f"{count:6d}  {name}")
+        print(f"{count:6d}  {path.name}")
     print(f"{total:6d}  total")
     return 0
 
