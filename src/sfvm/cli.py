@@ -21,9 +21,10 @@ from .isa import PROGRAM_MAGIC, decode_program, encode_program
 from .policies import describe_generators, load_profiles
 from .reporting import attack_surface_report, render_table
 from .sim import ExplorationLimit, MAX_EXPLORE_STEPS, Simulator, \
-    explore_interleavings, log_digest
+    explore_graph, log_digest, schedules
 from .snapshot import MODES, DescriptorError, DescriptorTable
 from .trace import TraceError, load_trace
+from .vocab import read_text
 from .verifier import verify
 
 
@@ -49,8 +50,7 @@ def _engine_config(args) -> EngineConfig:
 def _descriptors(args) -> DescriptorTable:
     path = getattr(args, "descriptors", None)
     if path:
-        with open(path, encoding="utf-8") as fh:
-            return DescriptorTable.from_json(fh.read())
+        return DescriptorTable.from_json(read_text(path, DescriptorError))
     from importlib.resources import files
     return DescriptorTable.from_json(
         (files("sfvm") / "data" / "descriptors.json").read_text())
@@ -94,7 +94,7 @@ def cmd_run(args) -> int:
     try:
         trace = load_trace(args.trace)
     except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.trace}: {exc}", file=sys.stderr)
         return 2
     seed, schedule = 0, None
     if args.schedule:
@@ -127,21 +127,24 @@ def cmd_explore(args) -> int:
     try:
         trace = load_trace(args.trace)
     except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.trace}: {exc}", file=sys.stderr)
         return 2
     try:
-        runs = explore_interleavings(trace, config=_engine_config(args),
-                                     descriptors=_descriptors(args),
-                                     max_steps=args.max_steps)
+        graph = explore_graph(trace, config=_engine_config(args),
+                              descriptors=_descriptors(args),
+                              max_steps=args.max_steps)
     except ExplorationLimit as exc:
         # refusal, not failure: the trace is fine but too big to walk
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    digests: dict[str, int] = {}
-    for _, entries in runs:
-        digest = log_digest(entries)
+    # one log at a time; the list is kept only for --json
+    runs, digests = [], {}
+    for run in schedules(graph):
+        digest = log_digest(run[1])
         digests[digest] = digests.get(digest, 0) + 1
-    print(f"schedules: {len(runs)}")
+        if args.json:
+            runs.append(run)
+    print(f"schedules: {graph.schedules}")
     print(f"distinct outcomes: {len(digests)}")
     for digest, count in sorted(digests.items()):
         print(f"  {digest[:16]}  x{count}")

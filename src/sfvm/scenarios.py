@@ -6,6 +6,13 @@ a list of checks.  Modes:
   run       single scheduled run (seeded); checks look at its log
   explore   every interleaving; checks quantify over all schedules
 
+An explore scenario is judged on the deduplicated graph that
+`sim.explore_graph` returns, never on a list of per-schedule logs: the
+graph carries its schedule count, and the overlap checks count the
+schedules that never overlap with `sim.count_schedules`, carrying
+`window_step`'s state along each edge, and subtract them from it.
+`decision_windows_overlap` folds that one step over a single log.
+
 A scenario and each of its checks declare their fields in the `vocab`
 vocabulary: `FIELDS` gives each check field and scenario key its one
 type, `SCENARIO` the keys of a scenario, and `CHECKS` each check kind its
@@ -22,7 +29,8 @@ from typing import Callable, NamedTuple
 
 from . import vocab
 from .engine import EngineConfig
-from .sim import MAX_EXPLORE_STEPS, Simulator, explore_interleavings
+from .sim import MAX_EXPLORE_STEPS, Graph, Simulator, count_schedules, \
+    explore_graph
 from .snapshot import DescriptorTable
 from .trace import Trace, parse_trace
 
@@ -62,31 +70,57 @@ def _strip_policies(events: list) -> list:
     return out
 
 
-def decision_windows_overlap(entries, pair) -> bool:
-    """True if the two syscall numbers were ever simultaneously inside
+# the overlap scanner's state: the open (allowed, not yet exited) counts
+# of the pair's two numbers, and the (task, nr) of allowed phase markers
+# not yet exited
+WINDOWS_CLOSED = (0, 0, frozenset())
+
+
+def window_step(pair):
+    """The overlap scanner's step for `pair`: the state after one log
+    entry, or None once the two numbers are simultaneously inside
     allowed (entered, not yet exited) invocations.  An allowed phase
     marker opens no window, so the exit logged after it closes none."""
     a, b = pair
-    open_counts = {a: 0, b: 0}
-    markers = set()     # (task, nr) of allowed markers not yet exited
-    for entry in entries:
-        kind = entry.get("kind")
+
+    def step(state, entry):
         nr = entry.get("nr")
-        if nr not in open_counts:
-            continue
+        if nr != a and nr != b:
+            return state
+        open_a, open_b, markers = state
+        kind = entry.get("kind")
         if kind == "decision" and entry["action"] in ("allow", "log"):
             if entry.get("marker"):
-                markers.add((entry["task"], nr))
-                continue
-            open_counts[nr] += 1
-            if open_counts[a] > 0 and open_counts[b] > 0:
-                return True
-        elif kind == "exit":
+                return open_a, open_b, markers | {(entry["task"], nr)}
+            open_a += nr == a       # with a == b, both count the one nr
+            open_b += nr == b
+            if open_a > 0 and open_b > 0:
+                return None
+            return open_a, open_b, markers
+        if kind == "exit":
             if (entry["task"], nr) in markers:
-                markers.remove((entry["task"], nr))
-            else:
-                open_counts[nr] -= 1
+                return open_a, open_b, markers - {(entry["task"], nr)}
+            return open_a - (nr == a), open_b - (nr == b), markers
+        return state
+
+    return step
+
+
+def decision_windows_overlap(entries, pair) -> bool:
+    """True if the two syscall numbers were ever simultaneously inside
+    allowed invocations: `window_step` folded over the log."""
+    step, state = window_step(pair), WINDOWS_CLOSED
+    for entry in entries:
+        state = step(state, entry)
+        if state is None:
+            return True
     return False
+
+
+def overlapping_schedules(graph: Graph, pair) -> int:
+    """The schedules of `graph` whose log overlaps `pair`'s windows."""
+    return graph.schedules - count_schedules(
+        graph.root, window_step(pair), WINDOWS_CLOSED)
 
 
 def _decision_actions(entries, check: dict) -> list:
@@ -132,30 +166,30 @@ def _action_count(check: dict, got: list) -> CheckResult:
                        ok, f"{hits} occurrences")
 
 
-def _no_overlap(check: dict, runs: list) -> CheckResult:
+def _no_overlap(check: dict, graph: Graph) -> CheckResult:
     a, b = check["pair"]
-    bad = sum(decision_windows_overlap(entries, (a, b)) for _, entries in runs)
+    bad = overlapping_schedules(graph, (a, b))
     return CheckResult(
         f"syscalls {a} and {b} never overlap in any of "
-        f"{len(runs)} schedules", bad == 0, f"{bad} overlapping")
+        f"{graph.schedules} schedules", bad == 0, f"{bad} overlapping")
 
 
-def _overlap_without_policy(check: dict, runs: list) -> CheckResult:
+def _overlap_without_policy(check: dict, graph: Graph) -> CheckResult:
     """`_no_overlap`'s counterpart: some schedule without the policy
     overlaps, so the window exists and the policy is what closes it."""
     a, b = check["pair"]
-    hits = sum(decision_windows_overlap(entries, (a, b))
-               for _, entries in runs)
+    hits = overlapping_schedules(graph, (a, b))
     need = check.get("min_schedules", 1)
     return CheckResult(
         f"without the policy, syscalls {a} and {b} overlap "
         f"in at least {need} schedule(s)", hits >= need,
-        f"{hits} of {len(runs)} schedules overlap")
+        f"{hits} of {graph.schedules} schedules overlap")
 
 
-def _schedule_count(check: dict, runs: list) -> CheckResult:
+def _schedule_count(check: dict, graph: Graph) -> CheckResult:
     return CheckResult(f"exploration finds {check['count']} schedules",
-                       len(runs) == check["count"], f"found {len(runs)}")
+                       graph.schedules == check["count"],
+                       f"found {graph.schedules}")
 
 
 # check field or scenario key -> its type; a name has this one type
@@ -178,8 +212,8 @@ FIELDS = {
 class Check(NamedTuple):
     """A check kind: the scenario mode it belongs to, its shape, and its
     judge.  A run judge gets the actions decided for the check's task and
-    nr, an explore judge every schedule, or with `stripped` every
-    schedule without the policies."""
+    nr, an explore judge the explored graph, or with `stripped` the graph
+    explored without the policies."""
     mode: str
     shape: vocab.Shape
     judge: Callable
@@ -253,16 +287,19 @@ def run_scenario(spec: dict, config: EngineConfig | None = None,
                   for kind, check in wanted]
     else:
         def explore(events):
-            return explore_interleavings(
+            return explore_graph(
                 _trace_from_spec(events), config=config,
                 descriptors=descriptors,
                 max_steps=spec.get("max_steps", MAX_EXPLORE_STEPS))
-        runs = explore(events)
+        graph = explore(events)
         stripped = any(kind.stripped for kind, _ in wanted)
-        stripped_runs = explore(_strip_policies(events)) if stripped else []
-        metrics = {"schedules": len(runs),
-                   "stripped_schedules": len(stripped_runs)}
-        checks = [kind.judge(check, stripped_runs if kind.stripped else runs)
+        stripped_graph = explore(_strip_policies(events)) if stripped \
+            else None
+        metrics = {"schedules": graph.schedules,
+                   "stripped_schedules": stripped_graph.schedules
+                   if stripped else 0}
+        checks = [kind.judge(check, stripped_graph if kind.stripped
+                             else graph)
                   for kind, check in wanted]
     return ScenarioResult(name=name, title=spec.get("title", name),
                           passed=all(c.passed for c in checks),
@@ -270,8 +307,7 @@ def run_scenario(spec: dict, config: EngineConfig | None = None,
 
 
 def load_scenario(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads(vocab.read_text(path, ScenarioError))
 
 
 def bundled_scenario_names() -> list[str]:

@@ -13,18 +13,25 @@ task was killed, engine-level errors, and deadlock.  The log's SHA-256
 over canonical JSON is the run's identity; two runs agree iff their
 digests do.
 
-`explore_interleavings` enumerates every schedule.  It steps one
+`explore_graph` explores every schedule into a graph.  It steps one
 simulator in place while a single task can run, and copies the world
 only at branch points, where two or more can: there the last runnable
-task steps the original and the others step copies.  Futures are
-deduplicated by fingerprint: when two prefixes reach indistinguishable
-branch points, the suffix set is computed once and reused, preserving
-both schedule counts and per-schedule logs.  Only a branch point that a
-second schedule could reach is fingerprinted: one where two or more
-tasks have moved since the first branch point, which every schedule
-passes through.  Copy and fingerprint are generated per class from the
-field declarations (see `state`).  Exploration refuses traces above a
-step bound rather than silently running for hours.
+task steps the original and the others step copies.  Each `Node` holds
+the steps and log entries that lead into it and one child per runnable
+task.  States are deduplicated by fingerprint: when two prefixes reach
+indistinguishable branch points, their nodes share one child tuple,
+explored once.  Only a branch point that a second schedule could reach
+is fingerprinted: one where two or more tasks have moved since the
+first branch point, which every schedule passes through.  Copy and
+fingerprint are generated per class from the field declarations (see
+`state`).  Exploration refuses traces above a step bound rather than
+silently running for hours.
+
+The graph is read without unrolling it: `count_schedules` counts the
+schedules, or those along which a scanner folded over the log never
+trips, by dynamic programming over the shared child tuples, and the
+`Graph` carries the first count.  `schedules` enumerates the
+per-schedule logs one at a time, and `explore_interleavings` lists them.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from typing import NamedTuple
 
 from .engine import Engine, EngineConfig, EngineError
 from .isa import AUDIT_ARCH_X86_64, U64_MASK, SyscallContext, decode_program
@@ -388,15 +396,33 @@ class Simulator:
 MAX_EXPLORE_STEPS = 14
 
 
-def explore_interleavings(trace: Trace, config: EngineConfig | None = None,
-                          descriptors: DescriptorTable | None = None,
-                          max_steps: int = MAX_EXPLORE_STEPS) -> list[tuple]:
-    """Every schedule of `trace`, as (schedule, entries) pairs, in
-    depth-first order with runnable tasks taken by ascending id.
+class Node(NamedTuple):
+    """A state of the explored graph, and the way into it from the branch
+    point above: the tasks stepped there, in order, and the log entries
+    those steps append (at the end of a schedule, with `finalize`'s).  It
+    holds one child per task runnable in that state, by ascending id, and
+    none where the schedule ends.  Nodes whose states key equal share
+    one child tuple."""
+    steps: tuple
+    entries: list
+    children: tuple
+
+
+class Graph(NamedTuple):
+    """The deduplicated graph of one exploration: its root node, and the
+    number of schedules through it."""
+    root: Node
+    schedules: int
+
+
+def explore_graph(trace: Trace, config: EngineConfig | None = None,
+                  descriptors: DescriptorTable | None = None,
+                  max_steps: int = MAX_EXPLORE_STEPS) -> Graph:
+    """The deduplicated graph of every schedule of `trace`.
 
     A state where one task can run is stepped in place, neither copied
     nor keyed.  A branch point with k runnable tasks is keyed once and,
-    unless the memo already holds its futures, copied k-1 times; its
+    unless the memo already holds its children, copied k-1 times; its
     last task steps the original.  A branch point is keyed only after
     two or more tasks have moved since the first branch point: while a
     single task has moved, only one schedule leads there, so no other
@@ -417,10 +443,10 @@ def explore_interleavings(trace: Trace, config: EngineConfig | None = None,
     base.rng = None     # exploration picks every task itself
     memo: dict = {}
 
-    def futures(sim: Simulator, first: int | None = None,
-                moved: frozenset = frozenset()) -> list[tuple]:
-        # the ways on from `sim`, after `first` steps if given; `sim` is
-        # stepped in place, since nothing reads a state again once it
+    def node(sim: Simulator, first: int | None = None,
+             moved: frozenset = frozenset()) -> Node:
+        # the node reached from `sim` after `first` steps if given; `sim`
+        # is stepped in place, since nothing reads a state again once it
         # is keyed and its other children are copied.  `moved` holds the
         # tasks that stepped since the first branch point, until it
         # holds two.
@@ -431,23 +457,75 @@ def explore_interleavings(trace: Trace, config: EngineConfig | None = None,
         while len(runnable) == 1:
             sim.step(runnable[0])
             runnable = sim.runnable_tasks()
+        path = tuple(sim.schedule[mark:])
         if not runnable:
             sim.finalize()
-            return [(tuple(sim.schedule[mark:]), sim.entries[start:])]
-        path, head = tuple(sim.schedule[mark:]), sim.entries[start:]
+            return Node(path, sim.entries[start:], ())
+        head = sim.entries[start:]
         if first is not None and len(moved) < 2:
             moved = moved.union(path)
         key = sim.state_key() if len(moved) > 1 else None
-        result = memo.get(key)      # None is never a key there
-        if result is None:
-            result = []
-            for tid in runnable:
-                child = sim if tid == runnable[-1] else sim.__deepcopy__({})
-                result += futures(child, tid, moved)
+        children = memo.get(key)    # None is never a key there
+        if children is None:
+            children = tuple(
+                node(sim if tid == runnable[-1] else sim.__deepcopy__({}),
+                     tid, moved)
+                for tid in runnable)
             if key is not None:
-                memo[key] = result
-        return [(path + choices, head + tail) for choices, tail in result]
+                memo[key] = children
+        return Node(path, head, children)
 
-    prefix_entries = list(base.entries)
-    return [(list(choices), prefix_entries + suffix)
-            for choices, suffix in futures(base)]
+    root = node(base)
+    return Graph(root, count_schedules(root))
+
+
+def count_schedules(root: Node, step=None, start=None) -> int:
+    """The schedules below `root` along whose log `step` never returns
+    None, folded from `start` over each entry (every schedule without a
+    `step`).  Dynamic programming over the shared child tuples: `step`'s
+    state is not part of a state key, so a count is kept per child tuple
+    and scanner state, never per tuple alone."""
+    memo: dict = {}
+
+    def below(node: Node, state) -> int:
+        if step is not None:
+            for entry in node.entries:
+                state = step(state, entry)
+                if state is None:
+                    return 0
+        children = node.children
+        if not children:
+            return 1
+        key = (id(children), state)     # `root` keeps every tuple alive
+        count = memo.get(key)
+        if count is None:
+            count = memo[key] = sum([below(child, state)
+                                     for child in children])
+        return count
+
+    return below(root, start)
+
+
+def schedules(graph: Graph):
+    """Every schedule of `graph`, one at a time, as (schedule, entries)
+    pairs in depth-first order with children taken by ascending task id."""
+    def walk(node: Node, steps: tuple, entries: list):
+        steps, entries = steps + node.steps, entries + node.entries
+        if not node.children:
+            yield list(steps), entries
+        for child in node.children:
+            yield from walk(child, steps, entries)
+
+    return walk(graph.root, (), [])
+
+
+def explore_interleavings(trace: Trace, config: EngineConfig | None = None,
+                          descriptors: DescriptorTable | None = None,
+                          max_steps: int = MAX_EXPLORE_STEPS) -> list[tuple]:
+    """Every schedule of `trace`, as (schedule, entries) pairs, in
+    depth-first order with runnable tasks taken by ascending id: the
+    per-schedule logs of `explore_graph`'s graph, enumerated on demand.
+    A check on every schedule is cheaper on the graph itself, through
+    `count_schedules`."""
+    return list(schedules(explore_graph(trace, config, descriptors,
+                                        max_steps)))

@@ -191,6 +191,5 @@ def parse_trace(text: str) -> Trace:
 
 
 def load_trace(path) -> Trace:
-    with open(path, encoding="utf-8") as fh:
-        return parse_trace(fh.read())
+    return parse_trace(vocab.read_text(path, TraceError))
 

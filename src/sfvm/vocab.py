@@ -65,6 +65,17 @@ def check(obj: dict, shape: Shape, where, error: type) -> None:
                 told=_told(types[names[0]], None)))
 
 
+def read_text(path, error: type) -> str:
+    """The text of the file at `path`; `error` if it is not UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8 text (byte {exc.start}: {exc.reason})") \
+            from None
+
+
 def is_decimal(key) -> bool:
     """A decimal number as an object key: ASCII digits, at most 18 of
     them, so the number is in the i64 range."""

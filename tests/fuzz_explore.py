@@ -5,7 +5,9 @@ outside the test suite:
 
 For each generated race it checks that `explore_interleavings` returns
 the reference explorer's schedules and logs in the reference's order,
-and that replaying each schedule from scratch logs the same entries.
+that the explored graph counts the reference's schedules and, for every
+pair of syscall numbers, its overlapping ones, and that replaying each
+schedule from scratch logs the same entries.
 It prints the counts and exits with the number of disagreeing traces.
 """
 

@@ -7,7 +7,9 @@ a corpus of generator specs."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
 import random
 import sys
 from copy import copy, deepcopy
@@ -65,9 +67,16 @@ from sfvm.policies import (
 from sfvm.scenarios import (
     _strip_policies,
     bundled_scenario_names,
+    decision_windows_overlap,
     load_bundled_scenario,
+    overlapping_schedules,
 )
-from sfvm.sim import MAX_EXPLORE_STEPS, Simulator, explore_interleavings
+from sfvm.sim import (
+    MAX_EXPLORE_STEPS,
+    Simulator,
+    explore_graph,
+    explore_interleavings,
+)
 from sfvm.snapshot import DescriptorTable
 from sfvm.trace import parse_trace
 from sfvm.usermem import UserMemory
@@ -1174,12 +1183,17 @@ def explore_disagreements(trace, config=None, descriptors=None,
                           max_steps=MAX_EXPLORE_STEPS) -> list:
     """How exploration departs from `reference_explore`, and how an
     explored log departs from replaying its schedule from scratch; empty
-    when all agree."""
+    when all agree.  The explored graph must count the reference's
+    schedules and, for every pair of syscall numbers in the trace, the
+    schedules that `decision_windows_overlap` finds overlapping in the
+    reference's logs."""
     want = reference_explore(trace, config, descriptors)
     problems = []
     try:
         got = explore_interleavings(trace, config, descriptors,
                                     max_steps=max_steps)
+        graph = explore_graph(trace, config, descriptors,
+                              max_steps=max_steps)
     except Exception as exc:    # a crash is a disagreement too
         problems.append(f"raised {exc!r}")
     else:
@@ -1188,12 +1202,69 @@ def explore_disagreements(trace, config=None, descriptors=None,
                        if g != w), min(len(got), len(want)))
             problems.append(f"{len(got)} schedules against {len(want)}, "
                             f"first apart at {at}")
+        if graph.schedules != len(want):
+            problems.append(f"the graph counts {graph.schedules} schedules "
+                            f"against {len(want)}")
+        nrs = sorted({ev["nr"] for queue in trace.queues.values()
+                      for ev in queue if "nr" in ev.fields})
+        for pair in itertools.combinations_with_replacement(nrs, 2):
+            counted = overlapping_schedules(graph, pair)
+            overlapping = sum(decision_windows_overlap(entries, pair)
+                              for _, entries in want)
+            if counted != overlapping:
+                problems.append(f"the graph counts {counted} schedules "
+                                f"overlapping {pair} against {overlapping}")
     for schedule, entries in want:
         again = Simulator(trace, config=config, descriptors=descriptors,
                           schedule=schedule).run()
         if again.entries != entries:
             problems.append(f"replaying {schedule} logs otherwise")
     return problems
+
+
+def serialization_chain(calls: int) -> dict:
+    """An explore scenario of a chained serialization race: task 1 loads
+    and installs a filter that makes 10 and 11, and 11 and 12, exclude
+    each other, then spawns tasks 2, 3 and 4, which inherit it and make
+    `calls` syscalls each (an enter and an exit) of number 10, 11 and 12.
+    Checks that neither pair overlaps, and that 10 and 11 do without the
+    filter."""
+    events = [
+        {"event": "spawn", "tid": 1, "nnp": True},
+        {"event": "load", "task": 1, "handle": "h",
+         "policy": {"generator": "serialization",
+                    "pairs": {"10": [11], "11": [10, 12], "12": [11]}}},
+        {"event": "install", "task": 1, "handle": "h"},
+        *({"event": "spawn", "task": 1, "tid": tid} for tid in (2, 3, 4)),
+    ]
+    for tid, nr in ((2, 10), (3, 11), (4, 12)):
+        events += [{"event": "syscall_enter", "task": tid, "nr": nr},
+                   {"event": "syscall_exit", "task": tid}] * calls
+    return {"name": f"chain-3x{calls}", "mode": "explore", "max_steps": 40,
+            "trace": events,
+            "checks": [{"check": "no_overlap", "pair": [10, 11]},
+                       {"check": "no_overlap", "pair": [11, 12]},
+                       {"check": "overlap_without_policy", "pair": [10, 11]}]}
+
+
+def linear_extensions(events: list) -> int:
+    """The schedules of a trace whose every event takes one step, by the
+    hook length formula for forests: n! over the product of the subtree
+    sizes, where an event's parent is the one before it in its task's
+    queue, or for a task's first event the spawn that made the task."""
+    parent, last, sizes = {}, {}, {}
+    for i, ev in enumerate(events):
+        if "task" not in ev:
+            continue            # a root, spawned before any scheduling
+        sizes[i] = 1
+        if ev["task"] in last:
+            parent[i] = last[ev["task"]]
+        last[ev["task"]] = i
+        if ev["event"] in ("spawn", "spawn_thread"):
+            last[ev["tid"]] = i
+    for i in sorted(parent, reverse=True):      # parents come first
+        sizes[parent[i]] += sizes[i]
+    return math.factorial(len(sizes)) // math.prod(sizes.values())
 
 
 def every_field_trace() -> list:

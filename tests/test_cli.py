@@ -127,6 +127,23 @@ def test_a_bad_descriptors_file_is_exit_2(tmp_path, trace_file, capsys,
         f"error: --descriptors {path}: {message}")
 
 
+@pytest.mark.parametrize("argv,file", [
+    (["run", "{bad}"], "{bad}"),
+    (["explore", "{bad}"], "{bad}"),
+    (["scenario", "{bad}"], "{bad}"),
+    (["run", "{trace}", "--descriptors", "{bad}"], "--descriptors {bad}"),
+])
+def test_a_file_that_is_not_utf8_is_exit_2(tmp_path, trace_file, capsys,
+                                           argv, file):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    argv = [arg.format(bad=bad, trace=trace_file) for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {file.format(bad=bad)}: not UTF-8 text "
+        f"(byte 0: invalid start byte)\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["asm", "{missing}"],
     ["verify", "{missing}"],

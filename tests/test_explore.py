@@ -1,7 +1,8 @@
 """Exploration against its reference: the same schedules and logs, in the
-same order, on a seeded corpus of small races, and copies and
-fingerprints taken only where the schedule branches and, for
-fingerprints, only where a second schedule could lead.
+same order, and the same schedule and overlap counts from the graph, on
+a seeded corpus of small races, and copies and fingerprints taken only
+where the schedule branches and, for fingerprints, only where a second
+schedule could lead.
 
 `python -m tests.fuzz_explore` runs the corpus for longer.
 """

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import random
+import time
 
 import pytest
 
@@ -12,15 +13,23 @@ from sfvm.scenarios import (
     MODES,
     SCENARIO,
     ScenarioError,
+    _strip_policies,
     bundled_scenario_names,
     decision_windows_overlap,
     load_bundled_scenario,
     run_bundled,
     run_scenario,
 )
+from sfvm.trace import parse_trace
 
 from . import fuzz_inputs
-from .helpers import bundled_descriptors
+from .helpers import (
+    bundled_descriptors,
+    linear_extensions,
+    reference_explore,
+    serialization_chain,
+    trace_text,
+)
 
 EXPECTED = [
     "busybox-9071",
@@ -161,7 +170,7 @@ def test_a_malformed_spec_is_refused_before_the_run(
     def never(*args, **kwargs):
         raise AssertionError("the scenario ran")
     monkeypatch.setattr("sfvm.scenarios.Simulator", never)
-    monkeypatch.setattr("sfvm.scenarios.explore_interleavings", never)
+    monkeypatch.setattr("sfvm.scenarios.explore_graph", never)
     spec = {"name": "x", "mode": mode,
             "trace": [{"event": "spawn", "tid": 1}], **change}
     with pytest.raises(ScenarioError) as refused:
@@ -257,3 +266,35 @@ def test_unrelated_syscalls_are_ignored():
 def test_log_opens_a_window():
     assert decision_windows_overlap(
         [dec(1, action="log"), dec(2)], (1, 2))
+
+
+# -- judged on the explored graph ---------------------------------------------
+
+
+def test_a_serialization_chain_is_judged_on_its_graph():
+    # 66,512,160 schedules without the filter: only the graph can hold them
+    spec = serialization_chain(3)
+    start = time.perf_counter()
+    result = run_scenario(spec, descriptors=bundled_descriptors())
+    assert time.perf_counter() - start < 2
+    assert result.metrics["stripped_schedules"] == \
+        linear_extensions(spec["trace"]) == 66_512_160
+    assert [c.passed for c in result.checks] == [True, True, True]
+
+
+def test_a_short_chain_counts_as_the_reference_does():
+    spec = serialization_chain(1)
+    result = run_scenario(spec, descriptors=bundled_descriptors())
+    runs, stripped = (
+        reference_explore(parse_trace(trace_text(events)),
+                          descriptors=bundled_descriptors())
+        for events in (spec["trace"], _strip_policies(spec["trace"])))
+    assert result.metrics == {"schedules": len(runs),
+                              "stripped_schedules": len(stripped)}
+    overlapping = [sum(decision_windows_overlap(entries, check["pair"])
+                       for _, entries in pool)
+                   for check, pool in zip(spec["checks"],
+                                          (runs, runs, stripped))]
+    assert [c.detail for c in result.checks] == [
+        f"{overlapping[0]} overlapping", f"{overlapping[1]} overlapping",
+        f"{overlapping[2]} of {len(stripped)} schedules overlap"]

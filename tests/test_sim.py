@@ -9,7 +9,6 @@ import pytest
 from sfvm.asm import assemble
 from sfvm.engine import Engine
 from sfvm.isa import encode_program
-from sfvm.scenarios import bundled_scenario_names, load_bundled_scenario
 from sfvm.sim import (
     MAX_EXPLORE_STEPS,
     ExplorationLimit,
@@ -23,6 +22,7 @@ from sfvm.trace import TraceError, parse_trace
 from .helpers import (
     bundled_descriptors,
     decisions,
+    explore_corpus,
     explore_disagreements,
     run_trace,
     trace_text,
@@ -600,22 +600,45 @@ VOTE_STEPS = [
 ]
 
 
+# task 1's syscall 28 kills its thread group: thread 2 either dies inside
+# an allowed syscall 1, whose window its log never closes, or before it
+# enters; the two states after the kill key equal, so the graph's
+# overlap count must carry the window past the child tuple they share
+KILLED_INSIDE_A_SYSCALL = [
+    {"event": "spawn", "tid": 1, "nnp": True},
+    {"event": "load", "task": 1, "handle": "h",
+     "policy": {"generator": "count_limit", "nr": 28, "max": 0,
+                "deny": "kill_process"}},
+    {"event": "install", "task": 1, "handle": "h"},
+    {"event": "spawn", "task": 1, "tid": 3},
+    {"event": "spawn", "task": 1, "tid": 4},
+    {"event": "spawn_thread", "task": 1, "tid": 2},
+    {"event": "syscall_enter", "task": 1, "nr": 28},
+    {"event": "syscall_enter", "task": 2, "nr": 1},
+    {"event": "syscall_exit", "task": 2},
+    {"event": "syscall_enter", "task": 3, "nr": 101},
+    {"event": "syscall_exit", "task": 3},
+    {"event": "syscall_enter", "task": 4, "nr": 101},
+    {"event": "syscall_exit", "task": 4},
+]
+
+
 TRACE_CASES = {"explore-events": EXPLORE_EVENTS,
                "tail-call-state": TAIL_STATE_EVENTS,
                "map-pointer-across-wait": MAP_POINTER_ACROSS_WAIT,
                "checkpoint-after-update": CHECKPOINT_AFTER_UPDATE,
-               "vote-steps": VOTE_STEPS}
-EXPLORE_SCENARIOS = [name for name in bundled_scenario_names()
-                     if load_bundled_scenario(name).get("mode") == "explore"]
+               "vote-steps": VOTE_STEPS,
+               "killed-inside-a-syscall": KILLED_INSIDE_A_SYSCALL}
+# the bundled explore scenarios, with their policies and without
+EXPLORE_SCENARIOS = {name: events for name, events, _ in explore_corpus()
+                     if not name.startswith("race-")}
 
 
 @pytest.mark.parametrize("name", [*TRACE_CASES, *EXPLORE_SCENARIOS])
 def test_dedupe_preserves_the_schedule_set(name):
-    spec = ({"trace": TRACE_CASES[name]} if name in TRACE_CASES
-            else load_bundled_scenario(name))
-    trace = parse_trace(trace_text(spec["trace"]))
-    kwargs = {"descriptors": bundled_descriptors(),
-              "max_steps": spec.get("max_steps", MAX_EXPLORE_STEPS)}
+    trace = parse_trace(trace_text(TRACE_CASES.get(name)
+                                   or EXPLORE_SCENARIOS[name]))
+    kwargs = {"descriptors": bundled_descriptors()}
     # the reference's list, in its order
     assert explore_disagreements(trace, **kwargs) == []
     if name == "tail-call-state":

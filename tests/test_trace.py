@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 from sfvm.sim import Simulator
-from sfvm.trace import TraceError, TraceEvent, parse_trace
+from sfvm.trace import TraceError, TraceEvent, load_trace, parse_trace
 
 from .helpers import (
     bundled_descriptors,
@@ -253,3 +253,12 @@ def test_parsed_events_key_and_copy_as_the_reference_does():
     sim = Simulator(trace, descriptors=bundled_descriptors())
     assert sim.state_key() == reference_key(sim, {}, True)
     assert copy.deepcopy(sim).trace.events == trace.events
+
+
+def test_a_trace_file_that_is_not_utf8_is_a_trace_error(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    # the offset is the file's, past the first buffer's worth of text
+    path.write_bytes(b'{"event": "spawn", "tid": 1}\n' * 400 + b"\xff\xfe")
+    with pytest.raises(TraceError, match=r"^not UTF-8 text \(byte 11600: "
+                                         r"invalid start byte\)$"):
+        load_trace(path)
