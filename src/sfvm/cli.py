@@ -24,7 +24,7 @@ from .sim import ExplorationLimit, MAX_EXPLORE_STEPS, Simulator, \
     explore_graph, log_digest, schedules
 from .snapshot import MODES, DescriptorError, DescriptorTable
 from .trace import TraceError, load_trace
-from .vocab import read_text
+from .vocab import decode_text, read_text
 from .verifier import verify
 
 
@@ -34,7 +34,7 @@ def _read_program(path: str):
         raw = fh.read()
     if raw[:len(PROGRAM_MAGIC)] == PROGRAM_MAGIC:
         return decode_program(raw), True
-    return assemble(raw.decode("utf-8")), False
+    return assemble(decode_text(raw, ValueError)), False
 
 
 def _engine_config(args) -> EngineConfig:
@@ -69,7 +69,7 @@ def cmd_asm(args) -> int:
         out = disassemble(program).encode("utf-8") if binary \
             else encode_program(program)
     except (AsmError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 1
     if args.output:
         with open(args.output, "wb") as fh:
@@ -83,7 +83,7 @@ def cmd_verify(args) -> int:
     try:
         program, _ = _read_program(args.program)
     except (AsmError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.program}: {exc}", file=sys.stderr)
         return 1
     report = verify(program)
     print(json.dumps(report.to_json(), indent=2))

@@ -19,16 +19,27 @@ the newest.
 
 On syscall entry the engine snapshots described pointer arguments,
 then runs every installed filter in installation order and combines the
-votes into the most restrictive verdict.  Each filter runs in a fresh
-interpreter thread unless its verdict for this syscall number is
-memoized, like the kernel's seccomp action cache: a run that read
-nothing but `nr` and called no helper stores its outcome, and the action
-it resolves to, on the program (`FilterProgram.verdicts`), and later
-syscalls with that number reuse both, logging the same steps, helper
-calls and raw action the run produced.  A filter that faults votes the
-configured bad-filter action instead.  Denials clean up immediately (in-flight marks, snapshot) and
-the matching exit event from the application is consumed as a no-op,
-since the syscall it would have paired with never ran.
+votes into the most restrictive verdict.  A filter that faults votes the
+configured bad-filter action instead.  Denials clean up immediately
+(in-flight marks, snapshot) and the matching exit event from the
+application is consumed as a no-op, since the syscall it would have
+paired with never ran.
+
+Two memos skip that work, much as the kernel's seccomp action cache
+skips every filter for a number the chain always allows
+(`seccomp_cache_check_allow`).  A filter run that read nothing but `nr`
+and called no helper stores its outcome, and the action it resolves
+to, on the program (`FilterProgram.verdicts`), and a later syscall with
+that number reuses both without running the filter.  A walk whose every
+vote came from those memos, none of them faulted, stores its votes,
+their sums and the resolved decision on the chain's last link
+(`Installation.walks`), and a later syscall with that number entering
+the same chain takes the whole decision in one lookup.  Either way the
+log holds the steps, helper calls and raw actions the runs produced.
+Neither memo is ever cleared: a loaded program never changes, an install
+appends a link with an empty memo, children share their parent's links
+and restore builds new ones.  A fault is the engine's to decide, which
+is why no faulted vote is stored in a walk.
 
 Each piece of state has one owner, declared with its class (`state`
 derives copies and fingerprints from that).  An installation owns its
@@ -98,13 +109,22 @@ class Credentials:
     dumpable: bool = True
 
 
-@stateful(shared="program loader", aliased="maps", value="classic")
+@stateful(shared="program loader", aliased="maps", value="classic",
+          untracked={"walks": "a memo of the chain's programs, which copies "
+                              "share"})
 @dataclass
 class Installation:
+    """A link of a task's chain.  `walks` memoizes, per syscall number,
+    the finished walk of the chain that ends at this link (see
+    `Engine.resume_syscall`); a link's chain never changes, since chains
+    only grow at the end and children copy their parent's links."""
+
     program: FilterProgram
     maps: list
     loader: Credentials
     classic: bool = False
+    walks: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
 
 @stateful(shared="program", aliased="maps")
@@ -335,9 +355,14 @@ class Engine:
     def close_map_fds(self, tid: int, install_index: int = -1):
         """Drop the userspace handles on an installation's maps. The maps
         stay alive through the installation's own references, but nothing
-        outside the filter can touch them any more."""
+        outside the filter can touch them any more.  Index -1 is the
+        newest installation."""
         t = self.task(tid)
-        for pmap in t.chain[install_index].maps:
+        i = len(t.chain) - 1 if install_index == -1 else install_index
+        if not 0 <= i < len(t.chain):
+            raise EngineError(f"task {tid} has no installation "
+                              f"{install_index}")
+        for pmap in t.chain[i].maps:
             pmap.fd_open = False
 
     def update_map_external(self, actor: int, target: int,
@@ -392,13 +417,26 @@ class Engine:
         if pending is None or pending.executing:
             raise EngineError(f"task {tid} has no undecided syscall")
         nr = pending.ctx.nr
+        chain = pending.chain
+        # True while every vote of this walk came from its program's memo
+        memoized = pending.index == 0 and pending.thread is None
+        if memoized and chain:
+            walk = chain[-1].walks.get(nr)
+            if walk is not None:
+                # the cached lists are never appended to: a pending syscall
+                # votes only while its index is short of its chain
+                (pending.votes, pending.actions, pending.steps,
+                 pending.helper_calls, decision) = walk
+                pending.index = len(chain)
+                return ("decision", self._finish_enter(t, decision))
         env = None      # one for every filter this call runs
-        while pending.index < len(pending.chain):
-            inst = pending.chain[pending.index]
+        while pending.index < len(chain):
+            inst = chain[pending.index]
             verdicts = inst.program.verdicts
             thread = pending.thread
             memo = verdicts.get(nr) if thread is None else None
             if memo is None:
+                memoized = False
                 if thread is None:
                     thread = pending.thread = VmThread(
                         inst.program, inst.maps, pending.ctx)
@@ -422,6 +460,7 @@ class Engine:
                 out, action = memo
             if out.faulted:     # the engine's to decide, not the memo's
                 action = self.config.bad_filter_action
+                memoized = False
             pending.actions.append(action)
             pending.votes.append({
                 "install": pending.index,
@@ -436,17 +475,23 @@ class Engine:
             pending.helper_calls += out.helper_calls
             pending.thread = None
             pending.index += 1
-        return ("decision", self._finish_enter(t))
-
-    def _finish_enter(self, t: Task) -> dict:
-        pending = t.pending
         decision = resolve(pending.actions)
+        if memoized and chain:
+            chain[-1].walks[nr] = (pending.votes, pending.actions,
+                                   pending.steps, pending.helper_calls,
+                                   decision)
+        return ("decision", self._finish_enter(t, decision))
+
+    def _finish_enter(self, t: Task, decision: ResolvedAction) -> dict:
+        pending = t.pending
         record = {
             "task": t.tid,
             "nr": pending.ctx.nr,
             "action": decision.name,
             "errno": decision.errno,
             "raw": decision.raw,
+            # a served walk's vote dicts are in every record it serves;
+            # nothing writes a vote once cast (log readers only read)
             "votes": list(pending.votes),
             "steps": pending.steps,
             "helper_calls": pending.helper_calls,

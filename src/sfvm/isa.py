@@ -424,10 +424,13 @@ class FilterProgram:
     the fused blocks written from the facts, made on first run and shared
     by every program with equal instructions and facts.  `verdicts`
     memoizes the engine's (outcome, resolved action) per syscall number
-    for runs that read nothing but `nr` (see `vm.VmThread.pure`).  A copy
-    made with `replace` starts without facts, lowering or verdicts, so
-    unverified.  Once loaded a program is immutable (the caches are
-    functions of it): copies share it.
+    for runs that read nothing but `nr` (see `vm.VmThread.pure`), of any
+    action, filled at the first such run.  Linux caches only the numbers
+    a filter always allows, worked out at attach; here a load must not
+    pay for numbers it may never see.  A copy made with `replace` starts
+    without facts, lowering or verdicts, so unverified.  Once loaded a
+    program is immutable (the caches are functions of it): copies share
+    it.
     """
 
     instructions: tuple

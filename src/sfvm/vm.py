@@ -42,10 +42,15 @@ A run that reads no context field but `nr` and calls no helper (nor
 `tail_call`) leaves the thread `pure`: its outcome, fault included, is a
 function of the program and the syscall number alone, because the stack
 starts zeroed and maps are reachable only through helpers.  The engine
-memoizes such outcomes per program (`FilterProgram.verdicts`) and serves
-later syscalls with the same number without running the program, much
-as the kernel's seccomp action cache skips a filter whose verdict
-depends on the number only.
+memoizes such outcomes per program (`FilterProgram.verdicts`), and a
+walk of a chain that those memos served whole on the chain's last link
+(`engine.Installation.walks`); a later syscall with the same number then
+runs nothing.  The kernel's seccomp action cache
+keeps one verdict only: at attach it emulates each filter for every
+number and keeps a bitmap of the numbers it always allows
+(`seccomp_cache_prepare` in `kernel/seccomp.c`).  These memos keep any
+constant decision, a denial too, and fill it at its first use, so that
+a load pays nothing for them.
 
 A thread owns only its registers, stack, pc and counters.  Its maps
 belong to its installation or to the program-array entry it was handed

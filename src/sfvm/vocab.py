@@ -68,7 +68,11 @@ def check(obj: dict, shape: Shape, where, error: type) -> None:
 def read_text(path, error: type) -> str:
     """The text of the file at `path`; `error` if it is not UTF-8."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        return decode_text(fh.read(), error)
+
+
+def decode_text(raw: bytes, error: type) -> str:
+    """`raw` as UTF-8 text; `error` if it is not."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:

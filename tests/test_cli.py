@@ -144,6 +144,20 @@ def test_a_file_that_is_not_utf8_is_exit_2(tmp_path, trace_file, capsys,
         f"(byte 0: invalid start byte)\n")
 
 
+@pytest.mark.parametrize("command", ["asm", "verify"])
+@pytest.mark.parametrize("content,message", [
+    (b"\xff\xfe", "not UTF-8 text (byte 0: invalid start byte)"),
+    (PROGRAM_MAGIC + b"\x01", "truncated program file"),
+    (b"section seccomp\n    frob r0\n", "line 2: unknown mnemonic 'frob'"),
+])
+def test_a_bad_program_file_names_its_path(tmp_path, capsys, command,
+                                           content, message):
+    path = tmp_path / "bad.prog"
+    path.write_bytes(content)
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["asm", "{missing}"],
     ["verify", "{missing}"],

@@ -3,6 +3,7 @@ checkpoint round trips."""
 
 from __future__ import annotations
 
+import json
 import random
 import struct
 from copy import deepcopy
@@ -10,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from sfvm import vm
 from sfvm.actions import ActionKind, ResolvedAction
 from sfvm.asm import assemble
 from sfvm.engine import (
@@ -542,6 +544,20 @@ def test_admin_can_rewind_a_budget_until_fds_close():
     assert probe(eng, victim, ctx(0))["action"] == "errno"
 
 
+@pytest.mark.parametrize("installs,index", [
+    (0, 0), (0, 5), (0, -1), (1, 1), (1, -2)])
+def test_closing_a_missing_installation_is_an_engine_error(installs, index):
+    eng = Engine()
+    tid = eng.spawn(nnp=True)
+    for _ in range(installs):
+        attach(eng, assemble(BUDGET3), tid)
+    with pytest.raises(EngineError,
+                       match=f"^task {tid} has no installation {index}$"):
+        eng.close_map_fds(tid, index)
+    assert all(pmap.fd_open for inst in eng.task(tid).chain
+               for pmap in inst.maps)
+
+
 def test_external_updates_reject_private_map_kinds():
     prog = assemble(
         "section seccomp\n"
@@ -917,6 +933,174 @@ def test_argument_and_memory_readers_are_never_memoized():
     assert probe(eng, tid, ctx(1, 4))["action"] == "errno"
     assert probe(eng, tid, ctx(1, 3))["action"] == "allow"
     assert 1 not in program.verdicts
+
+
+# -- chain cache ------------------------------------------------------------
+
+CACHE_NRS = [0, 1, 2, 3, 9, 25, 39, 77, 250, 257]
+
+
+def _fresh_record(programs, tid, c) -> dict:
+    """The record a fresh engine, every memo empty, gives for `c` on a
+    task `tid` under `programs`."""
+    eng = Engine()
+    eng.spawn(tid=tid, nnp=True)
+    for program in programs:
+        eng.install(tid, eng.load(tid, program))
+    assert all(c.nr not in inst.program.verdicts
+               for inst in eng.task(tid).chain)
+    return eng.run_syscall(tid, c)
+
+
+def _unowned(record) -> dict:
+    """A record without the task that made it."""
+    return {k: v for k, v in record.items() if k not in ("task", "killed")}
+
+
+def test_chain_cache_serves_what_a_fresh_engine_logs():
+    rng = random.Random(2718)
+    corpus = every_generator()
+    corpus += [assemble(fuzz_source(rng)) for _ in range(10)]
+    served = 0
+    for _ in range(40):
+        programs = rng.sample(corpus, rng.randint(1, 3))
+        eng = Engine()
+        tid = eng.spawn(nnp=True)
+        for program in programs:
+            eng.install(tid, eng.load(tid, program))
+        mem = eng.task(tid).address_space
+        mem.map_region(0x1000, 4096)
+        mem.write(0x1000, bytes(rng.randrange(256) for _ in range(64)))
+        calls = [nr for nr in CACHE_NRS for _ in range(3)]
+        rng.shuffle(calls)
+        for nr in calls:
+            args = [rng.choice([0, 3, 8, 16, 0x1000, rng.randrange(2**64)])
+                    for _ in range(6)]
+            c = ctx(nr, *args, addr=rng.choice([0, 0x401000]))
+            chain = eng.task(tid).chain
+            cached = nr in chain[-1].walks
+            record = probe(eng, tid, c)
+            if cached:
+                served += 1
+                assert json.dumps(record) == json.dumps(
+                    _fresh_record(programs, tid, c)), (programs, c)
+            if nr in chain[-1].walks:   # only walks served by the memos
+                assert all(nr in inst.program.verdicts for inst in chain)
+                assert not any(v["faulted"] for v in record["votes"])
+            if "killed" in record:
+                # a sibling carries on with the same chain and caches
+                tid = eng.spawn_thread(tid)
+    assert served > 0
+
+
+def test_an_install_never_serves_the_shorter_chain():
+    eng = Engine()
+    tid = attach(eng, ALLOW_ALL)
+    for _ in range(3):
+        assert probe(eng, tid, ctx(1))["action"] == "allow"
+    first = eng.task(tid).chain[0]
+    assert 1 in first.walks
+    attach(eng, DENY_WRITE, tid)
+    assert eng.task(tid).chain[1].walks == {}
+    for _ in range(3):
+        record = probe(eng, tid, ctx(1))
+        assert record["action"] == "errno"
+        assert [v["install"] for v in record["votes"]] == [0, 1]
+    assert first.walks[1][4].name == "allow"   # the shorter chain's own
+
+
+def test_children_share_their_parents_chain_cache():
+    eng = Engine()
+    parent = attach(eng, DENY_WRITE)
+    attach(eng, gen_count_limit(2, 2), parent)
+    records = {}
+    for nr in (0, 1, 0, 1, 0, 1):
+        records[nr] = probe(eng, parent, ctx(nr))
+    link = eng.task(parent).chain[-1]
+    assert {0, 1} <= set(link.walks)
+    for child in (eng.spawn(parent), eng.spawn_thread(parent)):
+        assert eng.task(child).chain[-1] is link
+        for nr, record in records.items():
+            assert _unowned(probe(eng, child, ctx(nr))) == _unowned(record)
+    # a child's own install leaves its parent's link as it was
+    child = eng.spawn(parent)
+    attach(eng, ALLOW_ALL, child)
+    assert eng.task(parent).chain[-1] is link
+    assert _unowned(probe(eng, parent, ctx(1))) == _unowned(records[1])
+
+
+def test_a_restore_starts_with_an_empty_chain_cache():
+    eng = Engine()
+    tid = attach(eng, DENY_WRITE)
+    attach(eng, gen_allowlist([0, 1, 2], layout="linear"), tid)
+    records = {nr: probe(eng, tid, ctx(nr)) for nr in (0, 1, 5) * 3}
+    assert {0, 1, 5} <= set(eng.task(tid).chain[-1].walks)
+    target = eng.spawn(caps=[CAP_SYS_ADMIN])
+    eng.restore(target, eng.checkpoint(tid))
+    assert all(inst.walks == {} for inst in eng.task(target).chain)
+    for _ in range(3):
+        for nr, record in records.items():
+            assert _unowned(probe(eng, target, ctx(nr))) == _unowned(record)
+
+
+def test_a_pure_fault_still_votes_the_bad_filter_action(monkeypatch):
+    # a loop that reads nothing at all, cut short by the step limit
+    spin = assemble(
+        "section seccomp\n"
+        "    mov r1, 0\n"
+        "loop:\n"
+        "    add r1, 1\n"
+        "    jlt r1, 20, loop\n"
+        "    ld_imm64 r0, 0x7fff0000\n"
+        "    exit\n")
+    monkeypatch.setattr(vm, "STEP_LIMIT", 16)
+    for bad in (ResolvedAction.from_raw(0x50000 | 99),
+                ResolvedAction.from_raw(0x50000 | 98)):
+        eng = Engine(EngineConfig(bad_filter_action=bad))
+        tid = attach(eng, spin)
+        for _ in range(4):
+            record = probe(eng, tid, ctx(3))
+            assert record["votes"][0]["faulted"]
+            assert (record["action"], record["errno"]) == ("errno", bad.errno)
+        link = eng.task(tid).chain[0]
+        assert 3 in link.program.verdicts and link.walks == {}
+
+
+def test_a_chain_with_a_reader_is_never_served_from_the_cache():
+    by_arg = assemble(
+        "section seccomp\n"
+        "    ld_ctx r1, 16\n"
+        "    jeq r1, 7, deny\n"
+        "    ld_imm64 r0, 0x7fff0000\n"
+        "    exit\n"
+        "deny:\n"
+        "    mov r0, 0x5000d\n"
+        "    exit\n")
+    by_memory = assemble(
+        "section seccomp\n"
+        "    mov r1, r10\n"
+        "    add r1, -8\n"
+        "    mov r2, 8\n"
+        "    ld_imm64 r3, 0x1000\n"
+        "    call safe_read_user\n"
+        "    ld_map r4, r10, -8\n"
+        "    jeq r4, 7, deny\n"
+        "    ld_imm64 r0, 0x7fff0000\n"
+        "    exit\n"
+        "deny:\n"
+        "    mov r0, 0x5000d\n"
+        "    exit\n")
+    by_clock = gen_rate_limit(1, 100, 2)
+    for reader in (by_arg, by_memory, by_clock):
+        for order in ((ALLOW_ALL, reader), (reader, ALLOW_ALL)):
+            eng = Engine()
+            tid = eng.spawn(nnp=True)
+            eng.task(tid).address_space.map_region(0x1000, 4096)
+            for program in order:
+                attach(eng, program, tid)
+            for _ in range(4):
+                probe(eng, tid, ctx(1, 0, 7))
+            assert 1 not in eng.task(tid).chain[-1].walks
 
 
 def test_restored_forged_program_replays_its_fault():
